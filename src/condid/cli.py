@@ -14,7 +14,13 @@ import math
 import sys
 
 from . import __version__
-from .errors import CondidError, NumericalError, PanelParseError, PanelValidationError
+from .errors import (
+    CondidError,
+    InvalidArgumentError,
+    NumericalError,
+    PanelParseError,
+    PanelValidationError,
+)
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
 from .simulation import SimConfig, SimTableRow, rows_to_csv, rows_to_json, run_table
@@ -104,8 +110,21 @@ def payload_to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
+def _check_alphas(args) -> None:
+    for flag, alpha in (("--alpha-pretest", args.alpha_pretest), ("--alpha-ci", args.alpha_ci)):
+        if not 0.0 < alpha < 1.0:
+            raise InvalidArgumentError(f"{flag} must lie strictly inside (0, 1), got {alpha}")
+
+
+def _check_trend_order(p: int, k: int) -> None:
+    if not 1 <= p <= k:
+        raise InvalidArgumentError(f"--trend-order must satisfy 1 <= p <= K={k}, got {p}")
+
+
 def cmd_analyze(args) -> int:
+    _check_alphas(args)
     panel = load_panel(args.input)
+    _check_trend_order(args.trend_order, panel.k)
     bundle = estimate_event_study(panel)
     report = analyze(
         bundle,
@@ -149,19 +168,25 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(
-        k_max=args.k_max,
-        n_per_cell=args.n,
-        sigma_noise=args.sigma,
-        trend_slope=args.slope,
-        reps=args.reps,
-        seed=args.seed,
-        alpha_pretest=args.alpha_pretest,
-        alpha_ci=args.alpha_ci,
-        trend_order=args.trend_order,
-        fast_path=not args.full_panel,
-        workers=args.workers,
-    )
+    _check_alphas(args)
+    # every table has K=1 rows, where only a linear trend can be fitted
+    _check_trend_order(args.trend_order, 1)
+    try:
+        config = SimConfig(
+            k_max=args.k_max,
+            n_per_cell=args.n,
+            sigma_noise=args.sigma,
+            trend_slope=args.slope,
+            reps=args.reps,
+            seed=args.seed,
+            alpha_pretest=args.alpha_pretest,
+            alpha_ci=args.alpha_ci,
+            trend_order=args.trend_order,
+            fast_path=not args.full_panel,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise InvalidArgumentError(str(exc)) from exc
     rows = run_table(config, args.table)
     if args.dgp != "default":
         rows = [row for row in rows if row.dgp == args.dgp]
@@ -174,11 +199,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_eta(args) -> int:
     if args.k < 1:
-        raise PanelValidationError("--k must be >= 1")
+        raise InvalidArgumentError("--k must be >= 1")
     if not (1 <= args.p <= args.k):
-        raise PanelValidationError(f"--p must satisfy 1 <= p <= k (got p={args.p}, k={args.k})")
+        raise InvalidArgumentError(f"--p must satisfy 1 <= p <= k (got p={args.p}, k={args.k})")
     if args.m < 1:
-        raise PanelValidationError("--m must be >= 1")
+        raise InvalidArgumentError("--m must be >= 1")
     vec = eta_gamma(args.k, args.p, args.m)
     print(" ".join(repr(float(x)) for x in vec))
     return EXIT_OK

@@ -71,6 +71,13 @@ class DegenerateAcceptanceError(NumericalError):
     """Too few Monte Carlo draws satisfied the conditioning event."""
 
 
+# --- arguments -------------------------------------------------------------
+
+
+class InvalidArgumentError(CondidError):
+    """A command-line argument is out of range (exit code 3 in the CLI)."""
+
+
 # --- data ------------------------------------------------------------------
 
 

@@ -14,7 +14,11 @@ normal equations exist only as a test oracle.  Coefficients are ordered
 from __future__ import annotations
 
 import csv
+import re
+import sys
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -71,30 +75,37 @@ class PanelData:
         object.__setattr__(self, "treatment", treatment)
         object.__setattr__(self, "outcome", outcome)
 
-        periods = np.unique(period)
-        lo, hi = int(periods[0]), int(periods[-1])
-        if hi != 1 or lo > -1 or not np.array_equal(periods, np.arange(lo, 2)):
+        lo, hi = int(period.min()), int(period.max())
+        n_periods = hi - lo + 1
+        # a contiguous range has a row in every period, so it spans at most n
+        # periods and the bincount stays O(rows)
+        per_period = (
+            np.bincount(period - lo) if hi == 1 and lo <= -1 and n_periods <= n else None
+        )
+        if per_period is None or not per_period.all():
             raise NonContiguousPeriodsError(
                 f"periods must form a contiguous set {{-K,...,0,1}} with K >= 1, "
-                f"got {periods.tolist()}"
+                f"got {np.unique(period).tolist()}"
             )
 
-        pairs = {}
-        for u, t in zip(unit.tolist(), period.tolist()):
-            key = (u, t)
-            if key in pairs:
-                raise PanelValidationError(f"duplicate (unit, period) row: {key}")
-            pairs[key] = True
+        # rows grouped by period: a duplicate pair shows as a repeated unit
+        units_by_period = unit[np.argsort(period)].tolist()
+        stops = np.cumsum(per_period).tolist()
+        starts = [0] + stops[:-1]
+        if any(len(set(units_by_period[a:b])) < b - a for a, b in zip(starts, stops)):
+            raise PanelValidationError(
+                f"duplicate (unit, period) row: {_first_duplicate(unit, period)}"
+            )
 
-        for t in range(lo, 2):
-            in_t = period == t
-            n_treat = int(np.count_nonzero(in_t & treatment))
-            n_ctrl = int(np.count_nonzero(in_t & ~treatment))
-            if n_treat < 2 or n_ctrl < 2:
-                raise InsufficientDataError(
-                    f"period {t} needs >= 2 observations per group, "
-                    f"got treatment={n_treat}, control={n_ctrl}"
-                )
+        cells = np.bincount((period - lo) * 2 + treatment, minlength=2 * n_periods)
+        n_ctrl, n_treat = cells.reshape(n_periods, 2).T
+        thin = np.flatnonzero((n_treat < 2) | (n_ctrl < 2))
+        if thin.size:
+            j = int(thin[0])
+            raise InsufficientDataError(
+                f"period {lo + j} needs >= 2 observations per group, "
+                f"got treatment={n_treat[j]}, control={n_ctrl[j]}"
+            )
 
     @property
     def k(self) -> int:
@@ -227,62 +238,156 @@ def estimate_covariance(data: PanelData) -> CovarianceMatrix:
     return _covariance_from_cells(cell_statistics(data))
 
 
-def load_panel(path) -> PanelData:
-    """Read and validate a panel CSV.
+def _first_duplicate(unit: np.ndarray, period: np.ndarray) -> tuple:
+    """The first (unit, period) pair, in row order, that repeats an earlier row."""
+    seen = set()
+    for key in zip(unit.tolist(), period.tolist()):
+        if key in seen:
+            return key
+        seen.add(key)
 
-    Expected header: ``unit,period,treatment,outcome`` with ``treatment`` in
-    {0, 1}, integer ``period`` and dot-decimal ``outcome``.
+
+def load_panel(path) -> PanelData:
+    r"""Read and validate a panel CSV.
+
+    The file is UTF-8 text with the header ``unit,period,treatment,outcome``.
+    Its grammar:
+
+    * fields are separated by commas; a field that starts with ``"`` is
+      quoted and may hold commas, line breaks and doubled quotes ``""``
+      (the ``csv`` module's default dialect);
+    * blank lines are skipped, though they still count in line numbers;
+    * whitespace around a field (``str.strip``) is ignored;
+    * ``#`` is an ordinary character;
+    * ``unit`` is any text;
+    * ``period`` is an optional sign and ASCII digits, ``[+-]?[0-9]+``,
+      within the signed 64-bit range;
+    * ``treatment`` is exactly ``0`` or ``1``;
+    * ``outcome`` is an ASCII number as ``float`` reads it, without
+      underscores: ``[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?``,
+      or ``inf``, ``infinity`` or ``nan`` with optional sign in any case
+      (these three then fail validation as non-finite).
 
     Raises
     ------
     PanelParseError
-        Malformed CSV content; the message carries the 1-based line number.
+        Malformed CSV content or bytes that are not UTF-8; the message
+        carries the 1-based line number of the first offending line, counted
+        as CSV records.
     PanelValidationError
         Structural violations (duplicates, missing periods, thin cells).
     """
-    units: list[str] = []
-    periods: list[int] = []
-    treatments: list[bool] = []
-    outcomes: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelParseError("empty file", line=1) from None
-        if tuple(h.strip() for h in header) != PANEL_HEADER:
-            raise PanelParseError(
-                f"expected header {','.join(PANEL_HEADER)!r}, got {','.join(header)!r}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise PanelParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-            unit, period_s, treat_s, outcome_s = (f.strip() for f in row)
-            try:
-                period = int(period_s)
-            except ValueError:
-                raise PanelParseError(f"period {period_s!r} is not an integer", line=lineno) from None
-            if treat_s not in ("0", "1"):
-                raise PanelParseError(f"treatment {treat_s!r} must be 0 or 1", line=lineno)
-            try:
-                outcome = float(outcome_s)
-            except ValueError:
-                raise PanelParseError(f"outcome {outcome_s!r} is not a number", line=lineno) from None
-            units.append(unit)
-            periods.append(period)
-            treatments.append(treat_s == "1")
-            outcomes.append(outcome)
-    if not units:
+    columns = _parse_columns(path)
+    if columns is None:
+        _raise_first_bad_line(path)
+    unit, period, treatment, outcome = columns
+    if unit.size == 0:
         raise InsufficientDataError("panel contains no observations")
-    return PanelData(
-        unit=np.array(units, dtype=object),
-        period=np.array(periods, dtype=int),
-        treatment=np.array(treatments, dtype=bool),
-        outcome=np.array(outcomes, dtype=float),
+    return PanelData(unit=unit, period=period, treatment=treatment, outcome=outcome)
+
+
+_BODY_DTYPE = np.dtype(
+    [("unit", object), ("period", np.int64), ("treatment", object), ("outcome", np.float64)]
+)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+# bytes that are not UTF-8 decode to these code points under "surrogateescape"
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _read_header(reader) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelParseError("empty file", line=1) from None
+    except csv.Error as exc:
+        raise PanelParseError(str(exc), line=1) from None
+    _check_decoded(header, 1)
+    if tuple(h.strip() for h in header) != PANEL_HEADER:
+        raise PanelParseError(
+            f"expected header {','.join(PANEL_HEADER)!r}, got {','.join(header)!r}",
+            line=1,
+        )
+
+
+def _check_decoded(row: list[str], lineno: int) -> None:
+    if any(_UNDECODABLE.search(field) for field in row):
+        raise PanelParseError("not valid UTF-8", line=lineno)
+
+
+def _strip(column: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(str.strip, column), dtype=object, count=column.shape[0])
+
+
+def _parse_columns(path):
+    """The body's columns (unit, period, treatment, outcome), parsed in one
+    C-level pass with ``np.loadtxt``; None when any line is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            _read_header(csv.reader(fh))
+            with warnings.catch_warnings():
+                # an empty body is reported by the caller; older numpy reads
+                # "1.0" as an integer with only a DeprecationWarning
+                warnings.simplefilter("ignore", UserWarning)
+                warnings.simplefilter("error", DeprecationWarning)
+                body = np.loadtxt(
+                    fh, dtype=_BODY_DTYPE, delimiter=",", quotechar='"',
+                    comments=None, ndmin=1,
+                )
+    except ValueError:  # also UnicodeDecodeError
+        return None
+    treatment = body["treatment"]
+    if not ((treatment == "0") | (treatment == "1")).all():
+        treatment = _strip(treatment)
+        if not ((treatment == "0") | (treatment == "1")).all():
+            return None
+    return (
+        _strip(body["unit"]),
+        np.ascontiguousarray(body["period"]),
+        treatment == "1",
+        np.ascontiguousarray(body["outcome"]),
     )
+
+
+def _raise_first_bad_line(path) -> NoReturn:
+    """Re-read a file the column-wise parse rejected, one record at a time,
+    and raise for its first malformed line.
+
+    The checks accept exactly the grammar of :func:`_parse_columns`, so a
+    rejected file always gets a line number.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        _read_header(reader)
+        lineno = 1
+        limit = csv.field_size_limit(sys.maxsize)  # loadtxt has no field size limit
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    _check_row(row, lineno)
+        except csv.Error as exc:  # a NUL character, before Python 3.11
+            raise PanelParseError(str(exc), line=lineno + 1) from None
+        finally:
+            csv.field_size_limit(limit)
+    raise AssertionError(f"{path}: the column-wise parse rejected a well-formed file")
+
+
+def _check_row(row: list[str], lineno: int) -> None:
+    _check_decoded(row, lineno)
+    if len(row) != 4:
+        raise PanelParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+    _, period_s, treat_s, outcome_s = (f.strip() for f in row)
+    if not (_INTEGER.fullmatch(period_s) and _INT64.min <= int(period_s) <= _INT64.max):
+        raise PanelParseError(f"period {period_s!r} is not an integer", line=lineno)
+    if treat_s not in ("0", "1"):
+        raise PanelParseError(f"treatment {treat_s!r} must be 0 or 1", line=lineno)
+    try:
+        float(outcome_s)
+        is_number = outcome_s.isascii() and "_" not in outcome_s
+    except ValueError:
+        is_number = False
+    if not is_number:
+        raise PanelParseError(f"outcome {outcome_s!r} is not a number", line=lineno)
 
 
 def write_panel(path, data: PanelData) -> None:

@@ -113,6 +113,15 @@ class TestAnalyze:
         rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_NUMERICAL
 
+    def test_non_utf8_input_is_parse_error_with_line(self, tmp_path, capsys):
+        src = tmp_path / "latin.csv"
+        body = EXAMPLE_PANEL.read_bytes().splitlines(keepends=True)
+        body[5] = b"\xff\xfe" + body[5]  # a unit label on line 6
+        src.write_bytes(b"".join(body))
+        rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_PARSE
+        assert "line 6: not valid UTF-8" in capsys.readouterr().err
+
     def test_csv_format_output(self, tmp_path):
         out = tmp_path / "report.csv"
         rc = main(["analyze", "--input", str(EXAMPLE_PANEL), "--format", "csv",
@@ -129,6 +138,23 @@ class TestAnalyze:
         assert _json_num(-math.inf) == "-inf"
         assert _json_num(math.nan) is None
         assert _json_num(1.5) == 1.5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--input", str(EXAMPLE_PANEL), "--alpha-pretest", "1.5"], "--alpha-pretest"),
+        (["analyze", "--input", str(EXAMPLE_PANEL), "--alpha-ci", "0"], "--alpha-ci"),
+        (["analyze", "--input", str(EXAMPLE_PANEL), "--trend-order", "9"], "K=3"),
+        (["simulate", "--table", "1", "--reps", "0"], "reps must be >= 1"),
+    ],
+    ids=["alpha-pretest", "alpha-ci", "trend-order", "reps"],
+)
+def test_invalid_argument_exit_code(argv, message, tmp_path, capsys):
+    rc = main(argv + ["--output", str(tmp_path / "out")])
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestEta:

@@ -1,0 +1,333 @@
+"""The column-wise panel loader against a row-by-row reference parser.
+
+``reference_load`` is the documented CSV grammar written as a plain
+``csv.reader`` loop, with the messages the loader has always used.  On every
+generated file, valid or not, ``load_panel`` must return the same arrays or
+raise the same error class, line number and message.
+"""
+
+import csv
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from condid import event_study
+from condid.errors import CondidError, InsufficientDataError, PanelParseError
+from condid.event_study import (
+    PANEL_HEADER,
+    PanelData,
+    estimate_event_study,
+    load_panel,
+    write_panel,
+)
+
+PERIOD = re.compile(r"[+-]?[0-9]+")
+NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
+
+
+def reference_load(path) -> PanelData:
+    """One record at a time: header, field count, period, treatment, outcome."""
+    units, periods, treatments, outcomes = [], [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise PanelParseError("empty file", line=1)
+        if tuple(h.strip() for h in header) != PANEL_HEADER:
+            raise PanelParseError(
+                f"expected header {','.join(PANEL_HEADER)!r}, got {','.join(header)!r}",
+                line=1,
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise PanelParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+            unit, period_s, treat_s, outcome_s = (f.strip() for f in row)
+            if not (PERIOD.fullmatch(period_s) and -(2**63) <= int(period_s) < 2**63):
+                raise PanelParseError(f"period {period_s!r} is not an integer", line=lineno)
+            if treat_s not in ("0", "1"):
+                raise PanelParseError(f"treatment {treat_s!r} must be 0 or 1", line=lineno)
+            if not NUMBER.fullmatch(outcome_s):
+                raise PanelParseError(f"outcome {outcome_s!r} is not a number", line=lineno)
+            units.append(unit)
+            periods.append(int(period_s))
+            treatments.append(treat_s == "1")
+            outcomes.append(float(outcome_s))
+    if not units:
+        raise InsufficientDataError("panel contains no observations")
+    return PanelData(
+        unit=np.array(units, dtype=object),
+        period=np.array(periods, dtype=int),
+        treatment=np.array(treatments, dtype=bool),
+        outcome=np.array(outcomes, dtype=float),
+    )
+
+
+def verdict(loader, path):
+    """The arrays a loader returns, or the error it raises."""
+    try:
+        panel = loader(path)
+    except CondidError as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+    return (
+        panel.unit.tolist(),
+        panel.period.tolist(),
+        panel.treatment.tolist(),
+        panel.outcome.tolist(),
+    )
+
+
+def assert_same_verdict(path):
+    expected = verdict(reference_load, path)
+    assert verdict(load_panel, path) == expected
+    return expected
+
+
+# --- generated files ------------------------------------------------------------
+
+LABEL_CHARS = st.sampled_from(list('abcXYZ019,"# é\t'))
+PAD = st.sampled_from(["", " ", "  ", "\t", "\u3000"])
+TERMINATOR = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def unit_labels(count):
+    """``count`` distinct labels without surrounding whitespace."""
+    texts = st.lists(st.text(LABEL_CHARS, max_size=6), min_size=count, max_size=count)
+    return texts.map(lambda ts: [f"{i}:{t}".rstrip() for i, t in enumerate(ts)])
+
+
+@st.composite
+def rendered_field(draw, text):
+    """``text`` padded with whitespace and quoted when it must be, or at random."""
+    pad_left, pad_right = draw(PAD), draw(PAD)
+    if any(c in text for c in ',"\r\n') or draw(st.booleans()):
+        return '"' + (pad_left + text + pad_right).replace('"', '""') + '"'
+    return pad_left + text + pad_right
+
+
+@st.composite
+def panel_files(draw):
+    """A valid panel (K = 1..4) as rendered CSV records, with the 1-based
+    line number of every data record."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3))
+    labels = draw(unit_labels(2 * n))
+    rows = []
+    for t in range(-k, 2):
+        for d in (0, 1):
+            for i in range(n):
+                y = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+                y_text = draw(st.sampled_from([repr(y), f"{y:.6e}", f"{y:g}"]))
+                rows.append([labels[d * n + i], str(t), str(d), y_text])
+    rows = draw(st.permutations(rows))
+    records, lines = [], []
+    for row in rows:
+        while draw(st.integers(0, 9)) == 0:
+            records.append("")  # blank line
+        fields = [draw(rendered_field(f)) for f in row]
+        records.append(",".join(fields))
+        lines.append(len(records) + 1)
+    return rows, records, lines
+
+
+def write_records(path, records, terminator):
+    # one terminator per file: "\r" before a blank "\n" line would read as "\r\n"
+    text = "".join(r + terminator for r in [",".join(PANEL_HEADER), *records])
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+CORRUPTIONS = {
+    1: ["", "x", "1.0", "1e0", "1_0", "١", "--1", "9223372036854775808"],
+    2: ["", "01", "yes", "2", "1.0", "+1", "00"],
+    3: ["", "abc", "1_0", "0x1", "1e", "١", "1.5.2", "--1"],
+}
+
+
+# the smallest valid panel already has 12 rows of several drawn fields each
+PANEL_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.large_base_example])
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, **PANEL_SETTINGS)
+    @given(data=st.data(), case=panel_files())
+    def test_valid_files_load_like_reference(self, tmp_path_factory, data, case):
+        rows, records, _ = case
+        path = write_records(
+            tmp_path_factory.mktemp("p") / "panel.csv", records, data.draw(TERMINATOR)
+        )
+        with mock.patch.object(
+            event_study, "_raise_first_bad_line", side_effect=AssertionError("slow path ran")
+        ):
+            loaded = assert_same_verdict(path)
+        units, periods, treatments, outcomes = loaded
+        assert units == [r[0] for r in rows]
+        assert periods == [int(r[1]) for r in rows]
+        assert treatments == [r[2] == "1" for r in rows]
+        assert outcomes == [float(r[3]) for r in rows]
+
+    @settings(max_examples=100, **PANEL_SETTINGS)
+    @given(data=st.data(), case=panel_files())
+    def test_one_corrupted_field_names_its_line(self, tmp_path_factory, data, case):
+        rows, records, lines = case
+        j = data.draw(st.integers(0, len(rows) - 1))
+        row = list(rows[j])
+        column = data.draw(st.sampled_from([1, 2, 3, "count"]))
+        if column == "count":
+            row = row[:3] if data.draw(st.booleans()) else row + ["extra"]
+        else:
+            row[column] = data.draw(st.sampled_from(CORRUPTIONS[column]))
+        bad = list(records)
+        bad[lines[j] - 2] = ",".join(data.draw(rendered_field(f)) for f in row)
+        path = write_records(
+            tmp_path_factory.mktemp("p") / "panel.csv", bad, data.draw(TERMINATOR)
+        )
+        name, line, _ = assert_same_verdict(path)
+        assert (name, line) == ("PanelParseError", lines[j])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.text(st.sampled_from(list('019+-.eE_ ,"#\t\r\n\x00\x1c\xa0١xinaf')),
+                             max_size=5),
+                     min_size=3, max_size=5),
+            max_size=6,
+        ),
+        terminator=TERMINATOR,
+    )
+    def test_arbitrary_text_gets_the_reference_verdict(self, tmp_path_factory, rows, terminator):
+        # raw joins: stray quotes, embedded line breaks and odd whitespace
+        # exercise the tokenizer itself
+        body = "".join(",".join(row) + terminator for row in rows)
+        path = tmp_path_factory.mktemp("p") / "panel.csv"
+        path.write_bytes((",".join(PANEL_HEADER) + "\n" + body).encode("utf-8"))
+        assert_same_verdict(path)
+
+
+class TestLoaderEdges:
+    def _write(self, tmp_path, body: bytes):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"unit,period,treatment,outcome\n" + body)
+        return path
+
+    @pytest.mark.parametrize("line", [2, 5, 40])
+    def test_invalid_utf8_names_its_line(self, tmp_path, line):
+        good = [f"u{i},{t},{d},0.5\n".encode() for t in (-1, 0, 1) for d in (0, 1) for i in range(8)]
+        good[line - 2] = b"bad\xff\xfe" + good[line - 2]
+        with pytest.raises(PanelParseError, match=f"line {line}: not valid UTF-8") as err:
+            load_panel(self._write(tmp_path, b"".join(good)))
+        assert err.value.line == line
+
+    def test_invalid_utf8_in_header(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"unit,per\xc3iod,treatment,outcome\n")
+        with pytest.raises(PanelParseError, match="line 1: not valid UTF-8"):
+            load_panel(path)
+
+    def test_earlier_parse_error_wins_over_bad_bytes(self, tmp_path):
+        body = b"a,-1,0,x\n" + b"\xff,0,0,1\n"
+        with pytest.raises(PanelParseError, match="line 2: outcome 'x'"):
+            load_panel(self._write(tmp_path, body))
+
+    def test_label_longer_than_csv_field_limit(self, tmp_path):
+        # the tokenizer has no field size limit, so the reporter lifts csv's
+        label = "u" * (csv.field_size_limit() + 10)
+        body = f"{label},-1,0,1.0\nb,-1,0,oops\n".encode()
+        limit = csv.field_size_limit()
+        with pytest.raises(PanelParseError, match="line 3"):
+            load_panel(self._write(tmp_path, body))
+        assert csv.field_size_limit() == limit
+
+    def test_header_longer_than_csv_field_limit(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("unit" + " " * csv.field_size_limit() + ",period,treatment,outcome\n")
+        with pytest.raises(PanelParseError, match="line 1: field larger than field limit"):
+            load_panel(path)
+
+    def test_blank_lines_count_towards_line_numbers(self, tmp_path):
+        body = b"\n\r\na,-1,0,1.0\n\nb,zero,0,1.0\n"
+        with pytest.raises(PanelParseError, match="line 6: period 'zero'"):
+            load_panel(self._write(tmp_path, body))
+
+    def test_quoted_line_break_is_one_record(self, tmp_path):
+        body = b'"a\nb",-1,0,1.0\nc,-1,yes,1.0\n'
+        with pytest.raises(PanelParseError, match="line 3: treatment 'yes'"):
+            load_panel(self._write(tmp_path, body))
+
+    @pytest.mark.parametrize("bad", ["1_0", "١", "9223372036854775808"])
+    def test_period_grammar_is_ascii_int64(self, tmp_path, bad):
+        with pytest.raises(PanelParseError, match="line 2: period"):
+            load_panel(self._write(tmp_path, f"a,{bad},0,1.0\n".encode()))
+
+    @pytest.mark.parametrize("bad", ["1_0.5", "١", "0x10"])
+    def test_outcome_grammar_is_ascii_float(self, tmp_path, bad):
+        with pytest.raises(PanelParseError, match="line 2: outcome"):
+            load_panel(self._write(tmp_path, f"a,-1,0,{bad}\n".encode()))
+
+
+# --- estimation invariances and round trip ----------------------------------------
+
+
+@st.composite
+def panels(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 5))
+    cells = [(t, d) for t in range(-k, 2) for d in (0, 1)]
+    period = np.repeat([t for t, _ in cells], n)
+    treatment = np.repeat([d for _, d in cells], n).astype(bool)
+    outcome = np.array(
+        draw(st.lists(st.floats(-1e3, 1e3), min_size=period.size, max_size=period.size))
+    )
+    labels = draw(unit_labels(2 * n))
+    unit = np.array([labels[int(d) * n + i % n] for i, d in enumerate(treatment)], dtype=object)
+    return PanelData(unit=unit, period=period, treatment=treatment, outcome=outcome)
+
+
+class TestEstimationInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(panel=panels(), data=st.data())
+    def test_row_permutation(self, panel, data):
+        order = np.array(data.draw(st.permutations(range(panel.n_rows))))
+        permuted = PanelData(
+            unit=panel.unit[order], period=panel.period[order],
+            treatment=panel.treatment[order], outcome=panel.outcome[order],
+        )
+        a, b = estimate_event_study(panel), estimate_event_study(permuted)
+        scale = max(1.0, float(np.abs(panel.outcome).max()))
+        np.testing.assert_allclose(b.beta, a.beta, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            b.sigma.entries, a.sigma.entries, rtol=1e-10, atol=1e-12 * scale**2
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(panel=panels(), data=st.data())
+    def test_unit_relabelling(self, panel, data):
+        names = sorted(set(panel.unit.tolist()))
+        renamed = data.draw(st.permutations([f"id{i}" for i in range(len(names))]))
+        mapping = dict(zip(names, renamed))
+        relabelled = PanelData(
+            unit=np.array([mapping[u] for u in panel.unit], dtype=object),
+            period=panel.period, treatment=panel.treatment, outcome=panel.outcome,
+        )
+        a, b = estimate_event_study(panel), estimate_event_study(relabelled)
+        np.testing.assert_array_equal(b.beta, a.beta)
+        np.testing.assert_array_equal(b.sigma.entries, a.sigma.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(panel=panels())
+    def test_write_then_load_round_trips(self, tmp_path_factory, panel):
+        path = tmp_path_factory.mktemp("p") / "panel.csv"
+        write_panel(path, panel)
+        loaded = load_panel(path)
+        assert loaded.unit.tolist() == panel.unit.tolist()
+        np.testing.assert_array_equal(loaded.period, panel.period)
+        np.testing.assert_array_equal(loaded.treatment, panel.treatment)
+        np.testing.assert_array_equal(loaded.outcome, panel.outcome)
