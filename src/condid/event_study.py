@@ -43,6 +43,14 @@ __all__ = [
 
 PANEL_HEADER = ("unit", "period", "treatment", "outcome")
 
+_BODY_DTYPE = np.dtype(
+    [("unit", object), ("period", np.int64), ("treatment", object), ("outcome", np.float64)]
+)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+# bytes that are not UTF-8 decode to these code points under "surrogateescape"
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
 
 @dataclass(frozen=True, eq=False)
 class PanelData:
@@ -284,15 +292,6 @@ def load_panel(path) -> PanelData:
     if unit.size == 0:
         raise InsufficientDataError("panel contains no observations")
     return PanelData(unit=unit, period=period, treatment=treatment, outcome=outcome)
-
-
-_BODY_DTYPE = np.dtype(
-    [("unit", object), ("period", np.int64), ("treatment", object), ("outcome", np.float64)]
-)
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_INT64 = np.iinfo(np.int64)
-# bytes that are not UTF-8 decode to these code points under "surrogateescape"
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _read_header(reader) -> None:
