@@ -24,6 +24,7 @@ from .errors import (
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
 from .simulation import SimConfig, SimTableRow, rows_to_csv, rows_to_json, run_table
+from .simulation import json_number as _json_num
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -31,15 +32,6 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def _json_num(x: float):
-    """JSON has no infinity/NaN literals; use string sentinels / null."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 def _estimator_payload(block) -> dict:
@@ -116,15 +108,13 @@ def _check_alphas(args) -> None:
             raise InvalidArgumentError(f"{flag} must lie strictly inside (0, 1), got {alpha}")
 
 
-def _check_trend_order(p: int, k: int) -> None:
-    if not 1 <= p <= k:
-        raise InvalidArgumentError(f"--trend-order must satisfy 1 <= p <= K={k}, got {p}")
-
-
 def cmd_analyze(args) -> int:
     _check_alphas(args)
     panel = load_panel(args.input)
-    _check_trend_order(args.trend_order, panel.k)
+    if not 1 <= args.trend_order <= panel.k:
+        raise InvalidArgumentError(
+            f"--trend-order must satisfy 1 <= p <= K={panel.k}, got {args.trend_order}"
+        )
     bundle = estimate_event_study(panel)
     report = analyze(
         bundle,
@@ -169,8 +159,6 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
 
 def cmd_simulate(args) -> int:
     _check_alphas(args)
-    # every table has K=1 rows, where only a linear trend can be fitted
-    _check_trend_order(args.trend_order, 1)
     try:
         config = SimConfig(
             k_max=args.k_max,
@@ -181,7 +169,6 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             alpha_pretest=args.alpha_pretest,
             alpha_ci=args.alpha_ci,
-            trend_order=args.trend_order,
             fast_path=not args.full_panel,
             workers=args.workers,
         )
@@ -243,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--slope", type=float, default=0.065, help="trend DGP slope")
     p_sim.add_argument("--alpha-pretest", type=float, default=0.05, dest="alpha_pretest")
     p_sim.add_argument("--alpha-ci", type=float, default=0.05, dest="alpha_ci")
-    p_sim.add_argument("--trend-order", type=int, default=1, dest="trend_order")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--full-panel", action="store_true",
                        help="simulate full panels instead of sufficient statistics (slow)")

@@ -10,6 +10,14 @@ untruncated mean eta'beta, untruncated variance eta'Sigma eta, and window
 
 with empty index sets giving -inf / +inf.  Quantile-unbiased point estimates
 and equal-tailed intervals then come from solving the truncated-normal mean.
+
+One kernel serves every caller.  :func:`polyhedral_window` computes the
+observed value, variance and window of ``m`` contrasts over a stack of ``n``
+datasets, and :func:`~condid.gaussian.solve_tn_quantiles` solves every
+(dataset, contrast, target) triple in one stacked call.  :func:`analyze` is a
+batch of one dataset and two contrasts; the simulator runs the same two
+functions on each chunk of replications; :func:`condition_contrast` is a
+batch of one dataset and one contrast.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .errors import (
     ZeroContrastError,
 )
 from .event_study import EstimateBundle
-from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_mean
+from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_mean, solve_tn_quantiles
 from .pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value, passes_pretest
 
 __all__ = [
@@ -40,6 +48,7 @@ __all__ = [
     "PretestResult",
     "InferenceReport",
     "efficient_estimator",
+    "polyhedral_window",
     "condition_contrast",
     "quantile_unbiased_estimate",
     "conditional_ci",
@@ -68,11 +77,7 @@ def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
     sigma = bundle.sigma
     if sigma.k == 0:
         raise ValueError("bundle has no pre-period coefficients")
-    try:
-        factor = cho_factor(sigma.sigma22, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("pre-coefficient covariance block is singular") from exc
-    weights = cho_solve(factor, sigma.sigma12)
+    weights = adjustment_weights(sigma)
     estimate = bundle.beta_post - float(weights @ bundle.beta_pre)
     variance = sigma.sigma11 - float(sigma.sigma12 @ weights)
     return estimate, variance
@@ -85,6 +90,49 @@ def adjustment_weights(sigma: CovarianceMatrix) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("pre-coefficient covariance block is singular") from exc
     return cho_solve(factor, sigma.sigma12)
+
+
+def polyhedral_window(
+    beta: np.ndarray,
+    sigma_eta: np.ndarray,
+    eta: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Truncation windows of ``m`` contrasts over a stack of ``n`` datasets.
+
+    Takes ``beta`` (n, d), ``sigma_eta`` (n, m, d) holding ``Sigma_i eta_j``,
+    ``eta`` (m, d), ``a`` (r, d) and ``b`` (n, r), the event of dataset i
+    being ``a beta_i <= b_i``.  Returns ``(observed, var, lower, upper)``,
+    each (n, m): ``eta_j' beta_i``, ``eta_j' Sigma_i eta_j`` and ``[V-, V+]``.
+    ``observed`` is not clamped into its window; the mean solve absorbs that
+    float dust.  Rows with ``|(Ac)_j|`` below :data:`AC_ZERO_RTOL` times
+    ``max_j ||A_j||_1 * max|c|`` do not constrain the window.
+
+    Raises
+    ------
+    ZeroContrastError
+        Some contrast has zero variance under its dataset's covariance.
+    """
+    n, m, d = sigma_eta.shape
+    observed = (beta[:, None, :] * eta).sum(axis=-1)
+    var = (sigma_eta * eta).sum(axis=-1)
+    if not np.all(var > 0.0):
+        raise ZeroContrastError("contrast has zero variance under sigma")
+    # c = Sigma eta / var is never formed: one (n, m, d) array fewer
+    ac = (sigma_eta.reshape(-1, d) @ a.T).reshape(n, m, -1)
+    ac /= var[..., None]
+    max_c = np.abs(sigma_eta).max(axis=-1, keepdims=True) / var[..., None]
+    tol = AC_ZERO_RTOL * float(np.abs(a).sum(axis=1).max(initial=0.0)) * max_c
+    # (b - A z) / (A c) with A z = A beta - (A c) observed, built in place
+    ratio = ac * observed[..., None]
+    np.subtract((beta @ a.T)[:, None, :], ratio, out=ratio)
+    np.subtract(b[:, None, :], ratio, out=ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= ac
+    lower = np.max(ratio, axis=-1, where=ac < -tol, initial=-math.inf)
+    upper = np.min(ratio, axis=-1, where=ac > tol, initial=math.inf)
+    return observed, var, lower, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,26 +186,14 @@ def condition_contrast(
             "condition_contrast requires a bundle that passed it"
         )
 
-    sigma_eta = bundle.sigma.entries @ eta
-    var = float(eta @ sigma_eta)
-    if var <= 0.0:
-        raise ZeroContrastError("contrast has zero variance under sigma")
-    c = sigma_eta / var
-    observed = float(eta @ beta)
-    z = beta - c * observed
-
-    a = constraint.a_matrix
-    b = constraint.b_vector
-    ac = a @ c
-    az = a @ z
-    tol = AC_ZERO_RTOL * float(np.abs(a).sum(axis=1).max(initial=0.0)) * float(
-        np.abs(c).max()
+    sigma_eta = (bundle.sigma.entries * eta).sum(axis=-1)
+    window = polyhedral_window(
+        beta[None], sigma_eta[None, None], eta[None], constraint.a_matrix,
+        constraint.b_vector[None],
     )
-    neg = ac < -tol
-    pos = ac > tol
-    with np.errstate(divide="ignore"):
-        lower = float(np.max((b[neg] - az[neg]) / ac[neg])) if neg.any() else -math.inf
-        upper = float(np.min((b[pos] - az[pos]) / ac[pos])) if pos.any() else math.inf
+    observed, var, lower, upper = (float(x[0, 0]) for x in window)
+    c = sigma_eta / var
+    z = beta - c * observed
     # float dust can place the observed value epsilon outside its window
     observed = min(max(observed, lower), upper)
     spec = TruncatedNormalSpec(mu=observed, var=var, lower=lower, upper=upper)
@@ -291,29 +327,6 @@ def _wald_block(estimate: float, variance: float, alpha: float) -> EstimatorBloc
     )
 
 
-def _conditional_block(
-    bundle: EstimateBundle,
-    eta: np.ndarray,
-    constraint: PolyhedralConstraint,
-    alpha: float,
-    trend_order: int | None = None,
-) -> ConditionalBlock:
-    law = condition_contrast(bundle, eta, constraint)
-    try:
-        estimate = quantile_unbiased_estimate(law, 0.5)
-    except UnboundedEstimateError as exc:
-        estimate = math.copysign(math.inf, exc.side)
-    lower, upper = conditional_ci(law, alpha)
-    return ConditionalBlock(
-        estimate=estimate,
-        ci_lower=lower,
-        ci_upper=upper,
-        window_lower=law.spec.lower,
-        window_upper=law.spec.upper,
-        trend_order=trend_order,
-    )
-
-
 def analyze(
     bundle: EstimateBundle,
     alpha_pretest: float = 0.05,
@@ -335,11 +348,26 @@ def analyze(
     gamma_block = None
     if passed:
         constraint = build_ns_polyhedron(bundle.sigma, alpha_pretest)
-        e1 = np.zeros(k + 1)
-        e1[0] = 1.0
-        beta_block = _conditional_block(bundle, e1, constraint, alpha_ci)
-        gamma_block = _conditional_block(
-            bundle, eta_gamma(k, trend_order), constraint, alpha_ci, trend_order=trend_order
+        eta = np.stack([np.eye(k + 1)[0], eta_gamma(k, trend_order)])
+        sigma_eta = (bundle.sigma.entries * eta[:, None, :]).sum(axis=-1)
+        observed, var, lower, upper = polyhedral_window(
+            bundle.beta[None], sigma_eta[None], eta, constraint.a_matrix,
+            constraint.b_vector[None],
+        )
+        # the CDF at the observed value decreases in the mean: the lower
+        # interval endpoint solves for quantile 1 - alpha/2
+        targets = (0.5, 1.0 - alpha_ci / 2.0, alpha_ci / 2.0)
+        mu = solve_tn_quantiles(observed, np.sqrt(var), lower, upper, targets)[0]
+        beta_block, gamma_block = (
+            ConditionalBlock(
+                estimate=float(mu[j, 0]),
+                ci_lower=float(mu[j, 1]),
+                ci_upper=float(mu[j, 2]),
+                window_lower=float(lower[0, j]),
+                window_upper=float(upper[0, j]),
+                trend_order=order,
+            )
+            for j, order in enumerate((None, trend_order))
         )
     return InferenceReport(
         k=k,

@@ -56,9 +56,10 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 class PanelData:
     """Long-format observations for one treated and one control group.
 
-    Validated at construction: periods must form a contiguous set
-    {-K, ..., 0, 1} with K >= 1, every (group, period) cell needs at least
-    two observations, and (unit, period) pairs must be unique.
+    Validated at construction: ``treatment`` must be boolean or coded 0/1,
+    periods must form a contiguous set {-K, ..., 0, 1} with K >= 1, every
+    (group, period) cell needs at least two observations, and (unit, period)
+    pairs must be unique.
     """
 
     unit: np.ndarray
@@ -69,7 +70,11 @@ class PanelData:
     def __post_init__(self):
         unit = np.asarray(self.unit)
         period = np.asarray(self.period, dtype=int)
-        treatment = np.asarray(self.treatment, dtype=bool)
+        treatment = np.asarray(self.treatment)
+        if treatment.dtype != bool:
+            if not np.isin(treatment, (0, 1)).all():
+                raise PanelValidationError("treatment must be coded 0 or 1")
+            treatment = treatment.astype(bool)
         outcome = np.asarray(self.outcome, dtype=float)
         n = unit.shape[0]
         if not (period.shape[0] == treatment.shape[0] == outcome.shape[0] == n):

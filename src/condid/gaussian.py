@@ -34,6 +34,7 @@ __all__ = [
     "tn_cdf",
     "solve_tn_mean",
     "solve_tn_mean_bulk",
+    "solve_tn_quantiles",
     "mvn_sample",
 ]
 
@@ -42,6 +43,11 @@ __all__ = [
 LOG_MASS_FLOOR = -740.0
 
 _SYM_RTOL = 1e-12
+
+# Most elements per solve_tn_mean_bulk call in solve_tn_quantiles: the bulk
+# solve's temporaries grow with its batch, while its cost per element stops
+# falling at about this size.
+BULK_BLOCK = 25_000
 
 
 class CovarianceMatrix:
@@ -298,16 +304,6 @@ def tn_cdf(spec: TruncatedNormalSpec, x: float) -> float:
     return float(cdf)
 
 
-def _tn_cdf_at_mean(mu, observed, sd, lower, upper) -> np.ndarray:
-    """CDF at the fixed point ``observed`` as a function of the mean ``mu``.
-
-    Used by the mean solve; works directly off log masses so that windows
-    with unrepresentably small mass still yield a meaningful ratio.
-    """
-    cdf, _ = _tn_cdf_core(observed, mu, sd, lower, upper)
-    return cdf
-
-
 def solve_tn_mean_bulk(
     observed,
     sd,
@@ -351,8 +347,10 @@ def solve_tn_mean_bulk(
 
     lo = observed - sd
     hi = observed + sd
-    f_lo = _tn_cdf_at_mean(lo, observed, sd, lower, upper)
-    f_hi = _tn_cdf_at_mean(hi, observed, sd, lower, upper)
+    # the CDF at the fixed point ``observed`` as a function of the mean, from
+    # log masses, so windows of unrepresentably small mass still give a ratio
+    f_lo = _tn_cdf_core(observed, lo, sd, lower, upper)[0]
+    f_hi = _tn_cdf_core(observed, hi, sd, lower, upper)[0]
 
     radius = np.ones(n)
     # F is decreasing in mu: the bracket straddles once F(lo) >= target >= F(hi)
@@ -367,14 +365,14 @@ def solve_tn_mean_bulk(
         grow_hi = need & need_hi
         if grow_lo.any():
             lo[grow_lo] = observed[grow_lo] - radius[grow_lo] * sd[grow_lo]
-            f_lo[grow_lo] = _tn_cdf_at_mean(
-                lo[grow_lo], observed[grow_lo], sd[grow_lo], lower[grow_lo], upper[grow_lo]
-            )
+            f_lo[grow_lo] = _tn_cdf_core(
+                observed[grow_lo], lo[grow_lo], sd[grow_lo], lower[grow_lo], upper[grow_lo]
+            )[0]
         if grow_hi.any():
             hi[grow_hi] = observed[grow_hi] + radius[grow_hi] * sd[grow_hi]
-            f_hi[grow_hi] = _tn_cdf_at_mean(
-                hi[grow_hi], observed[grow_hi], sd[grow_hi], lower[grow_hi], upper[grow_hi]
-            )
+            f_hi[grow_hi] = _tn_cdf_core(
+                observed[grow_hi], hi[grow_hi], sd[grow_hi], lower[grow_hi], upper[grow_hi]
+            )[0]
 
     status = np.zeros(n, dtype=np.int8)
     status[f_lo < target] = -1
@@ -389,9 +387,9 @@ def solve_tn_mean_bulk(
         if active.size == 0:
             break
         mid = 0.5 * (lo[active] + hi[active])
-        f_mid = _tn_cdf_at_mean(
-            mid, observed[active], sd[active], lower[active], upper[active]
-        )
+        f_mid = _tn_cdf_core(
+            observed[active], mid, sd[active], lower[active], upper[active]
+        )[0]
         mu[active] = mid
         done = (np.abs(f_mid - target[active]) <= cdf_tol) & (
             hi[active] - lo[active] <= mu_tol[active]
@@ -402,6 +400,30 @@ def solve_tn_mean_bulk(
         active = active[~done]
 
     return mu.reshape(shape), status.reshape(shape)
+
+
+def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
+    """Means placing ``observed`` at each quantile in ``targets``, for a stack
+    of truncated normals.
+
+    ``observed``, ``sd``, ``lower`` and ``upper`` share one shape ``S``; the
+    result has shape ``S + (len(targets),)``.  Every (element, target) pair
+    goes through :func:`solve_tn_mean_bulk`, at most :data:`BULK_BLOCK` pairs
+    per call; the solve is elementwise, so blocking does not change a bit.  A
+    root beyond ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``.
+    """
+    targets = np.asarray(targets, dtype=float)
+    shape = np.shape(observed) + targets.shape
+    columns = [np.asarray(a, dtype=float).ravel() for a in (observed, sd, lower, upper)]
+    mu = np.empty(shape).ravel()
+    # gather each block's inputs on its own, so memory stays at one block's:
+    # pair p is element p // n_targets at target p % n_targets
+    for start in range(0, mu.size, BULK_BLOCK):
+        pairs = np.arange(start, min(start + BULK_BLOCK, mu.size))
+        element, target = np.divmod(pairs, targets.size)
+        root, status = solve_tn_mean_bulk(*(c[element] for c in columns), targets[target])
+        mu[pairs] = np.where(status == 0, root, np.copysign(math.inf, status))
+    return mu.reshape(shape)
 
 
 def solve_tn_mean(

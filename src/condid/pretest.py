@@ -14,6 +14,7 @@ from .gaussian import CovarianceMatrix
 __all__ = [
     "PolyhedralConstraint",
     "build_ns_polyhedron",
+    "ns_rows",
     "passes_pretest",
     "critical_value",
 ]
@@ -65,13 +66,17 @@ def build_ns_polyhedron(sigma: CovarianceMatrix, alpha: float = 0.05) -> Polyhed
     The post coordinate gets zero weight in every row.
     """
     c = critical_value(alpha)
-    k = sigma.k
     pre_sd = np.sqrt(np.diag(sigma.entries)[1:])
+    b = np.concatenate([c * pre_sd, c * pre_sd])
+    return PolyhedralConstraint(a_matrix=ns_rows(sigma.k), b_vector=b)
+
+
+def ns_rows(k: int) -> np.ndarray:
+    """The 2K x (K+1) matrix of :func:`build_ns_polyhedron`: rows ``+e_j``
+    for the pre coefficients -1..-K, then rows ``-e_j``."""
     eye = np.eye(k)
     zeros = np.zeros((k, 1))
-    a = np.block([[zeros, eye], [zeros, -eye]])
-    b = np.concatenate([c * pre_sd, c * pre_sd])
-    return PolyhedralConstraint(a_matrix=a, b_vector=b)
+    return np.block([[zeros, eye], [zeros, -eye]])
 
 
 def passes_pretest(bundle: EstimateBundle, alpha: float = 0.05) -> bool:

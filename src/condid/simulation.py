@@ -12,7 +12,12 @@ difference-in-means ~ N(slope * t, 2 sigma^2 / N) plus independent chi-square
 within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
 vectorized and elementwise across replications, so results are invariant to
-how replications are split into chunks or across workers; chunk RNG streams
+how replications are split into chunks or across workers.  Conditional
+inference runs on the kernel that :func:`condid.estimators.analyze` uses:
+each chunk's accepted replications go through
+:func:`~condid.estimators.polyhedral_window` (with ``Sigma eta`` formed from
+the rank-one-plus-diagonal covariance, never as a dense matrix) and one
+stacked :func:`~condid.gaussian.solve_tn_quantiles` call.  Chunk RNG streams
 are derived from the root seed with a splittable seed sequence keyed by
 (seed, dgp, k, chunk index), and aggregation is a deterministic fold over
 chunk order.
@@ -26,10 +31,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .estimators import AC_ZERO_RTOL, analyze, eta_gamma
+from .estimators import analyze, eta_gamma, polyhedral_window
 from .event_study import EstimateBundle, PanelData, estimate_event_study
-from .gaussian import CovarianceMatrix, solve_tn_mean_bulk
-from .pretest import critical_value
+from .gaussian import CovarianceMatrix, solve_tn_quantiles
+from .pretest import critical_value, ns_rows
 
 __all__ = [
     "SimConfig",
@@ -70,7 +75,6 @@ class SimConfig:
     seed: int = 0
     alpha_pretest: float = 0.05
     alpha_ci: float = 0.05
-    trend_order: int = 1
     fast_path: bool = True
     use_estimated_sigma: bool = True
     workers: int = 1
@@ -311,59 +315,6 @@ def generate_dgp(config: SimConfig, k: int, rng: np.random.Generator):
 # --- vectorized replication kernel -------------------------------------------
 
 
-def _truncation_window(
-    beta_pre: np.ndarray,
-    c_pre: np.ndarray,
-    c_full_maxabs: np.ndarray,
-    obs: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized window endpoints for the two-sided per-coefficient event.
-
-    For each pre coordinate j the event contributes rows +/- e_j with offset
-    b_j; with z_j = beta_pre_j - c_j * obs the feasible contrast values x
-    satisfy |z_j + c_j x| <= b_j, so each coordinate yields one upper and one
-    lower candidate (sides swap with the sign of c_j).  Coordinates with
-    |c_j| below the orthogonality tolerance do not constrain x.
-    """
-    z = beta_pre - c_pre * obs[:, None]
-    # the pretest rows have unit infinity-norm, so the row-exclusion
-    # tolerance reduces to the relative threshold times max|c|
-    tol = (AC_ZERO_RTOL * c_full_maxabs)[:, None]
-    pos = c_pre > tol
-    neg = c_pre < -tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi_ratio = (np.where(neg, -b, b) - z) / c_pre
-        lo_ratio = (np.where(neg, b, -b) - z) / c_pre
-    hi_cand = np.where(pos | neg, hi_ratio, math.inf)
-    lo_cand = np.where(pos | neg, lo_ratio, -math.inf)
-    return lo_cand.max(axis=1), hi_cand.min(axis=1)
-
-
-def _tn_triplet(
-    obs: np.ndarray,
-    sd: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    alpha_ci: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Median-unbiased estimate and equal-tailed interval, vectorized.
-
-    Failed solves become infinities of the matching sign.
-    """
-
-    def solve(target: float) -> np.ndarray:
-        mu, status = solve_tn_mean_bulk(obs, sd, lower, upper, np.full_like(obs, target))
-        mu = np.where(status < 0, -math.inf, mu)
-        mu = np.where(status > 0, math.inf, mu)
-        return mu
-
-    est = solve(0.5)
-    ci_lo = solve(1.0 - alpha_ci / 2.0)
-    ci_hi = solve(alpha_ci / 2.0)
-    return est, ci_lo, ci_hi
-
-
 def _records_from_draws(
     config: SimConfig,
     k: int,
@@ -386,6 +337,7 @@ def _records_from_draws(
     se_trad = np.sqrt(var_trad)
 
     nan = np.full(n, math.nan)
+    tn = {name: nan.copy() for name in ReplicationRecords._ARRAYS if name.startswith("tn_")}
     if k == 0:
         return ReplicationRecords(
             dgp=dgp,
@@ -396,12 +348,7 @@ def _records_from_draws(
             beta_tilde=nan.copy(),
             se_eff=nan.copy(),
             accepted=np.ones(n, dtype=bool),
-            tn_beta_est=nan.copy(),
-            tn_beta_lo=nan.copy(),
-            tn_beta_hi=nan.copy(),
-            tn_gamma_est=nan.copy(),
-            tn_gamma_lo=nan.copy(),
-            tn_gamma_hi=nan.copy(),
+            **tn,
         )
 
     lam = v_coef[:, 1:]
@@ -419,36 +366,27 @@ def _records_from_draws(
     var_eff = var_trad - v0 * w.sum(axis=1)
     se_eff = np.sqrt(var_eff)
 
-    tn = {name: nan.copy() for name in (
-        "tn_beta_est", "tn_beta_lo", "tn_beta_hi",
-        "tn_gamma_est", "tn_gamma_lo", "tn_gamma_hi",
-    )}
     idx = np.flatnonzero(accepted)
     if idx.size:
         beta_a = beta[idx]
-        v0_a = v0[idx]
-        v_coef_a = v_coef[idx]
-        b_a = c_crit * sd_pre[idx]
-        e1 = np.zeros(k + 1)
-        e1[0] = 1.0
-        contrasts = [("tn_beta", e1)]
-        if eta_gamma_vec is not None:
-            contrasts.append(("tn_gamma", eta_gamma_vec))
-        for name, eta in contrasts:
-            eta_sum = eta.sum()
-            sig_eta = v0_a[:, None] * eta_sum + v_coef_a * eta[None, :]
-            var_eta = (sig_eta * eta[None, :]).sum(axis=1)
-            c_full = sig_eta / var_eta[:, None]
-            obs = (beta_a * eta[None, :]).sum(axis=1)
-            lo, hi = _truncation_window(
-                beta_a[:, 1:], c_full[:, 1:], np.abs(c_full).max(axis=1), obs, b_a
+        a = ns_rows(k)
+        b = np.tile(c_crit * sd_pre[idx], 2)
+        # one window call per contrast keeps the (n, 2K) temporaries at one
+        # contrast's size; Sigma eta for Sigma = v0 11' + diag(v_coef)
+        windows = [
+            polyhedral_window(
+                beta_a, (v0[idx, None] * eta.sum() + v_coef[idx] * eta)[:, None], eta[None], a, b
             )
-            est, ci_lo, ci_hi = _tn_triplet(
-                obs, np.sqrt(var_eta), lo, hi, config.alpha_ci
-            )
-            tn[f"{name}_est"][idx] = est
-            tn[f"{name}_lo"][idx] = ci_lo
-            tn[f"{name}_hi"][idx] = ci_hi
+            for eta in (np.eye(k + 1)[0], eta_gamma_vec)
+        ]
+        obs, var, lo, hi = (np.concatenate(parts, axis=1) for parts in zip(*windows))
+        alpha = config.alpha_ci
+        targets = (0.5, 1.0 - alpha / 2.0, alpha / 2.0)
+        mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, targets)
+        for j, name in enumerate(("tn_beta", "tn_gamma")):
+            tn[f"{name}_est"][idx] = mu[:, j, 0]
+            tn[f"{name}_lo"][idx] = mu[:, j, 1]
+            tn[f"{name}_hi"][idx] = mu[:, j, 2]
 
     return ReplicationRecords(
         dgp=dgp,
@@ -491,12 +429,7 @@ def _records_from_panels(
     for i in range(n):
         panel = generate_dgp(cfg, k, rng)
         bundle = estimate_event_study(panel)
-        report = analyze(
-            bundle,
-            alpha_pretest=config.alpha_pretest,
-            alpha_ci=config.alpha_ci,
-            trend_order=config.trend_order,
-        )
+        report = analyze(bundle, alpha_pretest=config.alpha_pretest, alpha_ci=config.alpha_ci)
         arrays["beta_post"][i] = report.traditional.estimate
         arrays["se_trad"][i] = report.traditional.se
         arrays["beta_tilde"][i] = report.efficient.estimate
@@ -524,7 +457,7 @@ def _run_chunk(args) -> ReplicationRecords:
     config, k, dgp, slope, chunk_index, n = args
     rng = np.random.default_rng(_chunk_seed(config, slope, k, chunk_index))
     if config.fast_path:
-        eta_vec = eta_gamma(k, config.trend_order) if k >= 1 else None
+        eta_vec = eta_gamma(k, 1) if k >= 1 else None
         delta, v = _fast_cell_draws(config, k, slope, rng, n)
         return _records_from_draws(config, k, dgp, delta, v, eta_vec)
     return _records_from_panels(config, k, dgp, slope, rng, n)
@@ -711,7 +644,9 @@ def rows_to_csv(rows: list[SimTableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_safe(value):
+def json_number(value):
+    """JSON has no infinity or NaN literals: infinities become "inf"/"-inf",
+    NaN becomes null; anything else passes through."""
     if isinstance(value, float):
         if math.isnan(value):
             return None
@@ -726,6 +661,6 @@ def rows_to_json(rows: list[SimTableRow]) -> str:
 
     names = [f.name for f in fields(SimTableRow)]
     payload = [
-        {name: _json_safe(getattr(row, name)) for name in names} for row in rows
+        {name: json_number(getattr(row, name)) for name in names} for row in rows
     ]
     return json.dumps(payload, indent=2) + "\n"

@@ -390,6 +390,24 @@ class TestAnalyze:
         assert gb.ci_lower <= gb.estimate <= gb.ci_upper
         assert gb.trend_order == 1
 
+    def test_one_bulk_solve_per_passing_dataset(self, monkeypatch):
+        import condid.gaussian as gaussian
+
+        bulk = gaussian.solve_tn_mean_bulk
+        sizes = []
+
+        def counting_bulk(*args, **kwargs):
+            sizes.append(np.size(args[0]))
+            return bulk(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", counting_bulk)
+        sigma = repeated_cross_section_sigma(3)
+        assert analyze(make_bundle(0.1, [0.01, -0.02, 0.0], sigma)).pretest.passed
+        assert sizes == [6]
+        sd = math.sqrt(sigma.entries[1, 1])
+        assert not analyze(make_bundle(0.1, [3.0 * sd, 0.0, 0.0], sigma)).pretest.passed
+        assert sizes == [6]
+
     def test_failing_bundle_reports_traditional_only(self):
         sigma = repeated_cross_section_sigma(2)
         sd = math.sqrt(sigma.entries[1, 1])

@@ -91,6 +91,31 @@ class TestPanelValidation:
                 outcome=np.zeros(12),
             )
 
+    @pytest.mark.parametrize(
+        "codes", [[0, 0, 2, 2], [0.0, 0.0, 0.5, 0.5], [0, 0, np.nan, 1], ["0", "0", "1", "1"]]
+    )
+    def test_treatment_codes_other_than_zero_one_rejected(self, codes):
+        with pytest.raises(PanelValidationError, match="treatment"):
+            PanelData(
+                unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
+                period=np.repeat([-1, 0, 1], 4),
+                treatment=np.array(codes * 3),
+                outcome=np.zeros(12),
+            )
+
+    @pytest.mark.parametrize(
+        "codes", [[0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0], [False, False, True, True]]
+    )
+    def test_zero_one_treatment_codes_accepted(self, codes):
+        panel = PanelData(
+            unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
+            period=np.repeat([-1, 0, 1], 4),
+            treatment=np.array(codes * 3),
+            outcome=np.zeros(12),
+        )
+        assert panel.treatment.dtype == bool
+        assert panel.treatment.tolist() == [False, False, True, True] * 3
+
     def test_empty_panel(self):
         with pytest.raises(InsufficientDataError):
             PanelData(

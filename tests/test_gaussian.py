@@ -279,6 +279,50 @@ class TestSolveTnMean:
         assert recovered == pytest.approx(mu, abs=1e-6 * max(1.0, abs(mu)) + 1e-6)
 
 
+class TestSolveTnQuantiles:
+    def test_blocked_stacked_solve_matches_per_element_bulk(self, monkeypatch):
+        import condid.gaussian as gaussian
+
+        rng = np.random.default_rng(11)
+        n = 9
+        observed = rng.uniform(-1.0, 1.0, n)
+        sd = rng.uniform(0.5, 2.0, n)
+        lower = observed - rng.uniform(0.1, 3.0, n)
+        upper = observed + rng.uniform(0.1, 3.0, n)
+        lower[0], upper[1] = -INF, INF
+        # an observed value on a window edge has no bracket: at the lower edge
+        # the CDF is 0 under every mean (status -1), at the upper edge 1 (+1)
+        observed[2], observed[3] = lower[2], upper[3]
+        targets = (0.5, 1.0 - 0.5e-6, 0.5e-6)
+
+        bulk = gaussian.solve_tn_mean_bulk
+        sizes = []
+
+        def counting_bulk(*args, **kwargs):
+            sizes.append(np.size(args[0]))
+            return bulk(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "BULK_BLOCK", 7)
+        monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", counting_bulk)
+        mu = gaussian.solve_tn_quantiles(observed, sd, lower, upper, targets)
+        assert mu.shape == (n, len(targets))
+        assert sizes == [7, 7, 7, 6]
+
+        expected = np.empty_like(mu)
+        statuses = set()
+        for i in range(n):
+            for j, target in enumerate(targets):
+                root, status = bulk(
+                    observed[i:i + 1], sd[i:i + 1], lower[i:i + 1], upper[i:i + 1],
+                    np.array([target]),
+                )
+                statuses.add(int(status[0]))
+                expected[i, j] = root[0] if status[0] == 0 else math.copysign(INF, status[0])
+        assert statuses == {-1, 0, 1}
+        np.testing.assert_array_equal(mu, expected)
+        assert mu[2].tolist() == [-INF] * 3 and mu[3].tolist() == [INF] * 3
+
+
 # --- multivariate normal sampling -------------------------------------------------
 
 

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from condid.estimators import analyze, eta_gamma
-from condid.event_study import estimate_event_study
+from condid.errors import UnboundedEstimateError
+from condid.estimators import (
+    analyze,
+    condition_contrast,
+    conditional_ci,
+    eta_gamma,
+    quantile_unbiased_estimate,
+)
+from condid.event_study import EstimateBundle, estimate_event_study
+from condid.pretest import build_ns_polyhedron, critical_value
 from condid.simulation import (
     CellDraws,
     ReplicationRecords,
@@ -112,6 +120,48 @@ class TestEngineMatchesScalarPipeline:
                 assert records.tn_gamma_lo[i] == pytest.approx(gb.ci_lower, abs=2e-6)
                 assert records.tn_gamma_hi[i] == pytest.approx(gb.ci_upper, abs=2e-6)
         assert checked_accepted > 50
+
+        # edge inputs: K = 1, alpha_ci near 0 and 1, and a pre coefficient
+        # pinned to its pretest bound, which puts the observed contrast on a
+        # window edge; analyze must give exactly the one-contrast public API
+        crit = critical_value(0.05)
+        edge_checked = 0
+        infinite = 0
+        for k_edge in (1, 3):
+            delta, v = _fast_cell_draws(cfg, k_edge, 0.065, rng, 20)
+            bundles = [
+                CellDraws(
+                    k=k_edge, n_per_cell=cfg.n_per_cell,
+                    t_values=np.concatenate(([1, 0], -np.arange(1, k_edge + 1))),
+                    delta_mean=delta[i], delta_var=v[i],
+                ).to_bundle()
+                for i in range(20)
+            ]
+            for b in bundles[:3]:
+                pinned = np.zeros(k_edge)
+                pinned[0] = crit * math.sqrt(b.sigma.entries[1, 1])
+                bundles.append(EstimateBundle(beta_post=b.beta_post, beta_pre=pinned,
+                                              sigma=b.sigma))
+            for bundle in bundles:
+                constraint = build_ns_polyhedron(bundle.sigma, 0.05)
+                for alpha_ci in (1e-6, 0.05, 0.999):
+                    report = analyze(bundle, 0.05, alpha_ci, 1)
+                    if not report.pretest.passed:
+                        continue
+                    for blk, eta in ((report.median_unbiased_beta, np.eye(k_edge + 1)[0]),
+                                     (report.median_unbiased_gamma, eta_gamma(k_edge, 1))):
+                        law = condition_contrast(bundle, eta, constraint)
+                        try:
+                            est = quantile_unbiased_estimate(law, 0.5)
+                        except UnboundedEstimateError as exc:
+                            est = math.copysign(INF, exc.side)
+                        got = (blk.estimate, blk.ci_lower, blk.ci_upper,
+                               blk.window_lower, blk.window_upper)
+                        assert got == (est, *conditional_ci(law, alpha_ci), *law.window)
+                        edge_checked += 1
+                        infinite += sum(math.isinf(x) for x in got[:3])
+        assert edge_checked > 100
+        assert infinite > 0
 
     def test_accepted_draws_lie_inside_their_window(self):
         cfg = SimConfig(reps=20_000, seed=3)
