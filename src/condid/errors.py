@@ -43,6 +43,10 @@ class NoBracketError(NumericalError):
         self.side = side
 
 
+class NoConvergenceError(NumericalError):
+    """A bracketed root solve used up its iteration budget unconverged."""
+
+
 class UnboundedEstimateError(NumericalError):
     """A quantile-unbiased solve diverged; the estimate is +/-infinity.
 

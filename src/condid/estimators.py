@@ -32,6 +32,7 @@ from .errors import (
     ConstraintViolatedError,
     DegenerateAcceptanceError,
     NoBracketError,
+    NoConvergenceError,
     RankDeficientError,
     SingularMatrixError,
     UnboundedEstimateError,
@@ -338,6 +339,8 @@ def analyze(
     Always reports the traditional and pre-period-adjusted estimators; when
     the pretest passes, adds median-unbiased conditional estimates and
     intervals for the post coefficient and for the trend-adjusted contrast.
+    A conditional solve that does not converge raises
+    :class:`NoConvergenceError`.
     """
     k = bundle.k
     traditional = _wald_block(bundle.beta_post, bundle.sigma.sigma11, alpha_ci)
@@ -358,6 +361,8 @@ def analyze(
         # interval endpoint solves for quantile 1 - alpha/2
         targets = (0.5, 1.0 - alpha_ci / 2.0, alpha_ci / 2.0)
         mu = solve_tn_quantiles(observed, np.sqrt(var), lower, upper, targets)[0]
+        if np.isnan(mu).any():
+            raise NoConvergenceError("a conditional mean solve did not converge")
         beta_block, gamma_block = (
             ConditionalBlock(
                 estimate=float(mu[j, 0]),

@@ -395,7 +395,15 @@ def _check_row(row: list[str], lineno: int) -> None:
 
 
 def write_panel(path, data: PanelData) -> None:
-    """Write a panel back to CSV in the canonical column order."""
+    """Write a panel back to CSV in the canonical column order.
+
+    :func:`load_panel` reads unit labels back as stripped ``str``; a label
+    whose text has leading or trailing whitespace would come back changed,
+    so it raises ``ValueError`` before anything is written.
+    """
+    for u in data.unit:
+        if str(u) != str(u).strip():
+            raise ValueError(f"unit label {str(u)!r} has leading or trailing whitespace")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PANEL_HEADER)

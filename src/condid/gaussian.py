@@ -2,6 +2,12 @@
 closed-form inverses, a tail-stable truncated-normal CDF, and the monotone
 mean solve that underlies quantile-unbiased estimation.
 
+The mean solve works on the offset of the mean from the observed value in
+units of sd, where the CDF no longer depends on the location or scale of the
+data: a bracket grows from +/-1 to +/-40 and Chandrupatla's (1997) hybrid of
+inverse quadratic interpolation and bisection shrinks it to 1e-8, in about
+10 CDF evaluations per element.
+
 All truncated-normal computations run in log space throughout, so windows
 many standard deviations out in a tail keep full relative accuracy.
 Truncation bounds are IEEE infinities used as explicit sentinels; wherever a
@@ -22,6 +28,7 @@ from .errors import (
     CholeskyError,
     DegenerateWindowError,
     NoBracketError,
+    NoConvergenceError,
     SingularMatrixError,
 )
 
@@ -304,6 +311,11 @@ def tn_cdf(spec: TruncatedNormalSpec, x: float) -> float:
     return float(cdf)
 
 
+def _cdf_excess(u, zlo, zhi, target):
+    """CDF at 0 of TN(u, 1, [zlo, zhi]) minus ``target``; decreasing in ``u``."""
+    return _tn_cdf_core(0.0, u, 1.0, zlo, zhi)[0] - target
+
+
 def solve_tn_mean_bulk(
     observed,
     sd,
@@ -318,45 +330,56 @@ def solve_tn_mean_bulk(
     """Vectorized monotone solve for the truncated-normal mean.
 
     For each element, finds ``mu`` such that the CDF of TN(mu, sd^2, [lower,
-    upper]) evaluated at ``observed`` equals ``target``.  The CDF is strictly
-    decreasing in ``mu``; a bracket expands geometrically from
-    ``observed +/- sd`` (capped at ``max_radius * sd``) and bisection then
-    drives the CDF within ``cdf_tol`` of the target.
+    upper]) evaluated at ``observed`` equals ``target``.  The solve runs on
+    the standardized offset ``u = (mu - observed) / sd``: the CDF at
+    ``observed`` under mean ``observed + u*sd`` is the CDF at 0 of
+    TN(u, 1, [(lower - observed)/sd, (upper - observed)/sd]), which is
+    strictly decreasing in ``u`` and does not depend on the location or the
+    scale of the data.
+
+    A bracket expands geometrically from ``u = -1, +1`` to at most
+    ``-max_radius, +max_radius``.  Chandrupatla's (1997) hybrid of inverse
+    quadratic interpolation and bisection then shrinks it, one CDF
+    evaluation per unconverged element and iteration (about 10 in all,
+    against about 30 for bisection).  An element converges once its bracket
+    is at most 1e-8 wide in ``u`` (1e-8*sd in ``mu``) and the CDF at both
+    its ends lies within ``cdf_tol`` of the target; it returns the secant
+    root of that bracket.  Every step is elementwise, so an element's result
+    does not depend on the batch it is solved in.
 
     Returns
     -------
     (mu, status) : tuple of ndarray
-        ``status`` is 0 where the solve succeeded, -1 where the root lies
+        ``status`` is 0 where the solve converged; -1 where the root lies
         below ``observed - max_radius*sd`` and +1 where it lies above
-        ``observed + max_radius*sd`` (``mu`` is meaningless there).
+        ``observed + max_radius*sd`` (``mu`` is -inf / +inf there); 2 where
+        ``max_iter`` iterations ended before convergence (``mu`` is NaN).
     """
     observed, sd, lower, upper, target = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (observed, sd, lower, upper, target))
     )
     shape = observed.shape
-    observed = observed.ravel().copy()
-    sd = sd.ravel()
-    lower = lower.ravel()
-    upper = upper.ravel()
-    target = target.ravel()
+    observed, sd, lower, upper, target = (
+        a.ravel() for a in (observed, sd, lower, upper, target)
+    )
     n = observed.size
+    u_tol = 1e-8
 
     # absorb float dust: the observed value is inside its window by
     # construction whenever the conditioning event held
     observed = np.minimum(np.maximum(observed, lower), upper)
-
-    lo = observed - sd
-    hi = observed + sd
-    # the CDF at the fixed point ``observed`` as a function of the mean, from
-    # log masses, so windows of unrepresentably small mass still give a ratio
-    f_lo = _tn_cdf_core(observed, lo, sd, lower, upper)[0]
-    f_hi = _tn_cdf_core(observed, hi, sd, lower, upper)[0]
+    zlo = (lower - observed) / sd
+    zhi = (upper - observed) / sd
 
     radius = np.ones(n)
-    # F is decreasing in mu: the bracket straddles once F(lo) >= target >= F(hi)
+    lo = -radius
+    hi = radius.copy()
+    f_lo = _cdf_excess(lo, zlo, zhi, target)
+    f_hi = _cdf_excess(hi, zlo, zhi, target)
+    # F is decreasing in u: the bracket straddles the root once f_lo >= 0 >= f_hi
     while True:
-        need_lo = f_lo < target
-        need_hi = f_hi > target
+        need_lo = f_lo < 0
+        need_hi = f_hi > 0
         need = (need_lo | need_hi) & (radius < max_radius)
         if not need.any():
             break
@@ -364,41 +387,73 @@ def solve_tn_mean_bulk(
         grow_lo = need & need_lo
         grow_hi = need & need_hi
         if grow_lo.any():
-            lo[grow_lo] = observed[grow_lo] - radius[grow_lo] * sd[grow_lo]
-            f_lo[grow_lo] = _tn_cdf_core(
-                observed[grow_lo], lo[grow_lo], sd[grow_lo], lower[grow_lo], upper[grow_lo]
-            )[0]
+            lo[grow_lo] = -radius[grow_lo]
+            f_lo[grow_lo] = _cdf_excess(
+                lo[grow_lo], zlo[grow_lo], zhi[grow_lo], target[grow_lo]
+            )
         if grow_hi.any():
-            hi[grow_hi] = observed[grow_hi] + radius[grow_hi] * sd[grow_hi]
-            f_hi[grow_hi] = _tn_cdf_core(
-                observed[grow_hi], hi[grow_hi], sd[grow_hi], lower[grow_hi], upper[grow_hi]
-            )[0]
+            hi[grow_hi] = radius[grow_hi]
+            f_hi[grow_hi] = _cdf_excess(
+                hi[grow_hi], zlo[grow_hi], zhi[grow_hi], target[grow_hi]
+            )
 
     status = np.zeros(n, dtype=np.int8)
-    status[f_lo < target] = -1
-    status[f_hi > target] = 1
+    status[f_lo < 0] = -1
+    status[f_hi > 0] = 1
 
-    # converge both the CDF value and the mean itself: where the CDF is very
-    # flat in mu, the CDF tolerance alone leaves the mean poorly pinned
-    mu_tol = 1e-8 * np.maximum(sd, 1.0)
-    mu = 0.5 * (lo + hi)
-    active = np.flatnonzero(status == 0)
+    # Chandrupatla: x1 is the newest point, x2 the other end of the bracket
+    # and x3 the end it replaced; the next point is x1 + t*(x2 - x1).  The
+    # arrays hold the unconverged elements ``act`` only.
+    u = np.full(n, math.nan)
+    act = np.flatnonzero(status == 0)
+    zlo, zhi, target = zlo[act], zhi[act], target[act]
+    x1, f1, x2, f2 = lo[act], f_lo[act], hi[act], f_hi[act]
+    t = np.full(act.size, 0.5)
     for _ in range(max_iter):
-        if active.size == 0:
+        if act.size == 0:
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        f_mid = _tn_cdf_core(
-            observed[active], mid, sd[active], lower[active], upper[active]
-        )[0]
-        mu[active] = mid
-        done = (np.abs(f_mid - target[active]) <= cdf_tol) & (
-            hi[active] - lo[active] <= mu_tol[active]
-        )
-        go_right = f_mid > target[active]
-        lo[active[go_right]] = mid[go_right]
-        hi[active[~go_right]] = mid[~go_right]
-        active = active[~done]
+        xt = x1 + t * (x2 - x1)
+        ft = _cdf_excess(xt, zlo, zhi, target)
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        # converge both the bracket and the CDF value: where the CDF is very
+        # flat in u, the CDF tolerance alone leaves the mean poorly pinned.
+        # F is monotone, so once both ends are within cdf_tol so is every
+        # point between them; the secant root of the last bracket pins u far
+        # closer than u_tol, whichever bracket the iteration ended on
+        dx = np.abs(x2 - x1)
+        done = (dx <= u_tol) & (np.maximum(np.abs(f1), np.abs(f2)) <= cdf_tol)
+        if done.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = f1[done] / (f1[done] - f2[done])
+            w = np.where(np.isfinite(w), w, 0.5)
+            u[act[done]] = x1[done] + w * (x2[done] - x1[done])
+            left = ~done
+            act, zlo, zhi, target, x1, f1, x2, f2, x3, f3, dx = (
+                a[left] for a in (act, zlo, zhi, target, x1, f1, x2, f2, x3, f3, dx)
+            )
+        # inverse quadratic interpolation where it stays monotone on the
+        # bracket, bisection elsewhere; the step keeps u_tol/2 clear of both
+        # ends, so the bracket shrinks by at least that much
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                iqi,
+                f1 / (f2 - f1) * f3 / (f2 - f3)
+                + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
+                0.5,
+            )
+            tl = np.minimum(0.5 * u_tol / dx, 0.5)
+        t = np.clip(t, tl, 1.0 - tl)
+    status[act] = 2
 
+    mu = observed + u * sd
+    mu[status == -1] = -math.inf
+    mu[status == 1] = math.inf
     return mu.reshape(shape), status.reshape(shape)
 
 
@@ -410,7 +465,8 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     result has shape ``S + (len(targets),)``.  Every (element, target) pair
     goes through :func:`solve_tn_mean_bulk`, at most :data:`BULK_BLOCK` pairs
     per call; the solve is elementwise, so blocking does not change a bit.  A
-    root beyond ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``.
+    root beyond ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``, and
+    a solve that did not converge as NaN.
     """
     targets = np.asarray(targets, dtype=float)
     shape = np.shape(observed) + targets.shape
@@ -421,8 +477,7 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     for start in range(0, mu.size, BULK_BLOCK):
         pairs = np.arange(start, min(start + BULK_BLOCK, mu.size))
         element, target = np.divmod(pairs, targets.size)
-        root, status = solve_tn_mean_bulk(*(c[element] for c in columns), targets[target])
-        mu[pairs] = np.where(status == 0, root, np.copysign(math.inf, status))
+        mu[pairs] = solve_tn_mean_bulk(*(c[element] for c in columns), targets[target])[0]
     return mu.reshape(shape)
 
 
@@ -456,6 +511,8 @@ def solve_tn_mean(
     NoBracketError
         When the root lies outside ``observed +/- 40*sqrt(var)``; the caller
         should surface this as an unbounded interval endpoint.
+    NoConvergenceError
+        When the iteration budget ran out before the solve converged.
     """
     if not (var > 0):
         raise ValueError("var must be positive")
@@ -471,6 +528,11 @@ def solve_tn_mean(
         np.array([upper]), np.array([target]),
     )
     side = int(status[0])
+    if side == 2:
+        raise NoConvergenceError(
+            f"mean solving CDF({observed})={target} did not converge "
+            f"(window [{lower}, {upper}], sd={sd:g})"
+        )
     if side != 0:
         direction = "below" if side < 0 else "above"
         raise NoBracketError(

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import functools
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from condid import gaussian
 from condid.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -112,6 +114,18 @@ class TestAnalyze:
         src.write_text("\n".join(rows) + "\n")
         rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_NUMERICAL
+
+    def test_unconverged_solve_exit_code(self, tmp_path, capsys, monkeypatch):
+        # one iteration cannot converge: the bundled panel passes its
+        # pretest, so analyze runs the conditional solve and must say so
+        monkeypatch.setattr(
+            gaussian, "solve_tn_mean_bulk",
+            functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
+        )
+        out = tmp_path / "r.json"
+        rc = main(["analyze", "--input", str(EXAMPLE_PANEL), "--output", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "did not converge" in capsys.readouterr().err
 
     def test_non_utf8_input_is_parse_error_with_line(self, tmp_path, capsys):
         src = tmp_path / "latin.csv"
@@ -231,3 +245,13 @@ class TestConsoleEntrypoint:
         )
         assert result.returncode == 0
         assert len(result.stdout.split()) == 3
+
+    def test_startup_skips_optimize_and_stats(self):
+        # each adds 100-200 ms to every command's start-up
+        code = (
+            "import sys, condid.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Tests for the Gaussian numerics core."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import norm, truncnorm
 
+from condid import gaussian
 from condid.errors import (
     CholeskyError,
     DegenerateWindowError,
     NoBracketError,
+    NoConvergenceError,
     SingularMatrixError,
 )
 from condid.gaussian import (
@@ -23,10 +26,17 @@ from condid.gaussian import (
     equicorrelated_matrix,
     mvn_sample,
     solve_tn_mean,
+    solve_tn_mean_bulk,
+    solve_tn_quantiles,
     tn_cdf,
 )
 
 INF = math.inf
+
+
+def truncnorm_cdf(x, mu, sd, lower, upper):
+    """Independent oracle: scipy's truncated-normal CDF."""
+    return truncnorm.cdf(x, (lower - mu) / sd, (upper - mu) / sd, loc=mu, scale=sd)
 
 
 # --- CovarianceMatrix --------------------------------------------------------
@@ -211,6 +221,25 @@ class TestTnCdf:
         assume(direct > 1e-6)
         assert math.exp(float(_window_log_mass(a, b))) == pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "zlo, zhi, zx",
+        [
+            (-INF, -30.0, -30.2),  # deep left tail, one-sided
+            (-38.0, -37.0, -37.9),  # deep left tail, bounded
+            (30.0, INF, 30.01),  # deep right tail, one-sided
+            (35.0, 35.5, 35.1),  # deep right tail, bounded
+            (-1.0, 1.0, 0.3),  # body
+            (2.0, 2.0 + 1e-6, 2.0 + 3e-7),  # narrow window
+        ],
+    )
+    def test_matches_scipy_truncnorm_in_both_tails(self, zlo, zhi, zx):
+        # window and evaluation point in standard units about the mean
+        for mu, sd in ((0.0, 1.0), (-2.5, 0.7), (3.0, 2.0)):
+            lower, upper, x = (mu + z * sd for z in (zlo, zhi, zx))
+            spec = TruncatedNormalSpec(mu=mu, var=sd * sd, lower=lower, upper=upper)
+            expected = truncnorm_cdf(x, mu, sd, lower, upper)
+            assert tn_cdf(spec, x) == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TruncatedNormalSpec(mu=0.0, var=0.0)
@@ -243,6 +272,102 @@ class TestSolveTnMean:
         with pytest.raises(NoBracketError) as err:
             solve_tn_mean(1e-12, 1.0, 0.0, 1.0, 0.025)
         assert err.value.side == -1
+
+    # (observed, sd, lower, upper): windows deep in either tail, narrow
+    # windows, one-sided windows, observed on or next to a window edge
+    WINDOWS = [
+        (-30.5, 1.0, -INF, -30.0),
+        (-37.2, 1.0, -38.0, -37.0),
+        (30.2, 1.0, 30.0, INF),
+        (35.3, 1.0, 35.0, 35.5),
+        (2.0 + 3e-7, 1.0, 2.0, 2.0 + 1e-6),
+        (0.4, 1e-3, 0.3999, 0.4002),
+        (1.5, 1.0, 1.0, INF),
+        (-0.2, 1.0, -INF, 0.0),
+        (5.0, 1e4, 4.5, 7e4),
+        (0.0, 1.0, 0.0, 3.0),
+        (3.0, 1.0, 0.0, 3.0),
+        (1e-9, 1.0, 0.0, 3.0),
+        (3.0 - 1e-9, 1.0, 0.0, 3.0),
+        (0.0, 1.0, -INF, INF),
+    ]
+
+    def test_solved_mean_meets_target_under_truncnorm(self):
+        # converged roots hit the target to 1e-8 under an independent CDF;
+        # an unbounded root leaves the CDF at the search edge in its
+        # direction, observed -/+ 40 sd, still on the far side of the target
+        obs, sd, lower, upper = (np.array(col) for col in zip(*self.WINDOWS))
+        seen = set()
+        for target in (0.5, 0.025, 0.975, 1e-4, 1.0 - 1e-4):
+            mu, status = solve_tn_mean_bulk(obs, sd, lower, upper, target)
+            seen.update(status.tolist())
+            ok = status == 0
+            cdf = truncnorm_cdf(obs[ok], mu[ok], sd[ok], lower[ok], upper[ok])
+            assert np.all(np.abs(cdf - target) <= 1e-8)
+            for side in (-1, 1):
+                hit = status == side
+                np.testing.assert_array_equal(mu[hit], side * INF)
+                edge = obs[hit] + side * 40.0 * sd[hit]
+                cdf = truncnorm_cdf(obs[hit], edge, sd[hit], lower[hit], upper[hit])
+                assert np.all(cdf < target if side < 0 else cdf > target)
+        assert seen == {-1, 0, 1}
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_observed_on_window_edge_is_unbounded(self, side):
+        # the CDF at the lower (upper) edge is 0 (1) under every mean
+        observed = 0.0 if side < 0 else 2.0
+        mu, status = solve_tn_mean_bulk(observed, 1.0, 0.0, 2.0, 0.5)
+        assert int(status) == side and float(mu) == side * INF
+        with pytest.raises(NoBracketError) as err:
+            solve_tn_mean(observed, 1.0, 0.0, 2.0, 0.5)
+        assert err.value.side == side
+
+    def test_exhausted_budget_is_reported(self, monkeypatch):
+        mu, status = solve_tn_mean_bulk(0.5, 1.0, 0.0, 2.0, 0.3, max_iter=1)
+        assert int(status) == 2 and math.isnan(float(mu))
+        monkeypatch.setattr(
+            gaussian, "solve_tn_mean_bulk", functools.partial(solve_tn_mean_bulk, max_iter=1)
+        )
+        with pytest.raises(NoConvergenceError):
+            solve_tn_mean(0.5, 1.0, 0.0, 2.0, 0.3)
+        # unconverged solves come back as NaN, unbounded ones as -inf / +inf
+        mu = solve_tn_quantiles(
+            np.array([0.5, 0.0, 2.0]), np.ones(3), np.zeros(3), np.full(3, 2.0), (0.3,)
+        )
+        assert math.isnan(mu[0, 0]) and mu[1:, 0].tolist() == [-INF, INF]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        observed=st.floats(min_value=-5.0, max_value=5.0),
+        sd=st.floats(min_value=0.05, max_value=5.0),
+        # each side of observed at least 0.05 sd wide: narrower windows
+        # leave the mean ill-conditioned, as the CDF at observed barely
+        # depends on it
+        a=st.floats(min_value=0.05, max_value=6.0),
+        b=st.floats(min_value=0.05, max_value=6.0),
+        target=st.sampled_from([0.025, 0.5, 0.975]),
+        open_lower=st.booleans(),
+        open_upper=st.booleans(),
+        exponent=st.sampled_from([-9, -6, 6, 9]),
+        shift=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    def test_scale_and_shift_equivariance(
+        self, observed, sd, a, b, target, open_lower, open_upper, exponent, shift
+    ):
+        lower = -INF if open_lower else observed - a * sd
+        upper = INF if open_upper else observed + b * sd
+        mu, status = solve_tn_mean_bulk(observed, sd, lower, upper, target)
+        scale = 10.0 ** exponent
+        mu_s, status_s = solve_tn_mean_bulk(
+            observed * scale, sd * scale, lower * scale, upper * scale, target
+        )
+        # a shift by a multiple of sd, so its rounding stays far below 1e-9 sd
+        c = shift * sd
+        mu_c, status_c = solve_tn_mean_bulk(observed + c, sd, lower + c, upper + c, target)
+        assert int(status_s) == int(status_c) == int(status)
+        if int(status) == 0:
+            assert abs(float(mu_s) / scale - float(mu)) <= 1e-9 * sd
+            assert abs(float(mu_c) - c - float(mu)) <= 1e-9 * sd
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -331,3 +331,18 @@ class TestEstimationInvariance:
         np.testing.assert_array_equal(loaded.period, panel.period)
         np.testing.assert_array_equal(loaded.treatment, panel.treatment)
         np.testing.assert_array_equal(loaded.outcome, panel.outcome)
+
+    @pytest.mark.parametrize("label", [" u1", "u1 ", "u1\t"])
+    def test_write_refuses_labels_that_do_not_round_trip(self, tmp_path, label):
+        # two control and two treated units over periods -1, 0, 1
+        units = [label, "c1", "t0", "t1"]
+        panel = PanelData(
+            unit=np.array([u for u in units for _ in range(3)], dtype=object),
+            period=np.tile([-1, 0, 1], 4),
+            treatment=np.repeat([0, 0, 1, 1], 3),
+            outcome=np.arange(12.0),
+        )
+        path = tmp_path / "panel.csv"
+        with pytest.raises(ValueError, match="whitespace"):
+            write_panel(path, panel)
+        assert not path.exists()
