@@ -15,7 +15,7 @@ The package exposes, on top of the usual event-study estimator:
   replicated experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import errors
 from .errors import CondidError
@@ -25,7 +25,6 @@ from .estimators import (
     analyze,
     condition_contrast,
     conditional_ci,
-    conditional_moment_oracle,
     efficient_estimator,
     eta_gamma,
     quantile_unbiased_estimate,
@@ -37,18 +36,9 @@ from .event_study import (
     estimate_event_study,
     load_panel,
 )
-from .gaussian import (
-    CovarianceMatrix,
-    EquicorrelatedSpec,
-    TruncatedNormalSpec,
-    equicorrelated_inverse,
-    equicorrelated_matrix,
-    mvn_sample,
-    solve_tn_mean,
-    tn_cdf,
-)
+from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_mean, tn_cdf
 from .pretest import PolyhedralConstraint, build_ns_polyhedron, passes_pretest
-from .simulation import SimConfig, SimTableRow, generate_dgp, run_table, simulate_cell
+from .simulation import SimConfig, SimTableRow, run_table, simulate_cell
 
 __all__ = [
     "CondidError",
@@ -56,7 +46,6 @@ __all__ = [
     "analyze",
     "condition_contrast",
     "conditional_ci",
-    "conditional_moment_oracle",
     "efficient_estimator",
     "eta_gamma",
     "quantile_unbiased_estimate",
@@ -68,11 +57,7 @@ __all__ = [
     "estimate_event_study",
     "load_panel",
     "CovarianceMatrix",
-    "EquicorrelatedSpec",
     "TruncatedNormalSpec",
-    "equicorrelated_inverse",
-    "equicorrelated_matrix",
-    "mvn_sample",
     "solve_tn_mean",
     "tn_cdf",
     "PolyhedralConstraint",
@@ -80,7 +65,6 @@ __all__ = [
     "passes_pretest",
     "SimConfig",
     "SimTableRow",
-    "generate_dgp",
     "run_table",
     "simulate_cell",
 ]

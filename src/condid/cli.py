@@ -23,7 +23,7 @@ from .errors import (
 )
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
-from .simulation import SimConfig, SimTableRow, rows_to_csv, rows_to_json, run_table
+from .simulation import TABLE_SPECS, SimConfig, SimTableRow, rows_to_csv, rows_to_json, run_table
 from .simulation import json_number as _json_num
 
 EXIT_OK = 0
@@ -159,6 +159,11 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
 
 def cmd_simulate(args) -> int:
     _check_alphas(args)
+    dgps = TABLE_SPECS[args.table][0]
+    if args.dgp != "default" and args.dgp not in dgps:
+        raise InvalidArgumentError(
+            f"--dgp {args.dgp}: table {args.table} has only {'/'.join(dgps)} rows"
+        )
     try:
         config = SimConfig(
             k_max=args.k_max,
@@ -169,7 +174,6 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             alpha_pretest=args.alpha_pretest,
             alpha_ci=args.alpha_ci,
-            fast_path=not args.full_panel,
             workers=args.workers,
         )
     except ValueError as exc:
@@ -231,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha-pretest", type=float, default=0.05, dest="alpha_pretest")
     p_sim.add_argument("--alpha-ci", type=float, default=0.05, dest="alpha_ci")
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--full-panel", action="store_true",
-                       help="simulate full panels instead of sufficient statistics (slow)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eta = sub.add_parser("eta", help="print a trend-adjustment contrast vector")

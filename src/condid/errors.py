@@ -71,10 +71,6 @@ class RankDeficientError(NumericalError):
     with trend order <= K cannot trigger this)."""
 
 
-class DegenerateAcceptanceError(NumericalError):
-    """Too few Monte Carlo draws satisfied the conditioning event."""
-
-
 # --- arguments -------------------------------------------------------------
 
 

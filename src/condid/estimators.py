@@ -30,7 +30,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     ConstraintViolatedError,
-    DegenerateAcceptanceError,
     NoBracketError,
     NoConvergenceError,
     RankDeficientError,
@@ -55,7 +54,6 @@ __all__ = [
     "conditional_ci",
     "eta_gamma",
     "analyze",
-    "conditional_moment_oracle",
 ]
 
 # rows with |(Ac)_j| below this relative threshold are treated as orthogonal
@@ -382,49 +380,3 @@ def analyze(
         median_unbiased_beta=beta_block,
         median_unbiased_gamma=gamma_block,
     )
-
-
-def conditional_moment_oracle(
-    true_beta,
-    sigma: CovarianceMatrix,
-    constraint: PolyhedralConstraint,
-    reps: int,
-    rng: np.random.Generator,
-    *,
-    batch_size: int = 65536,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rejection-sampled conditional moments of beta_hat given the event.
-
-    Draws ``reps`` proposals from N(true_beta, sigma), keeps those inside
-    the polyhedron and returns their sample mean, sample covariance (ddof=1)
-    and the acceptance fraction.  This is a test oracle: the multivariate
-    truncated-normal mean has no closed form.
-
-    Raises
-    ------
-    DegenerateAcceptanceError
-        Fewer than 100 draws landed inside the event.
-    """
-    if reps < 10_000:
-        raise ValueError("the oracle needs reps >= 10_000 to be meaningful")
-    true_beta = np.asarray(true_beta, dtype=float)
-    chol = sigma.cholesky()
-    a = constraint.a_matrix
-    b = constraint.b_vector
-    kept = []
-    n_drawn = 0
-    while n_drawn < reps:
-        n = min(batch_size, reps - n_drawn)
-        draws = true_beta + rng.standard_normal((n, sigma.dim)) @ chol.T
-        inside = np.all(draws @ a.T <= b, axis=1)
-        if inside.any():
-            kept.append(draws[inside])
-        n_drawn += n
-    accepted = np.concatenate(kept) if kept else np.empty((0, sigma.dim))
-    if accepted.shape[0] < 100:
-        raise DegenerateAcceptanceError(
-            f"only {accepted.shape[0]} of {reps} draws satisfied the event"
-        )
-    mean = accepted.mean(axis=0)
-    cov = np.cov(accepted, rowvar=False, ddof=1)
-    return mean, np.atleast_2d(cov), accepted.shape[0] / reps

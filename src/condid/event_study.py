@@ -37,7 +37,6 @@ __all__ = [
     "estimate_event_study",
     "estimate_covariance",
     "load_panel",
-    "write_panel",
     "PANEL_HEADER",
 ]
 
@@ -135,7 +134,9 @@ class CellStats:
     """Per-period cell means, within-cell variances and counts.
 
     Arrays are indexed by period offset: position j corresponds to period
-    ``j - K`` for ``j = 0..K+1`` (ascending order -K, ..., 0, 1).
+    ``j - K`` for ``j = 0..K+1`` (ascending order -K, ..., 0, 1).  The means
+    are of the outcome minus the panel's first outcome, a constant that
+    cancels in every difference of means.
     """
 
     k: int
@@ -189,9 +190,12 @@ def cell_statistics(data: PanelData) -> CellStats:
     code = idx * 2 + data.treatment.astype(int)
     n_cells = 2 * (k + 2)
     counts = np.bincount(code, minlength=n_cells).astype(float)
-    sums = np.bincount(code, weights=data.outcome, minlength=n_cells)
-    means = sums / counts
-    resid = data.outcome - means[code]
+    # sums of outcomes far from zero lose the low bits that differences of
+    # means keep; centring on one data value makes the estimates invariant
+    # to an exact shift of every outcome
+    resid = data.outcome - data.outcome[0]
+    means = np.bincount(code, weights=resid, minlength=n_cells) / counts
+    resid -= means[code]
     ss = np.bincount(code, weights=resid * resid, minlength=n_cells)
     variances = ss / (counts - 1.0)
     return CellStats(
@@ -392,20 +396,3 @@ def _check_row(row: list[str], lineno: int) -> None:
         is_number = False
     if not is_number:
         raise PanelParseError(f"outcome {outcome_s!r} is not a number", line=lineno)
-
-
-def write_panel(path, data: PanelData) -> None:
-    """Write a panel back to CSV in the canonical column order.
-
-    :func:`load_panel` reads unit labels back as stripped ``str``; a label
-    whose text has leading or trailing whitespace would come back changed,
-    so it raises ``ValueError`` before anything is written.
-    """
-    for u in data.unit:
-        if str(u) != str(u).strip():
-            raise ValueError(f"unit label {str(u)!r} has leading or trailing whitespace")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_HEADER)
-        for u, t, d, y in zip(data.unit, data.period, data.treatment, data.outcome):
-            writer.writerow([u, int(t), int(d), repr(float(y))])

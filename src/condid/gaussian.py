@@ -1,6 +1,6 @@
-"""Gaussian numerics: small dense covariance objects, equicorrelated
-closed-form inverses, a tail-stable truncated-normal CDF, and the monotone
-mean solve that underlies quantile-unbiased estimation.
+"""Gaussian numerics: small dense covariance objects, a tail-stable
+truncated-normal CDF, and the monotone mean solve that underlies
+quantile-unbiased estimation.
 
 The mean solve works on the offset of the mean from the observed value in
 units of sd, where the CDF no longer depends on the location or scale of the
@@ -29,20 +29,15 @@ from .errors import (
     DegenerateWindowError,
     NoBracketError,
     NoConvergenceError,
-    SingularMatrixError,
 )
 
 __all__ = [
     "CovarianceMatrix",
-    "EquicorrelatedSpec",
     "TruncatedNormalSpec",
-    "equicorrelated_matrix",
-    "equicorrelated_inverse",
     "tn_cdf",
     "solve_tn_mean",
     "solve_tn_mean_bulk",
     "solve_tn_quantiles",
-    "mvn_sample",
 ]
 
 # Window mass below exp(LOG_MASS_FLOOR) cannot be represented even as a
@@ -132,67 +127,6 @@ class CovarianceMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CovarianceMatrix(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class EquicorrelatedSpec:
-    """A dim x dim matrix with ``diag`` on the diagonal and ``offdiag`` off it."""
-
-    dim: int
-    diag: float
-    offdiag: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not (self.diag > 0):
-            raise ValueError("diagonal (variance) must be positive")
-
-    def has_positive_equicorrelation(self) -> bool:
-        """True when the off-diagonal is strictly positive and strictly below
-        the diagonal -- the structure produced by repeated cross-sections."""
-        return self.offdiag > 0 and self.diag > self.offdiag
-
-
-def equicorrelated_matrix(spec: EquicorrelatedSpec) -> CovarianceMatrix:
-    """Materialize the spec as a dense :class:`CovarianceMatrix`."""
-    n = spec.dim
-    m = np.full((n, n), spec.offdiag)
-    np.fill_diagonal(m, spec.diag)
-    return CovarianceMatrix(m)
-
-
-def equicorrelated_inverse(spec: EquicorrelatedSpec) -> CovarianceMatrix:
-    """Closed-form inverse of an equicorrelated matrix.
-
-    For S = (d - r) I + r 11' the rank-one update formula gives
-
-        S^-1 = (d - r)^-1 I - [r (d - r)^-2 / (1 + n r (d - r)^-1)] 11'.
-
-    Raises
-    ------
-    SingularMatrixError
-        When ``d <= r`` or ``1 + n r / (d - r) <= 0`` (the matrix is not
-        positive definite and the closed form degenerates).
-    """
-    n, d, r = spec.dim, spec.diag, spec.offdiag
-    if n == 1:
-        # scalar case: the off-diagonal is irrelevant
-        return CovarianceMatrix([[1.0 / d]])
-    base = d - r
-    if base <= 0:
-        raise SingularMatrixError(
-            f"off-diagonal {r} must be strictly below diagonal {d} for inversion"
-        )
-    denom = 1.0 + n * r / base
-    if denom <= 0:
-        raise SingularMatrixError(
-            f"equicorrelated matrix with dim={n}, diag={d}, offdiag={r} is singular"
-        )
-    coeff = r / (base * base) / denom
-    inv = np.full((n, n), -coeff)
-    np.fill_diagonal(inv, 1.0 / base - coeff)
-    return CovarianceMatrix(inv)
 
 
 @dataclass(frozen=True)
@@ -541,27 +475,3 @@ def solve_tn_mean(
             side=side,
         )
     return float(mu[0])
-
-
-def mvn_sample(mean, cov, rng: np.random.Generator) -> np.ndarray:
-    """One multivariate normal draw via the Cholesky factor.
-
-    ``cov`` may be a :class:`CovarianceMatrix` or a raw symmetric array;
-    non-positive-definite input raises :class:`CholeskyError`.  Deterministic
-    for a fixed generator state.
-    """
-    mean = np.asarray(mean, dtype=float)
-    if isinstance(cov, CovarianceMatrix):
-        if cov.dim != mean.shape[0]:
-            raise ValueError("mean and covariance dimensions disagree")
-        chol = cov.cholesky()
-    else:
-        arr = np.asarray(cov, dtype=float)
-        if arr.shape != (mean.shape[0], mean.shape[0]):
-            raise ValueError("mean and covariance dimensions disagree")
-        try:
-            chol = np.linalg.cholesky(arr)
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyError("covariance is not positive definite") from exc
-    z = rng.standard_normal(mean.shape[0])
-    return mean + chol @ z

@@ -7,7 +7,7 @@ slope ``trend_slope`` for the treated group that continues into the post
 period.  Under the trend DGP the population post coefficient equals the
 slope and the trend-adjusted contrast equals zero.
 
-The fast path draws the sufficient statistics directly -- per-period
+Each replication draws the sufficient statistics directly -- per-period
 difference-in-means ~ N(slope * t, 2 sigma^2 / N) plus independent chi-square
 within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
@@ -17,31 +17,30 @@ inference runs on the kernel that :func:`condid.estimators.analyze` uses:
 each chunk's accepted replications go through
 :func:`~condid.estimators.polyhedral_window` (with ``Sigma eta`` formed from
 the rank-one-plus-diagonal covariance, never as a dense matrix) and one
-stacked :func:`~condid.gaussian.solve_tn_quantiles` call.  Chunk RNG streams
-are derived from the root seed with a splittable seed sequence keyed by
-(seed, dgp, k, chunk index), and aggregation is a deterministic fold over
-chunk order.
+stacked :func:`~condid.gaussian.solve_tn_quantiles` call; as in ``analyze``,
+a solve that does not converge raises
+:class:`~condid.errors.NoConvergenceError`.  Chunk RNG streams are derived
+from the root seed with a splittable seed sequence keyed by (seed, DGP slope,
+K, chunk index), and aggregation is a deterministic fold over chunk order.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import analyze, eta_gamma, polyhedral_window
-from .event_study import EstimateBundle, PanelData, estimate_event_study
-from .gaussian import CovarianceMatrix, solve_tn_quantiles
+from .errors import NoConvergenceError
+from .estimators import eta_gamma, polyhedral_window
+from .gaussian import solve_tn_quantiles
 from .pretest import critical_value, ns_rows
 
 __all__ = [
     "SimConfig",
     "SimTableRow",
-    "CellDraws",
     "ReplicationRecords",
-    "generate_dgp",
     "simulate_cell",
     "run_table",
     "summarize_row",
@@ -75,7 +74,6 @@ class SimConfig:
     seed: int = 0
     alpha_pretest: float = 0.05
     alpha_ci: float = 0.05
-    fast_path: bool = True
     use_estimated_sigma: bool = True
     workers: int = 1
     chunk_size: int = 25_000
@@ -160,35 +158,6 @@ def _proportion_se(p: float, n: float) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-@dataclass(frozen=True)
-class CellDraws:
-    """One fast-path replication: per-period difference-in-means draws and
-    estimated variances of those differences.
-
-    ``t_values`` orders periods as (1, 0, -1, ..., -K), matching the
-    coefficient layout after differencing against the reference column.
-    """
-
-    k: int
-    n_per_cell: int
-    t_values: np.ndarray
-    delta_mean: np.ndarray
-    delta_var: np.ndarray
-
-    def to_bundle(self) -> EstimateBundle:
-        beta = self.delta_mean - self.delta_mean[1]
-        v0 = self.delta_var[1]
-        v_coef = np.concatenate(([self.delta_var[0]], self.delta_var[2:]))
-        sigma = np.full((self.k + 1, self.k + 1), v0)
-        sigma[np.diag_indices(self.k + 1)] += v_coef
-        return EstimateBundle(
-            beta_post=float(beta[0]),
-            beta_pre=beta[2:],
-            sigma=CovarianceMatrix(sigma, allow_singular=True),
-            k=self.k,
-        )
-
-
 @dataclass(eq=False)
 class ReplicationRecords:
     """Per-replication results for one (DGP, K) cell; plain parallel arrays.
@@ -271,47 +240,6 @@ def _fast_cell_draws(
     return delta, v
 
 
-def _full_panel(
-    config: SimConfig, k: int, slope: float, rng: np.random.Generator
-) -> PanelData:
-    """One simulated long-format panel (repeated cross-sections)."""
-    t = np.arange(-k, 2)
-    n_cell = config.n_per_cell
-    periods = np.repeat(t, 2 * n_cell)
-    treatment = np.tile(np.repeat([False, True], n_cell), k + 2)
-    unit = np.array(
-        [f"{'T' if d else 'C'}{i % n_cell}" for i, d in enumerate(treatment)],
-        dtype=object,
-    )
-    mean = slope * periods * treatment
-    outcome = mean + rng.standard_normal(periods.shape[0]) * config.sigma_noise
-    return PanelData(unit=unit, period=periods, treatment=treatment, outcome=outcome)
-
-
-def generate_dgp(config: SimConfig, k: int, rng: np.random.Generator):
-    """One replication of the configured DGP.
-
-    Returns a :class:`PanelData` on the full path and a :class:`CellDraws`
-    (sufficient statistics) on the fast path.  The two paths induce the same
-    distribution for the estimated coefficients.
-    """
-    if k > config.k_max:
-        raise ValueError(f"k={k} exceeds k_max={config.k_max}")
-    slope = config.trend_slope
-    if config.fast_path:
-        delta, v = _fast_cell_draws(config, k, slope, rng, 1)
-        return CellDraws(
-            k=k,
-            n_per_cell=config.n_per_cell,
-            t_values=_t_values(k),
-            delta_mean=delta[0],
-            delta_var=v[0],
-        )
-    if k < 1:
-        raise ValueError("the full-panel path requires k >= 1")
-    return _full_panel(config, k, slope, rng)
-
-
 # --- vectorized replication kernel -------------------------------------------
 
 
@@ -383,6 +311,10 @@ def _records_from_draws(
         alpha = config.alpha_ci
         targets = (0.5, 1.0 - alpha / 2.0, alpha / 2.0)
         mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, targets)
+        if np.isnan(mu).any():
+            raise NoConvergenceError(
+                f"a conditional mean solve did not converge ({dgp} DGP, K={k})"
+            )
         for j, name in enumerate(("tn_beta", "tn_gamma")):
             tn[f"{name}_est"][idx] = mu[:, j, 0]
             tn[f"{name}_lo"][idx] = mu[:, j, 1]
@@ -401,50 +333,6 @@ def _records_from_draws(
     )
 
 
-def _records_from_panels(
-    config: SimConfig, k: int, dgp: str, slope: float, rng: np.random.Generator, n: int
-) -> ReplicationRecords:
-    """Full-panel replication loop through the scalar estimation pipeline.
-
-    Orders of magnitude slower than the fast path; intended for smoke tests
-    and path-equivalence checks at small replication counts.
-    """
-    cfg = replace(config, fast_path=False, trend_slope=slope)
-    arrays = {name: np.full(n, math.nan) for name in ReplicationRecords._ARRAYS}
-    arrays["accepted"] = np.zeros(n, dtype=bool)
-    if k == 0:
-        # the unconditional row has no pre-period, so there is no panel to
-        # validate: reduce the two-period sample to its cells directly
-        n_cell = config.n_per_cell
-        sig = config.sigma_noise
-        for i in range(n):
-            y_ctrl = rng.standard_normal((2, n_cell)) * sig
-            y_treat = rng.standard_normal((2, n_cell)) * sig + slope * np.array([[0.0], [1.0]])
-            delta = y_treat.mean(axis=1) - y_ctrl.mean(axis=1)
-            v = (y_treat.var(axis=1, ddof=1) + y_ctrl.var(axis=1, ddof=1)) / n_cell
-            arrays["beta_post"][i] = delta[1] - delta[0]
-            arrays["se_trad"][i] = math.sqrt(v[0] + v[1])
-        arrays["accepted"][:] = True
-        return ReplicationRecords(dgp=dgp, k=k, alpha_ci=config.alpha_ci, **arrays)
-    for i in range(n):
-        panel = generate_dgp(cfg, k, rng)
-        bundle = estimate_event_study(panel)
-        report = analyze(bundle, alpha_pretest=config.alpha_pretest, alpha_ci=config.alpha_ci)
-        arrays["beta_post"][i] = report.traditional.estimate
-        arrays["se_trad"][i] = report.traditional.se
-        arrays["beta_tilde"][i] = report.efficient.estimate
-        arrays["se_eff"][i] = report.efficient.se
-        arrays["accepted"][i] = report.pretest.passed
-        if report.pretest.passed:
-            arrays["tn_beta_est"][i] = report.median_unbiased_beta.estimate
-            arrays["tn_beta_lo"][i] = report.median_unbiased_beta.ci_lower
-            arrays["tn_beta_hi"][i] = report.median_unbiased_beta.ci_upper
-            arrays["tn_gamma_est"][i] = report.median_unbiased_gamma.estimate
-            arrays["tn_gamma_lo"][i] = report.median_unbiased_gamma.ci_lower
-            arrays["tn_gamma_hi"][i] = report.median_unbiased_gamma.ci_upper
-    return ReplicationRecords(dgp=dgp, k=k, alpha_ci=config.alpha_ci, **arrays)
-
-
 # --- chunked, optionally parallel execution -----------------------------------
 
 
@@ -456,11 +344,9 @@ def _chunk_seed(config: SimConfig, slope: float, k: int, chunk_index: int):
 def _run_chunk(args) -> ReplicationRecords:
     config, k, dgp, slope, chunk_index, n = args
     rng = np.random.default_rng(_chunk_seed(config, slope, k, chunk_index))
-    if config.fast_path:
-        eta_vec = eta_gamma(k, 1) if k >= 1 else None
-        delta, v = _fast_cell_draws(config, k, slope, rng, n)
-        return _records_from_draws(config, k, dgp, delta, v, eta_vec)
-    return _records_from_panels(config, k, dgp, slope, rng, n)
+    eta_vec = eta_gamma(k, 1) if k >= 1 else None
+    delta, v = _fast_cell_draws(config, k, slope, rng, n)
+    return _records_from_draws(config, k, dgp, delta, v, eta_vec)
 
 
 def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:

@@ -1,0 +1,235 @@
+"""Reference implementations that only the tests use.
+
+None of these is part of the ``condid`` package: each one is an independent
+way of producing a value the package computes, or of building an input the
+package reads.
+
+* :func:`full_panel` simulates a whole long-format panel, which the
+  estimator reduces to the sufficient statistics the simulator draws
+  directly; :class:`CellDraws` turns one replication of those draws into an
+  :class:`~condid.event_study.EstimateBundle`.
+* :class:`EquicorrelatedSpec` and its closed-form inverse build the
+  covariance structure of repeated cross-sections.
+* :func:`mvn_sample` and :func:`conditional_moment_oracle` give
+  rejection-sampled conditional moments.
+* :func:`write_panel` writes a panel back to CSV.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+
+import numpy as np
+
+from condid.errors import CholeskyError, NumericalError, SingularMatrixError
+from condid.event_study import PANEL_HEADER, EstimateBundle, PanelData
+from condid.gaussian import CovarianceMatrix
+from condid.pretest import PolyhedralConstraint
+from condid.simulation import SimConfig
+
+# --- simulation ----------------------------------------------------------------
+
+
+def full_panel(
+    config: SimConfig, k: int, slope: float, rng: np.random.Generator
+) -> PanelData:
+    """One simulated long-format panel (repeated cross-sections)."""
+    t = np.arange(-k, 2)
+    n_cell = config.n_per_cell
+    periods = np.repeat(t, 2 * n_cell)
+    treatment = np.tile(np.repeat([False, True], n_cell), k + 2)
+    unit = np.array(
+        [f"{'T' if d else 'C'}{i % n_cell}" for i, d in enumerate(treatment)],
+        dtype=object,
+    )
+    mean = slope * periods * treatment
+    outcome = mean + rng.standard_normal(periods.shape[0]) * config.sigma_noise
+    return PanelData(unit=unit, period=periods, treatment=treatment, outcome=outcome)
+
+
+@dataclass(frozen=True)
+class CellDraws:
+    """One replication of the simulator's draws: per-period
+    difference-in-means and estimated variances of those differences.
+
+    ``t_values`` orders periods as (1, 0, -1, ..., -K), matching the
+    coefficient layout after differencing against the reference column.
+    """
+
+    k: int
+    n_per_cell: int
+    t_values: np.ndarray
+    delta_mean: np.ndarray
+    delta_var: np.ndarray
+
+    def to_bundle(self) -> EstimateBundle:
+        beta = self.delta_mean - self.delta_mean[1]
+        v0 = self.delta_var[1]
+        v_coef = np.concatenate(([self.delta_var[0]], self.delta_var[2:]))
+        sigma = np.full((self.k + 1, self.k + 1), v0)
+        sigma[np.diag_indices(self.k + 1)] += v_coef
+        return EstimateBundle(
+            beta_post=float(beta[0]),
+            beta_pre=beta[2:],
+            sigma=CovarianceMatrix(sigma, allow_singular=True),
+            k=self.k,
+        )
+
+
+# --- covariance structure and sampling ----------------------------------------
+
+
+@dataclass(frozen=True)
+class EquicorrelatedSpec:
+    """A dim x dim matrix with ``diag`` on the diagonal and ``offdiag`` off it."""
+
+    dim: int
+    diag: float
+    offdiag: float
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if not (self.diag > 0):
+            raise ValueError("diagonal (variance) must be positive")
+
+    def has_positive_equicorrelation(self) -> bool:
+        """True when the off-diagonal is strictly positive and strictly below
+        the diagonal -- the structure produced by repeated cross-sections."""
+        return self.offdiag > 0 and self.diag > self.offdiag
+
+
+def equicorrelated_matrix(spec: EquicorrelatedSpec) -> CovarianceMatrix:
+    """Materialize the spec as a dense :class:`CovarianceMatrix`."""
+    n = spec.dim
+    m = np.full((n, n), spec.offdiag)
+    np.fill_diagonal(m, spec.diag)
+    return CovarianceMatrix(m)
+
+
+def equicorrelated_inverse(spec: EquicorrelatedSpec) -> CovarianceMatrix:
+    """Closed-form inverse of an equicorrelated matrix.
+
+    For S = (d - r) I + r 11' the rank-one update formula gives
+
+        S^-1 = (d - r)^-1 I - [r (d - r)^-2 / (1 + n r (d - r)^-1)] 11'.
+
+    Raises
+    ------
+    SingularMatrixError
+        When ``d <= r`` or ``1 + n r / (d - r) <= 0`` (the matrix is not
+        positive definite and the closed form degenerates).
+    """
+    n, d, r = spec.dim, spec.diag, spec.offdiag
+    if n == 1:
+        # scalar case: the off-diagonal is irrelevant
+        return CovarianceMatrix([[1.0 / d]])
+    base = d - r
+    if base <= 0:
+        raise SingularMatrixError(
+            f"off-diagonal {r} must be strictly below diagonal {d} for inversion"
+        )
+    denom = 1.0 + n * r / base
+    if denom <= 0:
+        raise SingularMatrixError(
+            f"equicorrelated matrix with dim={n}, diag={d}, offdiag={r} is singular"
+        )
+    coeff = r / (base * base) / denom
+    inv = np.full((n, n), -coeff)
+    np.fill_diagonal(inv, 1.0 / base - coeff)
+    return CovarianceMatrix(inv)
+
+
+def mvn_sample(mean, cov, rng: np.random.Generator) -> np.ndarray:
+    """One multivariate normal draw via the Cholesky factor.
+
+    ``cov`` may be a :class:`CovarianceMatrix` or a raw symmetric array;
+    non-positive-definite input raises :class:`CholeskyError`.  Deterministic
+    for a fixed generator state.
+    """
+    mean = np.asarray(mean, dtype=float)
+    if isinstance(cov, CovarianceMatrix):
+        if cov.dim != mean.shape[0]:
+            raise ValueError("mean and covariance dimensions disagree")
+        chol = cov.cholesky()
+    else:
+        arr = np.asarray(cov, dtype=float)
+        if arr.shape != (mean.shape[0], mean.shape[0]):
+            raise ValueError("mean and covariance dimensions disagree")
+        try:
+            chol = np.linalg.cholesky(arr)
+        except np.linalg.LinAlgError as exc:
+            raise CholeskyError("covariance is not positive definite") from exc
+    z = rng.standard_normal(mean.shape[0])
+    return mean + chol @ z
+
+
+class DegenerateAcceptanceError(NumericalError):
+    """Too few Monte Carlo draws satisfied the conditioning event."""
+
+
+def conditional_moment_oracle(
+    true_beta,
+    sigma: CovarianceMatrix,
+    constraint: PolyhedralConstraint,
+    reps: int,
+    rng: np.random.Generator,
+    *,
+    batch_size: int = 65536,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rejection-sampled conditional moments of beta_hat given the event.
+
+    Draws ``reps`` proposals from N(true_beta, sigma), keeps those inside
+    the polyhedron and returns their sample mean, sample covariance (ddof=1)
+    and the acceptance fraction.  This is a test oracle: the multivariate
+    truncated-normal mean has no closed form.
+
+    Raises
+    ------
+    DegenerateAcceptanceError
+        Fewer than 100 draws landed inside the event.
+    """
+    if reps < 10_000:
+        raise ValueError("the oracle needs reps >= 10_000 to be meaningful")
+    true_beta = np.asarray(true_beta, dtype=float)
+    chol = sigma.cholesky()
+    a = constraint.a_matrix
+    b = constraint.b_vector
+    kept = []
+    n_drawn = 0
+    while n_drawn < reps:
+        n = min(batch_size, reps - n_drawn)
+        draws = true_beta + rng.standard_normal((n, sigma.dim)) @ chol.T
+        inside = np.all(draws @ a.T <= b, axis=1)
+        if inside.any():
+            kept.append(draws[inside])
+        n_drawn += n
+    accepted = np.concatenate(kept) if kept else np.empty((0, sigma.dim))
+    if accepted.shape[0] < 100:
+        raise DegenerateAcceptanceError(
+            f"only {accepted.shape[0]} of {reps} draws satisfied the event"
+        )
+    mean = accepted.mean(axis=0)
+    cov = np.cov(accepted, rowvar=False, ddof=1)
+    return mean, np.atleast_2d(cov), accepted.shape[0] / reps
+
+
+# --- panel files ----------------------------------------------------------------
+
+
+def write_panel(path, data: PanelData) -> None:
+    """Write a panel back to CSV in the canonical column order.
+
+    :func:`~condid.event_study.load_panel` reads unit labels back as stripped
+    ``str``; a label whose text has leading or trailing whitespace would come
+    back changed, so it raises ``ValueError`` before anything is written.
+    """
+    for u in data.unit:
+        if str(u) != str(u).strip():
+            raise ValueError(f"unit label {str(u)!r} has leading or trailing whitespace")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PANEL_HEADER)
+        for u, t, d, y in zip(data.unit, data.period, data.treatment, data.outcome):
+            writer.writerow([u, int(t), int(d), repr(float(y))])

@@ -15,14 +15,15 @@ import pytest
 from condid.estimators import (
     adjustment_weights,
     condition_contrast,
-    conditional_moment_oracle,
     efficient_estimator,
     eta_gamma,
 )
 from condid.event_study import EstimateBundle
-from condid.gaussian import CovarianceMatrix, EquicorrelatedSpec, equicorrelated_matrix
+from condid.gaussian import CovarianceMatrix
 from condid.pretest import build_ns_polyhedron
-from condid.simulation import SimConfig, simulate_cell, summarize_row
+from condid.simulation import SimConfig, run_table, simulate_cell
+
+from _oracles import EquicorrelatedSpec, conditional_moment_oracle, equicorrelated_matrix
 
 DESK_REPS = 100_000
 SEED = 20_250_809
@@ -64,14 +65,7 @@ def _report(name):
 def desk_cells():
     """All (DGP, K) cells at desk scale, keyed by (dgp, k)."""
     cfg = SimConfig(reps=DESK_REPS, seed=SEED, workers=2)
-    cells = {}
-    for dgp in ("null", "trend"):
-        truth_beta = 0.0 if dgp == "null" else cfg.trend_slope
-        for k in range(0, cfg.k_max + 1):
-            records = simulate_cell(cfg, k, dgp)
-            accepted = records.subset(records.accepted)
-            cells[(dgp, k)] = summarize_row(accepted, records, (truth_beta, 0.0))
-    return cells
+    return {(r.dgp, r.k): r for t in (1, 2) for r in run_table(cfg, t)}
 
 
 class TestCriterion1Table1:

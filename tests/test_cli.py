@@ -20,8 +20,10 @@ from condid.cli import (
     report_payload,
 )
 from condid.estimators import analyze, eta_gamma
-from condid.event_study import estimate_event_study, load_panel, write_panel
-from condid.simulation import SimConfig, generate_dgp
+from condid.event_study import estimate_event_study, load_panel
+from condid.simulation import SimConfig
+
+from _oracles import full_panel, write_panel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_PANEL = REPO_ROOT / "data" / "trend_panel.csv"
@@ -46,8 +48,8 @@ class TestAnalyze:
 
     def test_matches_regenerated_panel(self, tmp_path):
         # the bundled file is exactly the trend DGP at seed 1 (K=3, N=100)
-        cfg = SimConfig(n_per_cell=100, trend_slope=0.065, fast_path=False, reps=1, seed=0)
-        panel = generate_dgp(cfg, 3, np.random.default_rng(1))
+        cfg = SimConfig(n_per_cell=100, trend_slope=0.065, reps=1, seed=0)
+        panel = full_panel(cfg, 3, cfg.trend_slope, np.random.default_rng(1))
         regenerated = tmp_path / "regen.csv"
         write_panel(regenerated, panel)
         assert regenerated.read_bytes() == EXAMPLE_PANEL.read_bytes()
@@ -161,8 +163,9 @@ class TestAnalyze:
         (["analyze", "--input", str(EXAMPLE_PANEL), "--alpha-ci", "0"], "--alpha-ci"),
         (["analyze", "--input", str(EXAMPLE_PANEL), "--trend-order", "9"], "K=3"),
         (["simulate", "--table", "1", "--reps", "0"], "reps must be >= 1"),
+        (["simulate", "--table", "1", "--dgp", "trend"], "table 1 has only null rows"),
     ],
-    ids=["alpha-pretest", "alpha-ci", "trend-order", "reps"],
+    ids=["alpha-pretest", "alpha-ci", "trend-order", "reps", "dgp"],
 )
 def test_invalid_argument_exit_code(argv, message, tmp_path, capsys):
     rc = main(argv + ["--output", str(tmp_path / "out")])
@@ -226,6 +229,20 @@ class TestSimulate:
         assert rc == EXIT_OK
         payload = json.loads(out.read_text())
         assert isinstance(payload, list) and payload[0]["dgp"] == "null"
+
+    def test_unconverged_solve_exit_code(self, tmp_path, capsys, monkeypatch):
+        # one iteration cannot converge: the table must not be written with
+        # the unconverged solves as NaN medians and zero rejection rates
+        monkeypatch.setattr(
+            gaussian, "solve_tn_mean_bulk",
+            functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
+        )
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--table", "4", "--reps", "2000", "--k-max", "2",
+                   "--output", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dgp_filter(self, tmp_path):
         out = tmp_path / "rows.json"

@@ -7,7 +7,6 @@ import pytest
 
 from condid.errors import (
     ConstraintViolatedError,
-    DegenerateAcceptanceError,
     UnboundedEstimateError,
     ZeroContrastError,
 )
@@ -16,18 +15,20 @@ from condid.estimators import (
     adjustment_weights,
     condition_contrast,
     conditional_ci,
-    conditional_moment_oracle,
     efficient_estimator,
     eta_gamma,
     quantile_unbiased_estimate,
 )
 from condid.event_study import EstimateBundle
-from condid.gaussian import (
-    CovarianceMatrix,
+from condid.gaussian import CovarianceMatrix
+from condid.pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value
+
+from _oracles import (
+    DegenerateAcceptanceError,
     EquicorrelatedSpec,
+    conditional_moment_oracle,
     equicorrelated_matrix,
 )
-from condid.pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value
 
 INF = math.inf
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condid.errors import (
     InsufficientDataError,
@@ -14,8 +16,9 @@ from condid.event_study import (
     estimate_covariance,
     estimate_event_study,
     load_panel,
-    write_panel,
 )
+
+from _oracles import write_panel
 
 
 def make_panel(k, n_per_cell, outcome_fn, jitter=None, rng=None):
@@ -203,6 +206,35 @@ class TestEstimation:
             estimate_event_study(shifted).beta, estimate_event_study(panel).beta,
             atol=1e-12,
         )
+
+    @settings(deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n_per_cell=st.integers(2, 5),
+        exponent=st.integers(0, 40),
+        sign=st.sampled_from((-1.0, 1.0)),
+        data=st.data(),
+    )
+    def test_exact_outcome_shift_leaves_estimates_unchanged(
+        self, k, n_per_cell, exponent, sign, data
+    ):
+        # outcomes on a 1/256 grid below 8 in magnitude, shifted by at most
+        # 2^40, stay exact in float64: only the estimator's own rounding can
+        # move the estimates
+        base = make_panel(k, n_per_cell, lambda t, d, i: 0.0)
+        grid = data.draw(st.lists(
+            st.integers(-2048, 2048), min_size=base.n_rows, max_size=base.n_rows
+        ))
+        y = np.array(grid) / 256.0
+        a, b = (
+            estimate_event_study(PanelData(
+                unit=base.unit, period=base.period, treatment=base.treatment, outcome=outcome,
+            ))
+            for outcome in (y, y + sign * 2.0**exponent)
+        )
+        se = np.sqrt(np.diag(a.sigma.entries))
+        assert np.all(np.abs(b.beta - a.beta) <= 1e-10 * se)
+        assert np.all(np.abs(b.sigma.entries - a.sigma.entries) <= 1e-10 * np.outer(se, se))
 
     def test_trend_dgp_population_convergence(self):
         # slope 0.065: population coefficients are slope * t

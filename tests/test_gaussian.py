@@ -20,15 +20,18 @@ from condid.errors import (
 )
 from condid.gaussian import (
     CovarianceMatrix,
-    EquicorrelatedSpec,
     TruncatedNormalSpec,
-    equicorrelated_inverse,
-    equicorrelated_matrix,
-    mvn_sample,
     solve_tn_mean,
     solve_tn_mean_bulk,
     solve_tn_quantiles,
     tn_cdf,
+)
+
+from _oracles import (
+    EquicorrelatedSpec,
+    equicorrelated_inverse,
+    equicorrelated_matrix,
+    mvn_sample,
 )
 
 INF = math.inf

@@ -22,8 +22,9 @@ from condid.event_study import (
     PanelData,
     estimate_event_study,
     load_panel,
-    write_panel,
 )
+
+from _oracles import write_panel
 
 PERIOD = re.compile(r"[+-]?[0-9]+")
 NUMBER = re.compile(

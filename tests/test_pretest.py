@@ -5,8 +5,10 @@ import pytest
 from scipy.stats import norm
 
 from condid.event_study import EstimateBundle
-from condid.gaussian import CovarianceMatrix, EquicorrelatedSpec, equicorrelated_matrix
+from condid.gaussian import CovarianceMatrix
 from condid.pretest import build_ns_polyhedron, critical_value, passes_pretest
+
+from _oracles import EquicorrelatedSpec, equicorrelated_matrix
 
 
 def bundle_with(beta_post, beta_pre, sigma):

@@ -1,12 +1,14 @@
 """Tests for the Monte Carlo engine."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from condid.errors import UnboundedEstimateError
+from condid import gaussian
+from condid.errors import NoConvergenceError, UnboundedEstimateError
 from condid.estimators import (
     analyze,
     condition_contrast,
@@ -17,18 +19,18 @@ from condid.estimators import (
 from condid.event_study import EstimateBundle, estimate_event_study
 from condid.pretest import build_ns_polyhedron, critical_value
 from condid.simulation import (
-    CellDraws,
     ReplicationRecords,
     SimConfig,
     _fast_cell_draws,
     _records_from_draws,
-    generate_dgp,
     rows_to_csv,
     rows_to_json,
     run_table,
     simulate_cell,
     summarize_row,
 )
+
+from _oracles import CellDraws, full_panel
 
 INF = math.inf
 
@@ -37,45 +39,40 @@ class TestGenerateDgp:
     def test_null_dgp_centers_at_zero(self):
         cfg = SimConfig(trend_slope=0.0, reps=1, seed=1)
         rng = np.random.default_rng(0)
-        draws = np.array([generate_dgp(cfg, 2, rng).delta_mean for _ in range(4000)])
+        draws = np.array(
+            [_fast_cell_draws(cfg, 2, cfg.trend_slope, rng, 1)[0][0] for _ in range(4000)]
+        )
         se = 4.0 * math.sqrt(2.0 / 250.0 / 4000)
         assert np.all(np.abs(draws.mean(axis=0)) < se)
 
     def test_trend_dgp_population_means(self):
         cfg = SimConfig(trend_slope=0.065, reps=1, seed=1)
         rng = np.random.default_rng(0)
-        draws = np.array([generate_dgp(cfg, 2, rng).delta_mean for _ in range(4000)])
+        draws = np.array(
+            [_fast_cell_draws(cfg, 2, cfg.trend_slope, rng, 1)[0][0] for _ in range(4000)]
+        )
         se = 4.0 * math.sqrt(2.0 / 250.0 / 4000)
         # column order (1, 0, -1, -2): population means slope * t
         expected = 0.065 * np.array([1.0, 0.0, -1.0, -2.0])
         assert np.all(np.abs(draws.mean(axis=0) - expected) < se)
 
-    def test_full_path_requires_pre_period(self):
-        cfg = SimConfig(fast_path=False, reps=1, seed=1)
-        with pytest.raises(ValueError):
-            generate_dgp(cfg, 0, np.random.default_rng(0))
-
-    def test_k_above_k_max_rejected(self):
-        cfg = SimConfig(k_max=2, reps=1, seed=1)
-        with pytest.raises(ValueError):
-            generate_dgp(cfg, 3, np.random.default_rng(0))
-
     def test_fast_and_full_paths_agree_in_distribution(self):
         # Kolmogorov-Smirnov on the post coefficient across the two paths
         n = 10_000
-        cfg_fast = SimConfig(n_per_cell=50, trend_slope=0.065, reps=1, seed=1)
-        cfg_full = SimConfig(n_per_cell=50, trend_slope=0.065, reps=1, seed=1, fast_path=False)
+        cfg = SimConfig(n_per_cell=50, trend_slope=0.065, reps=1, seed=1)
+        t_values = np.array([1, 0, -1])
         rng = np.random.default_rng(123)
         fast_post = np.empty(n)
         fast_se = np.empty(n)
         for i in range(n):
-            bundle = generate_dgp(cfg_fast, 1, rng).to_bundle()
+            delta, v = _fast_cell_draws(cfg, 1, cfg.trend_slope, rng, 1)
+            bundle = CellDraws(1, cfg.n_per_cell, t_values, delta[0], v[0]).to_bundle()
             fast_post[i] = bundle.beta_post
             fast_se[i] = math.sqrt(bundle.sigma.sigma11)
         full_post = np.empty(n)
         full_se = np.empty(n)
         for i in range(n):
-            bundle = estimate_event_study(generate_dgp(cfg_full, 1, rng))
+            bundle = estimate_event_study(full_panel(cfg, 1, cfg.trend_slope, rng))
             full_post[i] = bundle.beta_post
             full_se[i] = math.sqrt(bundle.sigma.sigma11)
         crit_1pct = 1.628 * math.sqrt(2.0 / n)
@@ -170,35 +167,6 @@ class TestEngineMatchesScalarPipeline:
         # estimates exist exactly on the acceptance event
         assert np.all(np.isnan(rec.tn_beta_est[~acc]))
         assert not np.any(np.isnan(rec.tn_beta_est[acc]) & np.isnan(rec.tn_beta_lo[acc]))
-
-
-class TestFullPanelPath:
-    def test_full_panel_cell_smoke(self):
-        cfg = SimConfig(reps=40, seed=21, n_per_cell=30, fast_path=False, chunk_size=40)
-        rec = simulate_cell(cfg, 2, "trend")
-        assert rec.n == 40
-        assert np.all(np.isfinite(rec.beta_post))
-        assert np.all(np.isfinite(rec.se_trad))
-        acc = rec.accepted
-        # conditional estimates exist exactly where the pretest passed
-        assert np.all(np.isfinite(rec.tn_beta_lo[acc]) | np.isinf(rec.tn_beta_lo[acc]))
-        assert np.all(np.isnan(rec.tn_beta_est[~acc]))
-
-    def test_full_panel_k0_row(self):
-        # the unconditional row has no panel representation; cells only
-        cfg = SimConfig(reps=60, seed=22, n_per_cell=30, fast_path=False, chunk_size=60)
-        rec = simulate_cell(cfg, 0, "null")
-        assert rec.accepted.all()
-        assert np.all(np.isfinite(rec.beta_post))
-        row = summarize_row(rec.subset(rec.accepted), rec, (0.0, 0.0))
-        assert math.isnan(row.bias_efficient)
-        assert math.isfinite(row.mean_se_traditional)
-
-    def test_full_panel_run_table_smoke(self):
-        cfg = SimConfig(reps=25, seed=23, n_per_cell=20, k_max=1,
-                        fast_path=False, chunk_size=25)
-        rows = run_table(cfg, 1)
-        assert [r.k for r in rows] == [0, 1]
 
 
 class TestDeterminism:
@@ -325,6 +293,14 @@ class TestRunTable:
             if r.degenerate:
                 assert math.isnan(r.bias_traditional)
                 assert r.n_accepted >= 0
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            gaussian, "solve_tn_mean_bulk",
+            functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
+        )
+        with pytest.raises(NoConvergenceError):
+            run_table(SimConfig(reps=2_000, seed=5, k_max=2), 4)
 
     def test_invalid_table_id(self):
         with pytest.raises(ValueError):
