@@ -15,7 +15,7 @@ The package exposes, on top of the usual event-study estimator:
   replicated experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import errors
 from .errors import CondidError
@@ -36,7 +36,7 @@ from .event_study import (
     estimate_event_study,
     load_panel,
 )
-from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_mean, tn_cdf
+from .gaussian import CovarianceMatrix, TruncatedNormalSpec, tn_cdf
 from .pretest import PolyhedralConstraint, build_ns_polyhedron, passes_pretest
 from .simulation import SimConfig, SimTableRow, run_table, simulate_cell
 
@@ -58,7 +58,6 @@ __all__ = [
     "load_panel",
     "CovarianceMatrix",
     "TruncatedNormalSpec",
-    "solve_tn_mean",
     "tn_cdf",
     "PolyhedralConstraint",
     "build_ns_polyhedron",

@@ -158,11 +158,11 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _check_alphas(args)
+    dgp = None if args.dgp == "default" else args.dgp
     dgps = TABLE_SPECS[args.table][0]
-    if args.dgp != "default" and args.dgp not in dgps:
+    if dgp not in (None, *dgps):
         raise InvalidArgumentError(
-            f"--dgp {args.dgp}: table {args.table} has only {'/'.join(dgps)} rows"
+            f"--dgp {dgp}: table {args.table} has only {'/'.join(dgps)} rows"
         )
     try:
         config = SimConfig(
@@ -178,9 +178,7 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise InvalidArgumentError(str(exc)) from exc
-    rows = run_table(config, args.table)
-    if args.dgp != "default":
-        rows = [row for row in rows if row.dgp == args.dgp]
+    rows = run_table(config, args.table, dgp)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)

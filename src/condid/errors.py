@@ -31,18 +31,6 @@ class DegenerateWindowError(NumericalError):
     """A truncation window carries less probability mass than exp(-740)."""
 
 
-class NoBracketError(NumericalError):
-    """Root bracketing ran off the allowed expansion range.
-
-    ``side`` is -1 when the root lies below ``observed - 40*sd`` and +1 when
-    it lies above ``observed + 40*sd``.
-    """
-
-    def __init__(self, message: str, side: int):
-        super().__init__(message)
-        self.side = side
-
-
 class NoConvergenceError(NumericalError):
     """A bracketed root solve used up its iteration budget unconverged."""
 
@@ -50,7 +38,8 @@ class NoConvergenceError(NumericalError):
 class UnboundedEstimateError(NumericalError):
     """A quantile-unbiased solve diverged; the estimate is +/-infinity.
 
-    Carries the same ``side`` convention as :class:`NoBracketError`.
+    ``side`` is -1 when the root lies below ``observed - 40*sd`` and +1 when
+    it lies above ``observed + 40*sd``.
     """
 
     def __init__(self, message: str, side: int):

@@ -17,7 +17,8 @@ datasets, and :func:`~condid.gaussian.solve_tn_quantiles` solves every
 (dataset, contrast, target) triple in one stacked call.  :func:`analyze` is a
 batch of one dataset and two contrasts; the simulator runs the same two
 functions on each chunk of replications; :func:`condition_contrast` is a
-batch of one dataset and one contrast.
+batch of one dataset and one contrast, and :func:`quantile_unbiased_estimate`
+and :func:`conditional_ci` solve its law through the same call.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     ConstraintViolatedError,
-    NoBracketError,
-    NoConvergenceError,
     RankDeficientError,
     SingularMatrixError,
     UnboundedEstimateError,
     ZeroContrastError,
 )
 from .event_study import EstimateBundle
-from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_mean, solve_tn_quantiles
+from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_quantiles
 from .pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value, passes_pretest
 
 __all__ = [
@@ -149,6 +148,10 @@ class ConditionalLaw:
     c_vector: np.ndarray
     eta: np.ndarray
 
+    def __post_init__(self):
+        if not self.spec.lower <= self.observed <= self.spec.upper:
+            raise ValueError(f"observed {self.observed} outside window {self.window}")
+
     @property
     def window(self) -> tuple[float, float]:
         return self.spec.lower, self.spec.upper
@@ -209,13 +212,19 @@ def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> floa
     UnboundedEstimateError
         The solve ran off ``observed +/- 40 sd``; the estimate is reported as
         an infinite interval endpoint by callers, never silently clamped.
+    NoConvergenceError
+        The solve used up its iteration budget.
     """
-    try:
-        return solve_tn_mean(
-            law.observed, law.spec.var, law.spec.lower, law.spec.upper, target
+    if not (0.0 < target < 1.0):
+        raise ValueError("target must lie strictly inside (0, 1)")
+    mu = float(solve_tn_quantiles(law.observed, law.spec.sd, *law.window, (target,))[0])
+    if math.isinf(mu):
+        raise UnboundedEstimateError(
+            f"mean solving CDF({law.observed})={target} lies beyond observed "
+            f"{'+' if mu > 0 else '-'} 40 sd (sd={law.spec.sd:g})",
+            side=1 if mu > 0 else -1,
         )
-    except NoBracketError as exc:
-        raise UnboundedEstimateError(str(exc), side=exc.side) from exc
+    return mu
 
 
 def conditional_ci(law: ConditionalLaw, alpha: float = 0.05) -> tuple[float, float]:
@@ -223,19 +232,14 @@ def conditional_ci(law: ConditionalLaw, alpha: float = 0.05) -> tuple[float, flo
 
     The CDF at the observed value is decreasing in the mean, so the lower
     endpoint solves for quantile ``1 - alpha/2`` and the upper endpoint for
-    ``alpha/2``; a failed solve yields an infinite endpoint on that side.
+    ``alpha/2``; a solve that runs off ``observed +/- 40 sd`` yields an
+    infinite endpoint on that side.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    try:
-        lower = quantile_unbiased_estimate(law, 1.0 - alpha / 2.0)
-    except UnboundedEstimateError as exc:
-        lower = math.copysign(math.inf, exc.side)
-    try:
-        upper = quantile_unbiased_estimate(law, alpha / 2.0)
-    except UnboundedEstimateError as exc:
-        upper = math.copysign(math.inf, exc.side)
-    return lower, upper
+    targets = (1.0 - alpha / 2.0, alpha / 2.0)
+    lower, upper = solve_tn_quantiles(law.observed, law.spec.sd, *law.window, targets)
+    return float(lower), float(upper)
 
 
 def eta_gamma(k: int, p: int = 1, m: int = 1) -> np.ndarray:
@@ -359,8 +363,6 @@ def analyze(
         # interval endpoint solves for quantile 1 - alpha/2
         targets = (0.5, 1.0 - alpha_ci / 2.0, alpha_ci / 2.0)
         mu = solve_tn_quantiles(observed, np.sqrt(var), lower, upper, targets)[0]
-        if np.isnan(mu).any():
-            raise NoConvergenceError("a conditional mean solve did not converge")
         beta_block, gamma_block = (
             ConditionalBlock(
                 estimate=float(mu[j, 0]),

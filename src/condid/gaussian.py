@@ -6,7 +6,10 @@ The mean solve works on the offset of the mean from the observed value in
 units of sd, where the CDF no longer depends on the location or scale of the
 data: a bracket grows from +/-1 to +/-40 and Chandrupatla's (1997) hybrid of
 inverse quadratic interpolation and bisection shrinks it to 1e-8, in about
-10 CDF evaluations per element.
+10 CDF evaluations per element.  :func:`solve_tn_quantiles` is the one entry
+into the solve for every estimate and interval: it returns unbounded roots as
+infinities and raises :class:`~condid.errors.NoConvergenceError` for a solve
+that did not converge.
 
 All truncated-normal computations run in log space throughout, so windows
 many standard deviations out in a tail keep full relative accuracy.
@@ -24,18 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .errors import (
-    CholeskyError,
-    DegenerateWindowError,
-    NoBracketError,
-    NoConvergenceError,
-)
+from .errors import CholeskyError, DegenerateWindowError, NoConvergenceError
 
 __all__ = [
     "CovarianceMatrix",
     "TruncatedNormalSpec",
     "tn_cdf",
-    "solve_tn_mean",
     "solve_tn_mean_bulk",
     "solve_tn_quantiles",
 ]
@@ -399,8 +396,12 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     result has shape ``S + (len(targets),)``.  Every (element, target) pair
     goes through :func:`solve_tn_mean_bulk`, at most :data:`BULK_BLOCK` pairs
     per call; the solve is elementwise, so blocking does not change a bit.  A
-    root beyond ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``, and
-    a solve that did not converge as NaN.
+    root beyond ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``.
+
+    Raises
+    ------
+    NoConvergenceError
+        Some solve used up its iteration budget; no NaN is ever returned.
     """
     targets = np.asarray(targets, dtype=float)
     shape = np.shape(observed) + targets.shape
@@ -411,67 +412,10 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     for start in range(0, mu.size, BULK_BLOCK):
         pairs = np.arange(start, min(start + BULK_BLOCK, mu.size))
         element, target = np.divmod(pairs, targets.size)
-        mu[pairs] = solve_tn_mean_bulk(*(c[element] for c in columns), targets[target])[0]
+        mu[pairs], status = solve_tn_mean_bulk(*(c[element] for c in columns), targets[target])
+        unconverged = np.count_nonzero(status == 2)
+        if unconverged:
+            raise NoConvergenceError(
+                f"{unconverged} truncated-normal mean solve(s) did not converge"
+            )
     return mu.reshape(shape)
-
-
-def solve_tn_mean(
-    observed: float,
-    var: float,
-    lower: float,
-    upper: float,
-    target: float,
-) -> float:
-    """Mean of the truncated normal that places ``observed`` at quantile ``target``.
-
-    Parameters
-    ----------
-    observed : float
-        Point at which the CDF is pinned; must lie in ``[lower, upper]``.
-    var : float
-        Untruncated variance (> 0).
-    lower, upper : float
-        Truncation bounds, ``-inf``/``+inf`` allowed.
-    target : float
-        Desired CDF value, strictly inside (0, 1).
-
-    Returns
-    -------
-    float
-        ``mu`` with ``|tn_cdf((mu, var, lower, upper), observed) - target| <= 1e-8``.
-
-    Raises
-    ------
-    NoBracketError
-        When the root lies outside ``observed +/- 40*sqrt(var)``; the caller
-        should surface this as an unbounded interval endpoint.
-    NoConvergenceError
-        When the iteration budget ran out before the solve converged.
-    """
-    if not (var > 0):
-        raise ValueError("var must be positive")
-    if not (0.0 < target < 1.0):
-        raise ValueError("target must lie strictly inside (0, 1)")
-    if math.isnan(lower) or math.isnan(upper) or not lower < upper:
-        raise ValueError("bounds must satisfy lower < upper")
-    if not (lower <= observed <= upper):
-        raise ValueError(f"observed {observed} outside window [{lower}, {upper}]")
-    sd = math.sqrt(var)
-    mu, status = solve_tn_mean_bulk(
-        np.array([observed]), np.array([sd]), np.array([lower]),
-        np.array([upper]), np.array([target]),
-    )
-    side = int(status[0])
-    if side == 2:
-        raise NoConvergenceError(
-            f"mean solving CDF({observed})={target} did not converge "
-            f"(window [{lower}, {upper}], sd={sd:g})"
-        )
-    if side != 0:
-        direction = "below" if side < 0 else "above"
-        raise NoBracketError(
-            f"mean solving CDF({observed})={target} lies {direction} "
-            f"observed {'-' if side < 0 else '+'} 40*sd (sd={sd:g})",
-            side=side,
-        )
-    return float(mu[0])

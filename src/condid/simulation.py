@@ -17,9 +17,9 @@ inference runs on the kernel that :func:`condid.estimators.analyze` uses:
 each chunk's accepted replications go through
 :func:`~condid.estimators.polyhedral_window` (with ``Sigma eta`` formed from
 the rank-one-plus-diagonal covariance, never as a dense matrix) and one
-stacked :func:`~condid.gaussian.solve_tn_quantiles` call; as in ``analyze``,
-a solve that does not converge raises
-:class:`~condid.errors.NoConvergenceError`.  Chunk RNG streams are derived
+stacked :func:`~condid.gaussian.solve_tn_quantiles` call, whose
+:class:`~condid.errors.NoConvergenceError` for a solve that does not converge
+gains the DGP and K in its message.  Chunk RNG streams are derived
 from the root seed with a splittable seed sequence keyed by (seed, DGP slope,
 K, chunk index), and aggregation is a deterministic fold over chunk order.
 """
@@ -85,8 +85,14 @@ class SimConfig:
             raise ValueError("n_per_cell must be >= 2")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if not (self.sigma_noise > 0):
-            raise ValueError("sigma_noise must be positive")
+        if not 0.0 < self.sigma_noise < math.inf:
+            raise ValueError(f"sigma_noise must be positive and finite, got {self.sigma_noise}")
+        if not math.isfinite(self.trend_slope):
+            raise ValueError(f"trend_slope must be finite, got {self.trend_slope}")
+        for name in ("alpha_pretest", "alpha_ci"):
+            alpha = getattr(self, name)
+            if not 0.0 < alpha < 1.0:
+                raise ValueError(f"{name} must lie strictly inside (0, 1), got {alpha}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.chunk_size < 1:
@@ -310,11 +316,10 @@ def _records_from_draws(
         obs, var, lo, hi = (np.concatenate(parts, axis=1) for parts in zip(*windows))
         alpha = config.alpha_ci
         targets = (0.5, 1.0 - alpha / 2.0, alpha / 2.0)
-        mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, targets)
-        if np.isnan(mu).any():
-            raise NoConvergenceError(
-                f"a conditional mean solve did not converge ({dgp} DGP, K={k})"
-            )
+        try:
+            mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, targets)
+        except NoConvergenceError as exc:
+            raise NoConvergenceError(f"{exc} ({dgp} DGP, K={k})") from None
         for j, name in enumerate(("tn_beta", "tn_gamma")):
             tn[f"{name}_est"][idx] = mu[:, j, 0]
             tn[f"{name}_lo"][idx] = mu[:, j, 1]
@@ -446,13 +451,9 @@ def summarize_row(
         "median_width_traditional": _median(width_trad),
     }
     if k == 0:
-        eff = {name: math.nan for name in (
-            "bias_efficient", "mean_se_efficient", "actual_sd_efficient",
-            "size_efficient", "reject_beta_post_efficient", "reject_zero_efficient",
-            "median_tn_beta", "median_tn_gamma", "tn_reject_beta_post",
-            "tn_reject_zero_gamma", "median_width_tn_beta", "median_width_tn_gamma",
-        )}
-        return SimTableRow(**row, **eff)
+        # no pre-periods: nothing to adjust for or condition on
+        nan = {f.name: math.nan for f in fields(SimTableRow) if f.name not in row}
+        return SimTableRow(**row, **nan)
 
     row.update(
         bias_efficient=_mean(accepted.beta_tilde) - truth_beta,
@@ -493,16 +494,20 @@ TABLE_SPECS = {
 }
 
 
-def run_table(config: SimConfig, table_id: int) -> list[SimTableRow]:
+def run_table(config: SimConfig, table_id: int, dgp: str | None = None) -> list[SimTableRow]:
     """Simulate and aggregate every row of one published table.
 
     Tables 1 and 2 include the unconditional K = 0 row; tables 3 and 4 run
-    both DGPs.  Cells with too few accepted replications are flagged
-    degenerate rather than failing the run.
+    both DGPs, or only ``dgp`` when it is given.  Cells with too few accepted
+    replications are flagged degenerate rather than failing the run.
     """
     if table_id not in TABLE_SPECS:
         raise ValueError(f"table_id must be one of {sorted(TABLE_SPECS)}")
     dgps, k_lo = TABLE_SPECS[table_id]
+    if dgp is not None:
+        if dgp not in dgps:
+            raise ValueError(f"table {table_id} has only {'/'.join(dgps)} rows")
+        dgps = (dgp,)
     rows = []
     for dgp in dgps:
         truth_beta = 0.0 if dgp == "null" else config.trend_slope

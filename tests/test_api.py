@@ -29,7 +29,6 @@ PUBLIC = [
     "load_panel",
     "CovarianceMatrix",
     "TruncatedNormalSpec",
-    "solve_tn_mean",
     "tn_cdf",
     "PolyhedralConstraint",
     "build_ns_polyhedron",

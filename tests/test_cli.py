@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condid import gaussian
+from condid import gaussian, simulation
 from condid.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -164,8 +164,14 @@ class TestAnalyze:
         (["analyze", "--input", str(EXAMPLE_PANEL), "--trend-order", "9"], "K=3"),
         (["simulate", "--table", "1", "--reps", "0"], "reps must be >= 1"),
         (["simulate", "--table", "1", "--dgp", "trend"], "table 1 has only null rows"),
+        (["simulate", "--table", "2", "--slope", "nan"], "trend_slope must be finite"),
+        (["simulate", "--table", "2", "--slope", "inf"], "trend_slope must be finite"),
+        (["simulate", "--table", "1", "--sigma", "inf"], "sigma_noise must be positive and finite"),
+        (["simulate", "--table", "1", "--alpha-ci", "0"], "alpha_ci must lie strictly inside"),
+        (["simulate", "--table", "1", "--alpha-pretest", "1"], "alpha_pretest must lie strictly"),
     ],
-    ids=["alpha-pretest", "alpha-ci", "trend-order", "reps", "dgp"],
+    ids=["alpha-pretest", "alpha-ci", "trend-order", "reps", "dgp", "slope-nan", "slope-inf",
+         "sigma-inf", "simulate-alpha-ci", "simulate-alpha-pretest"],
 )
 def test_invalid_argument_exit_code(argv, message, tmp_path, capsys):
     rc = main(argv + ["--output", str(tmp_path / "out")])
@@ -252,6 +258,20 @@ class TestSimulate:
         assert rc == EXIT_OK
         payload = json.loads(out.read_text())
         assert {row["dgp"] for row in payload} == {"trend"}
+
+    def test_dgp_filter_simulates_only_that_dgp(self, tmp_path, monkeypatch):
+        cells = []
+        simulate_cell = simulation.simulate_cell
+
+        def counting_cell(config, k, dgp):
+            cells.append((dgp, k))
+            return simulate_cell(config, k, dgp)
+
+        monkeypatch.setattr(simulation, "simulate_cell", counting_cell)
+        rc = main(["simulate", "--table", "3", "--reps", "300", "--k-max", "2",
+                   "--dgp", "null", "--output", str(tmp_path / "t.csv")])
+        assert rc == EXIT_OK
+        assert cells == [("null", 1), ("null", 2)]
 
 
 class TestConsoleEntrypoint:

@@ -14,14 +14,14 @@ from condid import gaussian
 from condid.errors import (
     CholeskyError,
     DegenerateWindowError,
-    NoBracketError,
     NoConvergenceError,
     SingularMatrixError,
+    UnboundedEstimateError,
 )
+from condid.estimators import ConditionalLaw, quantile_unbiased_estimate
 from condid.gaussian import (
     CovarianceMatrix,
     TruncatedNormalSpec,
-    solve_tn_mean,
     solve_tn_mean_bulk,
     solve_tn_quantiles,
     tn_cdf,
@@ -40,6 +40,14 @@ INF = math.inf
 def truncnorm_cdf(x, mu, sd, lower, upper):
     """Independent oracle: scipy's truncated-normal CDF."""
     return truncnorm.cdf(x, (lower - mu) / sd, (upper - mu) / sd, loc=mu, scale=sd)
+
+
+def scalar_law(observed, var, lower, upper):
+    """The conditional law of a one-coefficient contrast with this window."""
+    spec = TruncatedNormalSpec(mu=observed, var=var, lower=lower, upper=upper)
+    return ConditionalLaw(
+        spec=spec, observed=observed, z_vector=np.zeros(1), c_vector=np.ones(1), eta=np.ones(1)
+    )
 
 
 # --- CovarianceMatrix --------------------------------------------------------
@@ -259,21 +267,21 @@ class TestTnCdf:
 
 class TestSolveTnMean:
     def test_untruncated_median_is_observed(self):
-        assert solve_tn_mean(1.3, 1.0, -INF, INF, 0.5) == pytest.approx(1.3, abs=1e-7)
+        mu = solve_tn_quantiles(1.3, 1.0, -INF, INF, (0.5,))
+        assert mu[0] == pytest.approx(1.3, abs=1e-7)
 
     def test_round_trip_at_half(self):
-        mu = solve_tn_mean(0.5, 1.0, 0.0, 2.0, 0.5)
+        mu = float(solve_tn_quantiles(0.5, 1.0, 0.0, 2.0, (0.5,))[0])
         spec = TruncatedNormalSpec(mu=mu, var=1.0, lower=0.0, upper=2.0)
         assert tn_cdf(spec, 0.5) == pytest.approx(0.5, abs=1e-8)
 
     def test_quantile_endpoints_are_ordered(self):
-        hi_target = solve_tn_mean(0.5, 1.0, 0.0, 2.0, 0.975)
-        lo_target = solve_tn_mean(0.5, 1.0, 0.0, 2.0, 0.025)
+        hi_target, lo_target = solve_tn_quantiles(0.5, 1.0, 0.0, 2.0, (0.975, 0.025))
         assert hi_target < lo_target
 
     def test_no_bracket_near_window_edge(self):
-        with pytest.raises(NoBracketError) as err:
-            solve_tn_mean(1e-12, 1.0, 0.0, 1.0, 0.025)
+        with pytest.raises(UnboundedEstimateError) as err:
+            quantile_unbiased_estimate(scalar_law(1e-12, 1.0, 0.0, 1.0), 0.025)
         assert err.value.side == -1
 
     # (observed, sd, lower, upper): windows deep in either tail, narrow
@@ -321,8 +329,8 @@ class TestSolveTnMean:
         observed = 0.0 if side < 0 else 2.0
         mu, status = solve_tn_mean_bulk(observed, 1.0, 0.0, 2.0, 0.5)
         assert int(status) == side and float(mu) == side * INF
-        with pytest.raises(NoBracketError) as err:
-            solve_tn_mean(observed, 1.0, 0.0, 2.0, 0.5)
+        with pytest.raises(UnboundedEstimateError) as err:
+            quantile_unbiased_estimate(scalar_law(observed, 1.0, 0.0, 2.0), 0.5)
         assert err.value.side == side
 
     def test_exhausted_budget_is_reported(self, monkeypatch):
@@ -332,12 +340,17 @@ class TestSolveTnMean:
             gaussian, "solve_tn_mean_bulk", functools.partial(solve_tn_mean_bulk, max_iter=1)
         )
         with pytest.raises(NoConvergenceError):
-            solve_tn_mean(0.5, 1.0, 0.0, 2.0, 0.3)
-        # unconverged solves come back as NaN, unbounded ones as -inf / +inf
+            quantile_unbiased_estimate(scalar_law(0.5, 1.0, 0.0, 2.0), 0.3)
+        # one unconverged solve fails the whole call; unbounded ones, which
+        # never iterate, still come back as -inf / +inf
+        with pytest.raises(NoConvergenceError, match="1 truncated-normal"):
+            solve_tn_quantiles(
+                np.array([0.5, 0.0, 2.0]), np.ones(3), np.zeros(3), np.full(3, 2.0), (0.3,)
+            )
         mu = solve_tn_quantiles(
-            np.array([0.5, 0.0, 2.0]), np.ones(3), np.zeros(3), np.full(3, 2.0), (0.3,)
+            np.array([0.0, 2.0]), np.ones(2), np.zeros(2), np.full(2, 2.0), (0.3,)
         )
-        assert math.isnan(mu[0, 0]) and mu[1:, 0].tolist() == [-INF, INF]
+        assert mu[:, 0].tolist() == [-INF, INF]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -374,11 +387,12 @@ class TestSolveTnMean:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            solve_tn_mean(3.0, 1.0, 0.0, 2.0, 0.5)  # observed outside window
+            scalar_law(3.0, 1.0, 0.0, 2.0)  # observed outside window
+        for target in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                quantile_unbiased_estimate(scalar_law(0.5, 1.0, 0.0, 2.0), target)
         with pytest.raises(ValueError):
-            solve_tn_mean(0.5, 1.0, 0.0, 2.0, 0.0)
-        with pytest.raises(ValueError):
-            solve_tn_mean(0.5, -1.0, 0.0, 2.0, 0.5)
+            scalar_law(0.5, -1.0, 0.0, 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -403,7 +417,7 @@ class TestSolveTnMean:
         target = tn_cdf(spec, x)
         if not (1e-12 < target < 1.0 - 1e-12):
             return
-        recovered = solve_tn_mean(x, sd * sd, lower, upper, target)
+        recovered = quantile_unbiased_estimate(scalar_law(x, sd * sd, lower, upper), target)
         assert recovered == pytest.approx(mu, abs=1e-6 * max(1.0, abs(mu)) + 1e-6)
 
 

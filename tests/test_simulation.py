@@ -299,12 +299,25 @@ class TestRunTable:
             gaussian, "solve_tn_mean_bulk",
             functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
         )
-        with pytest.raises(NoConvergenceError):
+        with pytest.raises(NoConvergenceError, match=r"\(null DGP, K=1\)"):
             run_table(SimConfig(reps=2_000, seed=5, k_max=2), 4)
 
     def test_invalid_table_id(self):
         with pytest.raises(ValueError):
             run_table(SimConfig(reps=10, seed=0), 5)
+
+    def test_dgp_outside_table_rejected(self):
+        with pytest.raises(ValueError, match="table 1 has only null rows"):
+            run_table(SimConfig(reps=10, seed=0), 1, "trend")
+
+    @pytest.mark.parametrize("field, value", [
+        ("trend_slope", math.nan), ("trend_slope", INF), ("trend_slope", -INF),
+        ("sigma_noise", math.nan), ("sigma_noise", INF), ("sigma_noise", 0.0),
+        ("alpha_ci", 0.0), ("alpha_ci", 1.0), ("alpha_pretest", 0.0), ("alpha_pretest", 1.5),
+    ])
+    def test_invalid_setting_rejected_before_simulating(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
 
     def test_acceptance_monotone_in_k_for_trend(self):
         cfg = SimConfig(reps=30_000, seed=9, k_max=6)
