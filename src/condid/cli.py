@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
-from .simulation import TABLE_SPECS, SimConfig, SimTableRow, rows_to_csv, rows_to_json, run_table
+from .simulation import SimConfig, SimTableRow, _format_value, rows_to_csv, rows_to_json, run_table
 from .simulation import json_number as _json_num
 
 EXIT_OK = 0
@@ -34,28 +35,12 @@ EXIT_NUMERICAL = 4
 REPORT_SCHEMA_VERSION = 1
 
 
-def _estimator_payload(block) -> dict:
-    return {
-        "estimate": _json_num(block.estimate),
-        "se": _json_num(block.se),
-        "ci_lower": _json_num(block.ci_lower),
-        "ci_upper": _json_num(block.ci_upper),
-    }
-
-
-def _conditional_payload(block) -> dict | None:
+def _block_payload(block) -> dict | None:
+    """A report block's fields in declaration order; a None field is left out."""
     if block is None:
         return None
-    payload = {
-        "estimate": _json_num(block.estimate),
-        "ci_lower": _json_num(block.ci_lower),
-        "ci_upper": _json_num(block.ci_upper),
-        "window_lower": _json_num(block.window_lower),
-        "window_upper": _json_num(block.window_upper),
-    }
-    if block.trend_order is not None:
-        payload["trend_order"] = block.trend_order
-    return payload
+    values = ((f.name, getattr(block, f.name)) for f in fields(block))
+    return {name: _json_num(value) for name, value in values if value is not None}
 
 
 def report_payload(report, sigma) -> dict:
@@ -64,11 +49,11 @@ def report_payload(report, sigma) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "k": report.k,
-        "pretest": {"alpha": report.pretest.alpha, "passed": report.pretest.passed},
-        "traditional": _estimator_payload(report.traditional),
-        "efficient": _estimator_payload(report.efficient),
-        "median_unbiased_beta": _conditional_payload(report.median_unbiased_beta),
-        "median_unbiased_gamma": _conditional_payload(report.median_unbiased_gamma),
+        "pretest": _block_payload(report.pretest),
+        "traditional": _block_payload(report.traditional),
+        "efficient": _block_payload(report.efficient),
+        "median_unbiased_beta": _block_payload(report.median_unbiased_beta),
+        "median_unbiased_gamma": _block_payload(report.median_unbiased_gamma),
         "sigma": [[float(x) for x in row] for row in sigma.entries],
     }
 
@@ -79,14 +64,8 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
             _flatten(f"{prefix}.{key}" if prefix else key, sub, rows)
     elif isinstance(value, list):
         rows.append((prefix, json.dumps(value)))
-    elif value is None:
-        rows.append((prefix, ""))
-    elif isinstance(value, bool):
-        rows.append((prefix, "true" if value else "false"))
-    elif isinstance(value, float):
-        rows.append((prefix, repr(value)))
     else:
-        rows.append((prefix, str(value)))
+        rows.append((prefix, "" if value is None else _format_value(value)))
 
 
 def payload_to_csv(payload: dict) -> str:
@@ -158,27 +137,18 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    dgp = None if args.dgp == "default" else args.dgp
-    dgps = TABLE_SPECS[args.table][0]
-    if dgp not in (None, *dgps):
-        raise InvalidArgumentError(
-            f"--dgp {dgp}: table {args.table} has only {'/'.join(dgps)} rows"
-        )
-    try:
-        config = SimConfig(
-            k_max=args.k_max,
-            n_per_cell=args.n,
-            sigma_noise=args.sigma,
-            trend_slope=args.slope,
-            reps=args.reps,
-            seed=args.seed,
-            alpha_pretest=args.alpha_pretest,
-            alpha_ci=args.alpha_ci,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise InvalidArgumentError(str(exc)) from exc
-    rows = run_table(config, args.table, dgp)
+    config = SimConfig(
+        k_max=args.k_max,
+        n_per_cell=args.n,
+        sigma_noise=args.sigma,
+        trend_slope=args.slope,
+        reps=args.reps,
+        seed=args.seed,
+        alpha_pretest=args.alpha_pretest,
+        alpha_ci=args.alpha_ci,
+        workers=args.workers,
+    )
+    rows = run_table(config, args.table, None if args.dgp == "default" else args.dgp)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -56,15 +56,15 @@ class ConstraintViolatedError(NumericalError):
 
 
 class RankDeficientError(NumericalError):
-    """The polynomial trend basis lost rank (defensive; distinct periods
-    with trend order <= K cannot trigger this)."""
+    """The polynomial trend basis lost rank in floating point (first at
+    K = p = 12; in exact arithmetic it is full rank for every p <= K)."""
 
 
 # --- arguments -------------------------------------------------------------
 
 
-class InvalidArgumentError(CondidError):
-    """A command-line argument is out of range (exit code 3 in the CLI)."""
+class InvalidArgumentError(CondidError, ValueError):
+    """An argument is out of range (exit code 3 in the CLI); a ValueError."""
 
 
 # --- data ------------------------------------------------------------------

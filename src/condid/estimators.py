@@ -31,6 +31,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     ConstraintViolatedError,
+    InvalidArgumentError,
     RankDeficientError,
     SingularMatrixError,
     UnboundedEstimateError,
@@ -74,7 +75,7 @@ def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
     """
     sigma = bundle.sigma
     if sigma.k == 0:
-        raise ValueError("bundle has no pre-period coefficients")
+        raise InvalidArgumentError("bundle has no pre-period coefficients")
     weights = adjustment_weights(sigma)
     estimate = bundle.beta_post - float(weights @ bundle.beta_pre)
     variance = sigma.sigma11 - float(sigma.sigma12 @ weights)
@@ -150,7 +151,7 @@ class ConditionalLaw:
 
     def __post_init__(self):
         if not self.spec.lower <= self.observed <= self.spec.upper:
-            raise ValueError(f"observed {self.observed} outside window {self.window}")
+            raise InvalidArgumentError(f"observed {self.observed} outside window {self.window}")
 
     @property
     def window(self) -> tuple[float, float]:
@@ -177,11 +178,11 @@ def condition_contrast(
     eta = np.asarray(eta, dtype=float)
     beta = bundle.beta
     if eta.shape != beta.shape:
-        raise ValueError(f"eta has shape {eta.shape}, expected {beta.shape}")
+        raise InvalidArgumentError(f"eta has shape {eta.shape}, expected {beta.shape}")
     if not np.any(eta != 0.0):
         raise ZeroContrastError("contrast vector is zero")
     if constraint.dim != beta.shape[0]:
-        raise ValueError("constraint dimension does not match bundle")
+        raise InvalidArgumentError("constraint dimension does not match bundle")
     if not constraint.holds_at(beta):
         raise ConstraintViolatedError(
             "observed coefficients violate the conditioning event; "
@@ -216,7 +217,7 @@ def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> floa
         The solve used up its iteration budget.
     """
     if not (0.0 < target < 1.0):
-        raise ValueError("target must lie strictly inside (0, 1)")
+        raise InvalidArgumentError("target must lie strictly inside (0, 1)")
     mu = float(solve_tn_quantiles(law.observed, law.spec.sd, *law.window, (target,))[0])
     if math.isinf(mu):
         raise UnboundedEstimateError(
@@ -236,7 +237,7 @@ def conditional_ci(law: ConditionalLaw, alpha: float = 0.05) -> tuple[float, flo
     infinite endpoint on that side.
     """
     if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+        raise InvalidArgumentError("alpha must lie strictly inside (0, 1)")
     targets = (1.0 - alpha / 2.0, alpha / 2.0)
     lower, upper = solve_tn_quantiles(law.observed, law.spec.sd, *law.window, targets)
     return float(lower), float(upper)
@@ -257,15 +258,16 @@ def eta_gamma(k: int, p: int = 1, m: int = 1) -> np.ndarray:
     Raises
     ------
     RankDeficientError
-        Defensive: the Vandermonde basis on distinct periods with p <= k is
-        always full rank.
+        The Vandermonde basis is full rank in exact arithmetic, but its
+        least-squares solve loses rank in floating point at high orders,
+        first at ``k = p = 12``.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgumentError("k must be >= 1")
     if not (1 <= p <= k):
-        raise ValueError(f"trend order p={p} must satisfy 1 <= p <= k={k}")
+        raise InvalidArgumentError(f"trend order p={p} must satisfy 1 <= p <= k={k}")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidArgumentError("m must be >= 1")
     t = -np.arange(k + 1, dtype=float)  # 0, -1, ..., -K
     x = np.vander(t, p + 1, increasing=True)  # rows (t^0, ..., t^p)
     pinv, _, rank, _ = np.linalg.lstsq(x, np.eye(k + 1), rcond=None)
@@ -341,10 +343,13 @@ def analyze(
     Always reports the traditional and pre-period-adjusted estimators; when
     the pretest passes, adds median-unbiased conditional estimates and
     intervals for the post coefficient and for the trend-adjusted contrast.
-    A conditional solve that does not converge raises
-    :class:`NoConvergenceError`.
+    A ``trend_order`` outside 1..K raises :class:`InvalidArgumentError`
+    whatever the pretest verdict; a conditional solve that does not converge
+    raises :class:`NoConvergenceError`.
     """
     k = bundle.k
+    if not 1 <= trend_order <= k:
+        raise InvalidArgumentError(f"trend_order must satisfy 1 <= p <= K={k}, got {trend_order}")
     traditional = _wald_block(bundle.beta_post, bundle.sigma.sigma11, alpha_ci)
     eff_est, eff_var = efficient_estimator(bundle)
     efficient = _wald_block(eff_est, eff_var, alpha_ci)

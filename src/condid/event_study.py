@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     InsufficientDataError,
+    InvalidArgumentError,
     NonContiguousPeriodsError,
     PanelParseError,
     PanelValidationError,
@@ -171,9 +172,9 @@ class EstimateBundle:
         k = self.k if self.k >= 0 else beta_pre.shape[0]
         object.__setattr__(self, "k", k)
         if beta_pre.shape != (k,):
-            raise ValueError(f"beta_pre must have length k={k}")
+            raise InvalidArgumentError(f"beta_pre must have length k={k}")
         if self.sigma.dim != k + 1:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"sigma dimension {self.sigma.dim} does not match k + 1 = {k + 1}"
             )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .errors import CholeskyError, DegenerateWindowError, NoConvergenceError
+from .errors import CholeskyError, DegenerateWindowError, InvalidArgumentError, NoConvergenceError
 
 __all__ = [
     "CovarianceMatrix",
@@ -73,12 +73,12 @@ class CovarianceMatrix:
     def __init__(self, entries, *, allow_singular: bool = False):
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError(f"covariance must be a square matrix, got shape {arr.shape}")
+            raise InvalidArgumentError(f"covariance must be a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("covariance entries must be finite")
+            raise InvalidArgumentError("covariance entries must be finite")
         scale = max(1.0, float(np.abs(arr).max()))
         if np.abs(arr - arr.T).max() > _SYM_RTOL * scale:
-            raise ValueError("covariance is not symmetric within 1e-12 relative tolerance")
+            raise InvalidArgumentError("covariance is not symmetric within 1e-12 relative tolerance")
         arr = 0.5 * (arr + arr.T)
         arr.flags.writeable = False
         self.entries = arr
@@ -142,13 +142,15 @@ class TruncatedNormalSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
+            raise InvalidArgumentError("mu must be finite")
         if not (self.var > 0) or not math.isfinite(self.var):
-            raise ValueError("var must be positive and finite")
+            raise InvalidArgumentError("var must be positive and finite")
         if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError("truncation bounds must not be NaN")
+            raise InvalidArgumentError("truncation bounds must not be NaN")
         if not (self.lower < self.upper):
-            raise ValueError(f"lower bound {self.lower} must be strictly below upper {self.upper}")
+            raise InvalidArgumentError(
+                f"lower bound {self.lower} must be strictly below upper {self.upper}"
+            )
 
     @property
     def sd(self) -> float:
@@ -400,12 +402,18 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
 
     Raises
     ------
+    InvalidArgumentError
+        ``observed``, ``sd``, ``lower`` and ``upper`` differ in shape.
     NoConvergenceError
         Some solve used up its iteration budget; no NaN is ever returned.
     """
     targets = np.asarray(targets, dtype=float)
-    shape = np.shape(observed) + targets.shape
-    columns = [np.asarray(a, dtype=float).ravel() for a in (observed, sd, lower, upper)]
+    columns = [np.asarray(a, dtype=float) for a in (observed, sd, lower, upper)]
+    shapes = [c.shape for c in columns]
+    if len(set(shapes)) > 1:
+        raise InvalidArgumentError(f"observed, sd, lower and upper differ in shape: {shapes}")
+    shape = shapes[0] + targets.shape
+    columns = [c.ravel() for c in columns]
     mu = np.empty(shape).ravel()
     # gather each block's inputs on its own, so memory stays at one block's:
     # pair p is element p // n_targets at target p % n_targets

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import InvalidArgumentError
 from .event_study import EstimateBundle
 from .gaussian import CovarianceMatrix
 
@@ -34,7 +35,7 @@ class PolyhedralConstraint:
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
         b = np.asarray(self.b_vector, dtype=float).ravel()
         if a.shape[0] != b.shape[0]:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"constraint rows ({a.shape[0]}) and offsets ({b.shape[0]}) disagree"
             )
         object.__setattr__(self, "a_matrix", a)
@@ -53,7 +54,7 @@ class PolyhedralConstraint:
 def critical_value(alpha: float) -> float:
     """Two-sided standard-normal critical value (1.959964... at alpha=0.05)."""
     if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+        raise InvalidArgumentError("alpha must lie strictly inside (0, 1)")
     return float(ndtri(1.0 - alpha / 2.0))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import InvalidArgumentError, NoConvergenceError
 from .estimators import eta_gamma, polyhedral_window
 from .gaussian import solve_tn_quantiles
 from .pretest import critical_value, ns_rows
@@ -80,31 +80,33 @@ class SimConfig:
 
     def __post_init__(self):
         if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+            raise InvalidArgumentError("reps must be >= 1")
         if self.n_per_cell < 2:
-            raise ValueError("n_per_cell must be >= 2")
+            raise InvalidArgumentError("n_per_cell must be >= 2")
         if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+            raise InvalidArgumentError("k_max must be >= 1")
         if not 0.0 < self.sigma_noise < math.inf:
-            raise ValueError(f"sigma_noise must be positive and finite, got {self.sigma_noise}")
+            raise InvalidArgumentError(
+                f"sigma_noise must be positive and finite, got {self.sigma_noise}"
+            )
         if not math.isfinite(self.trend_slope):
-            raise ValueError(f"trend_slope must be finite, got {self.trend_slope}")
+            raise InvalidArgumentError(f"trend_slope must be finite, got {self.trend_slope}")
         for name in ("alpha_pretest", "alpha_ci"):
             alpha = getattr(self, name)
             if not 0.0 < alpha < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1), got {alpha}")
+                raise InvalidArgumentError(f"{name} must lie strictly inside (0, 1), got {alpha}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise InvalidArgumentError("workers must be >= 1")
         if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+            raise InvalidArgumentError("chunk_size must be >= 1")
 
 
 @dataclass(frozen=True)
 class SimTableRow:
     """Aggregated statistics for one (DGP, K) cell.
 
-    ``size_*`` and ``reject_beta_post_*`` are both rejection rates at the
-    true post coefficient (the published tables label them differently);
+    ``size_*`` and ``reject_beta_post_*`` are one rejection rate at the true
+    post coefficient under the two labels of the published tables;
     ``reject_zero_*`` tests zero.  Conditional statistics are NaN when K = 0
     (nothing to condition on) or when the cell is degenerate.
     """
@@ -149,12 +151,9 @@ class SimTableRow:
             "tn_reject_zero_gamma",
         ):
             out[name] = _proportion_se(getattr(self, name), n)
-        out["bias_traditional"] = (
-            self.actual_sd_traditional / math.sqrt(n) if n > 0 else math.nan
-        )
-        out["bias_efficient"] = (
-            self.actual_sd_efficient / math.sqrt(n) if n > 0 else math.nan
-        )
+        for name in ("traditional", "efficient"):
+            sd = getattr(self, f"actual_sd_{name}")
+            out[f"bias_{name}"] = sd / math.sqrt(n) if n > 0 else math.nan
         return out
 
 
@@ -270,21 +269,10 @@ def _records_from_draws(
     var_trad = v0 + v_coef[:, 0]
     se_trad = np.sqrt(var_trad)
 
+    # at K = 0 every replication is accepted, the adjusted estimator is the
+    # traditional one and there is nothing to condition on
     nan = np.full(n, math.nan)
     tn = {name: nan.copy() for name in ReplicationRecords._ARRAYS if name.startswith("tn_")}
-    if k == 0:
-        return ReplicationRecords(
-            dgp=dgp,
-            k=k,
-            alpha_ci=config.alpha_ci,
-            beta_post=beta[:, 0],
-            se_trad=se_trad,
-            beta_tilde=nan.copy(),
-            se_eff=nan.copy(),
-            accepted=np.ones(n, dtype=bool),
-            **tn,
-        )
-
     lam = v_coef[:, 1:]
     sd_pre = np.sqrt(v0[:, None] + lam)
     c_crit = critical_value(config.alpha_pretest)
@@ -301,7 +289,7 @@ def _records_from_draws(
     se_eff = np.sqrt(var_eff)
 
     idx = np.flatnonzero(accepted)
-    if idx.size:
+    if k >= 1 and idx.size:
         beta_a = beta[idx]
         a = ns_rows(k)
         b = np.tile(c_crit * sd_pre[idx], 2)
@@ -357,14 +345,10 @@ def _run_chunk(args) -> ReplicationRecords:
 def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
     """All replications for one (DGP, K) cell, reduced in chunk order."""
     slope = 0.0 if dgp == "null" else config.trend_slope
-    sizes = []
-    remaining = config.reps
-    while remaining > 0:
-        take = min(config.chunk_size, remaining)
-        sizes.append(take)
-        remaining -= take
+    size = config.chunk_size
     args = [
-        (config, k, dgp, slope, i, size) for i, size in enumerate(sizes)
+        (config, k, dgp, slope, i, min(size, config.reps - start))
+        for i, start in enumerate(range(0, config.reps, size))
     ]
     if config.workers <= 1 or len(args) == 1:
         parts = [_run_chunk(a) for a in args]
@@ -411,77 +395,61 @@ def _widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(w), math.inf, w)
 
 
-def summarize_row(
-    accepted: ReplicationRecords,
-    unconditional: ReplicationRecords,
-    truth: tuple[float, float],
-) -> SimTableRow:
+def _wald_stats(name: str, estimate, se, z: float, truth_beta: float) -> dict:
+    """The six Wald statistics of one estimator; ``size_*`` and
+    ``reject_beta_post_*`` are one rate under two labels."""
+    size = _reject_rate(estimate, se, z, truth_beta)
+    return {
+        f"bias_{name}": _mean(estimate) - truth_beta,
+        f"mean_se_{name}": _mean(se),
+        f"actual_sd_{name}": _sd(estimate),
+        f"size_{name}": size,
+        f"reject_beta_post_{name}": size,
+        f"reject_zero_{name}": _reject_rate(estimate, se, z, 0.0),
+    }
+
+
+def summarize_row(records: ReplicationRecords, truth_beta: float) -> SimTableRow:
     """Aggregate one (DGP, K) cell into a table row.
 
-    ``truth`` is (post coefficient, trend-adjusted coefficient).  Statistics
-    run over the accepted replications (the K = 0 cell accepts everything);
-    infinite interval widths participate in medians as infinities, and a
-    single accepted replication yields NaN standard deviations rather than a
-    crash.
+    ``truth_beta`` is the true post coefficient; the trend-adjusted
+    coefficient is zero under both DGPs.  Statistics run over the accepted
+    replications (the K = 0 cell accepts everything); infinite interval
+    widths participate in medians as infinities, and a single accepted
+    replication yields NaN standard deviations rather than a crash.  Fields
+    left uncomputed -- the conditional statistics when K = 0, everything but
+    the counts when the cell is degenerate -- are NaN.
     """
-    if unconditional.n == 0:
-        raise ValueError("no replication records")
-    truth_beta, truth_gamma = truth
-    k = unconditional.k
-    z = critical_value(unconditional.alpha_ci)
-    n_acc = accepted.n
-    degenerate = k >= 1 and n_acc < MIN_ACCEPTED
-
-    width_trad = 2.0 * z * accepted.se_trad
+    if records.n == 0:
+        raise InvalidArgumentError("no replication records")
+    k = records.k
+    acc = records.subset(records.accepted)
+    degenerate = k >= 1 and acc.n < MIN_ACCEPTED
     row = {
-        "dgp": unconditional.dgp,
+        "dgp": records.dgp,
         "k": k,
-        "n_accepted": n_acc,
-        "accept_prob": n_acc / unconditional.n,
+        "n_accepted": acc.n,
+        "accept_prob": acc.n / records.n,
         "degenerate": degenerate,
-        "bias_traditional": _mean(accepted.beta_post) - truth_beta,
-        "mean_se_traditional": _mean(accepted.se_trad),
-        "actual_sd_traditional": _sd(accepted.beta_post),
-        "size_traditional": _reject_rate(accepted.beta_post, accepted.se_trad, z, truth_beta),
-        "reject_beta_post_traditional": _reject_rate(
-            accepted.beta_post, accepted.se_trad, z, truth_beta
-        ),
-        "reject_zero_traditional": _reject_rate(accepted.beta_post, accepted.se_trad, z, 0.0),
-        "median_traditional": _median(accepted.beta_post),
-        "median_width_traditional": _median(width_trad),
     }
-    if k == 0:
-        # no pre-periods: nothing to adjust for or condition on
-        nan = {f.name: math.nan for f in fields(SimTableRow) if f.name not in row}
-        return SimTableRow(**row, **nan)
-
-    row.update(
-        bias_efficient=_mean(accepted.beta_tilde) - truth_beta,
-        mean_se_efficient=_mean(accepted.se_eff),
-        actual_sd_efficient=_sd(accepted.beta_tilde),
-        size_efficient=_reject_rate(accepted.beta_tilde, accepted.se_eff, z, truth_beta),
-        reject_beta_post_efficient=_reject_rate(
-            accepted.beta_tilde, accepted.se_eff, z, truth_beta
-        ),
-        reject_zero_efficient=_reject_rate(accepted.beta_tilde, accepted.se_eff, z, 0.0),
-        median_tn_beta=_median(accepted.tn_beta_est),
-        median_tn_gamma=_median(accepted.tn_gamma_est),
-        tn_reject_beta_post=_ci_reject_rate(
-            accepted.tn_beta_lo, accepted.tn_beta_hi, truth_beta
-        ),
-        tn_reject_zero_gamma=_ci_reject_rate(
-            accepted.tn_gamma_lo, accepted.tn_gamma_hi, truth_gamma
-        ),
-        median_width_tn_beta=_median(_widths(accepted.tn_beta_lo, accepted.tn_beta_hi)),
-        median_width_tn_gamma=_median(_widths(accepted.tn_gamma_lo, accepted.tn_gamma_hi)),
-    )
-    if degenerate:
-        keep = {"dgp", "k", "n_accepted", "accept_prob", "degenerate"}
-        row = {
-            name: (value if name in keep else math.nan)
-            for name, value in row.items()
-        }
-    return SimTableRow(**row)
+    z = critical_value(records.alpha_ci)
+    if not degenerate:
+        row.update(
+            _wald_stats("traditional", acc.beta_post, acc.se_trad, z, truth_beta),
+            median_traditional=_median(acc.beta_post),
+            median_width_traditional=_median(2.0 * z * acc.se_trad),
+        )
+    if not degenerate and k >= 1:
+        row.update(
+            _wald_stats("efficient", acc.beta_tilde, acc.se_eff, z, truth_beta),
+            median_tn_beta=_median(acc.tn_beta_est),
+            median_tn_gamma=_median(acc.tn_gamma_est),
+            tn_reject_beta_post=_ci_reject_rate(acc.tn_beta_lo, acc.tn_beta_hi, truth_beta),
+            tn_reject_zero_gamma=_ci_reject_rate(acc.tn_gamma_lo, acc.tn_gamma_hi, 0.0),
+            median_width_tn_beta=_median(_widths(acc.tn_beta_lo, acc.tn_beta_hi)),
+            median_width_tn_gamma=_median(_widths(acc.tn_gamma_lo, acc.tn_gamma_hi)),
+        )
+    return SimTableRow(**{f.name: row.get(f.name, math.nan) for f in fields(SimTableRow)})
 
 
 # --- table drivers ------------------------------------------------------------
@@ -502,20 +470,17 @@ def run_table(config: SimConfig, table_id: int, dgp: str | None = None) -> list[
     replications are flagged degenerate rather than failing the run.
     """
     if table_id not in TABLE_SPECS:
-        raise ValueError(f"table_id must be one of {sorted(TABLE_SPECS)}")
+        raise InvalidArgumentError(f"table_id must be one of {sorted(TABLE_SPECS)}")
     dgps, k_lo = TABLE_SPECS[table_id]
     if dgp is not None:
         if dgp not in dgps:
-            raise ValueError(f"table {table_id} has only {'/'.join(dgps)} rows")
+            raise InvalidArgumentError(f"table {table_id} has only {'/'.join(dgps)} rows")
         dgps = (dgp,)
-    rows = []
-    for dgp in dgps:
-        truth_beta = 0.0 if dgp == "null" else config.trend_slope
-        for k in range(k_lo, config.k_max + 1):
-            records = simulate_cell(config, k, dgp)
-            accepted = records.subset(records.accepted)
-            rows.append(summarize_row(accepted, records, (truth_beta, 0.0)))
-    return rows
+    return [
+        summarize_row(simulate_cell(config, k, dgp), 0.0 if dgp == "null" else config.trend_slope)
+        for dgp in dgps
+        for k in range(k_lo, config.k_max + 1)
+    ]
 
 
 def _format_value(value) -> str:

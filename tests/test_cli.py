@@ -200,6 +200,11 @@ class TestEta:
         rc = main(["eta", "--k", "2", "--p", "3"])
         assert rc == EXIT_VALIDATION
 
+    def test_rank_deficient_basis_is_numerical_error(self, capsys):
+        assert main(["eta", "--k", "11", "--p", "11"]) == EXIT_OK
+        assert main(["eta", "--k", "12", "--p", "12"]) == EXIT_NUMERICAL
+        assert "trend basis rank 12 < 13" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_small_run_writes_csv_and_summary(self, tmp_path, capsys):

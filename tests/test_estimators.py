@@ -7,6 +7,8 @@ import pytest
 
 from condid.errors import (
     ConstraintViolatedError,
+    InvalidArgumentError,
+    RankDeficientError,
     UnboundedEstimateError,
     ZeroContrastError,
 )
@@ -376,6 +378,12 @@ class TestEtaGamma:
         with pytest.raises(ValueError):
             eta_gamma(2, 1, 0)
 
+    def test_high_order_basis_loses_rank(self):
+        # full rank in exact arithmetic, not in floating point: the check is live
+        assert eta_gamma(11, 11).shape == (12,)
+        with pytest.raises(RankDeficientError, match="rank 12 < 13"):
+            eta_gamma(12, 12)
+
 
 class TestAnalyze:
     def test_passing_bundle_fills_all_blocks(self):
@@ -419,6 +427,15 @@ class TestAnalyze:
         assert report.median_unbiased_gamma is None
         assert report.traditional.se == pytest.approx(math.sqrt(sigma.sigma11))
         assert report.efficient.se < report.traditional.se
+
+    @pytest.mark.parametrize("beta_pre_0", [0.0, 3.0], ids=["passing", "failing"])
+    @pytest.mark.parametrize("trend_order", [0, 3, 9])
+    def test_trend_order_checked_whatever_the_verdict(self, beta_pre_0, trend_order):
+        sigma = repeated_cross_section_sigma(2)
+        sd = math.sqrt(sigma.entries[1, 1])
+        bundle = make_bundle(0.1, [beta_pre_0 * sd, 0.0], sigma)
+        with pytest.raises(InvalidArgumentError, match=f"K=2, got {trend_order}"):
+            analyze(bundle, trend_order=trend_order)
 
     def test_wald_blocks(self):
         sigma = repeated_cross_section_sigma(1)

@@ -464,6 +464,16 @@ class TestSolveTnQuantiles:
         np.testing.assert_array_equal(mu, expected)
         assert mu[2].tolist() == [-INF] * 3 and mu[3].tolist() == [INF] * 3
 
+    def test_scalar_bound_beside_arrays_rejected(self):
+        with pytest.raises(ValueError, match=r"differ in shape: \[\(2,\), \(2,\), \(2,\), \(\)\]"):
+            solve_tn_quantiles(np.array([0.0, 2.0]), np.ones(2), np.zeros(2), 2.0, (0.3,))
+
+    def test_longer_bound_array_rejected(self):
+        with pytest.raises(ValueError, match=r"\[\(2,\), \(2,\), \(3,\), \(2,\)\]"):
+            solve_tn_quantiles(
+                np.array([0.5, 1.0]), np.ones(2), np.zeros(3), np.full(2, 2.0), (0.5,)
+            )
+
 
 # --- multivariate normal sampling -------------------------------------------------
 

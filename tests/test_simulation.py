@@ -215,7 +215,7 @@ class TestSummarizeRow:
 
     def test_single_record_yields_nan_sd_without_crash(self):
         rec = self._records(n=1)
-        row = summarize_row(rec, rec, (0.0, 0.0))
+        row = summarize_row(rec, 0.0)
         assert math.isnan(row.actual_sd_traditional)
         assert row.n_accepted == 1
         assert row.degenerate  # 1 < MIN_ACCEPTED
@@ -226,7 +226,7 @@ class TestSummarizeRow:
             tn_beta_lo=np.concatenate((np.full(599, -0.2), [-INF])),
             tn_beta_hi=np.concatenate((np.full(299, 0.2), np.full(300, 0.3), [INF])),
         )
-        row = summarize_row(rec, rec, (0.0, 0.0))
+        row = summarize_row(rec, 0.0)
         assert math.isfinite(row.median_width_tn_beta)
 
     def test_median_width_small_example(self):
@@ -237,12 +237,12 @@ class TestSummarizeRow:
             tn_beta_lo=np.zeros(600),
             tn_beta_hi=widths,
         )
-        row = summarize_row(rec, rec, (0.0, 0.0))
+        row = summarize_row(rec, 0.0)
         assert row.median_width_tn_beta == pytest.approx(0.5)
 
     def test_bias_exactly_zero_when_records_equal_truth(self):
         rec = self._records(n=640, beta_post=np.full(640, 0.5), beta_tilde=np.full(640, 0.5))
-        row = summarize_row(rec, rec, (0.5, 0.0))
+        row = summarize_row(rec, 0.5)
         assert row.bias_traditional == 0.0
         assert row.bias_efficient == 0.0
 
@@ -258,7 +258,7 @@ class TestSummarizeRow:
             tn_beta_est=nan.copy(), tn_beta_lo=nan.copy(), tn_beta_hi=nan.copy(),
             tn_gamma_est=nan.copy(), tn_gamma_lo=nan.copy(), tn_gamma_hi=nan.copy(),
         )
-        row = summarize_row(rec, rec, (0.0, 0.0))
+        row = summarize_row(rec, 0.0)
         assert row.accept_prob == 1.0
         assert math.isnan(row.bias_efficient)
         assert math.isnan(row.median_tn_beta)
@@ -282,6 +282,12 @@ class TestRunTable:
         rows = run_table(cfg, 3)
         assert {r.dgp for r in rows} == {"null", "trend"}
         assert [r.k for r in rows if r.dgp == "null"] == [1, 2]
+        # one rejection rate under the two labels of the published tables
+        for r in rows:
+            assert r.size_traditional == r.reject_beta_post_traditional
+            assert r.size_efficient == r.reject_beta_post_efficient
+        # tables 3 and 4 publish different columns of the same cells
+        assert run_table(cfg, 4) == rows
 
     def test_tiny_reps_flag_degenerate_not_fatal(self):
         cfg = SimConfig(reps=10, seed=5, k_max=1)
