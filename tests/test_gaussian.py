@@ -323,6 +323,57 @@ class TestSolveTnMean:
                 assert np.all(cdf < target if side < 0 else cdf > target)
         assert seen == {-1, 0, 1}
 
+    @pytest.mark.parametrize("max_radius", [40.0, 5.0])
+    def test_warm_start_statuses_follow_the_search_edge(self, max_radius):
+        # the bracket opens at -ndtri(target), which lies beyond +-5 for the
+        # extreme targets; statuses must still come from the CDF at the
+        # search edge, and converged roots must meet their targets
+        windows = self.WINDOWS + [
+            (0.0, 1.0, 0.0, INF), (0.0, 1.0, -INF, 0.0), (2.0, 0.5, 2.0, 2.0 + 1e-9)
+        ]
+        obs, sd, lower, upper = (np.array(col) for col in zip(*windows))
+        seen = set()
+        for target in (1e-300, 1e-16, 0.025, 0.5, 0.975, 1.0 - 1e-16):
+            mu, status = solve_tn_mean_bulk(obs, sd, lower, upper, target, max_radius=max_radius)
+            seen.update(status.tolist())
+            ok = status == 0
+            cdf = truncnorm_cdf(obs[ok], mu[ok], sd[ok], lower[ok], upper[ok])
+            assert np.all(np.abs(cdf - target) <= 1e-8)
+            edge_cdf = [
+                truncnorm_cdf(obs, obs + side * max_radius * sd, sd, lower, upper)
+                for side in (-1, 1)
+            ]
+            expected = np.where(edge_cdf[0] < target, -1, np.where(edge_cdf[1] > target, 1, 0))
+            np.testing.assert_array_equal(status, expected)
+            np.testing.assert_array_equal(mu[status != 0], status[status != 0] * INF)
+        assert seen == {-1, 0, 1}
+
+    def test_warm_start_needs_few_cdf_evaluations(self, monkeypatch):
+        # every solve of 450 simulated replications in six cells, about
+        # 10 000 (window, target) elements; a cold +-1 bracket needs 10.6
+        # CDF evaluations per element on these, the warm start about 8.1
+        from condid.simulation import SimConfig, simulate_cell
+
+        counts = {"evaluations": 0, "elements": 0}
+        cdf_excess, bulk = gaussian._cdf_excess, gaussian.solve_tn_mean_bulk
+
+        def counting_cdf_excess(u, *args):
+            counts["evaluations"] += np.size(u)
+            return cdf_excess(u, *args)
+
+        def counting_bulk(*args, **kwargs):
+            mu, status = bulk(*args, **kwargs)
+            counts["elements"] += status.size
+            return mu, status
+
+        monkeypatch.setattr(gaussian, "_cdf_excess", counting_cdf_excess)
+        monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", counting_bulk)
+        for dgp in ("null", "trend"):
+            for k in (1, 4, 8):
+                simulate_cell(SimConfig(reps=450, seed=20), k, dgp)
+        assert 9_000 <= counts["elements"] <= 11_000
+        assert counts["evaluations"] <= 9 * counts["elements"]
+
     @pytest.mark.parametrize("side", [-1, 1])
     def test_observed_on_window_edge_is_unbounded(self, side):
         # the CDF at the lower (upper) edge is 0 (1) under every mean
@@ -448,7 +499,7 @@ class TestSolveTnQuantiles:
         monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", counting_bulk)
         mu = gaussian.solve_tn_quantiles(observed, sd, lower, upper, targets)
         assert mu.shape == (n, len(targets))
-        assert sizes == [7, 7, 7, 6]
+        assert sizes == [6, 6, 6, 6, 3]
 
         expected = np.empty_like(mu)
         statuses = set()
@@ -463,6 +514,34 @@ class TestSolveTnQuantiles:
         assert statuses == {-1, 0, 1}
         np.testing.assert_array_equal(mu, expected)
         assert mu[2].tolist() == [-INF] * 3 and mu[3].tolist() == [INF] * 3
+
+    @pytest.mark.parametrize("block, n_targets", [(2, 3), (5, 3), (8, 3), (10, 4), (4, 4)])
+    def test_blocks_hold_whole_elements(self, monkeypatch, block, n_targets):
+        # a block that is not a multiple of the target count, or is smaller
+        # than it, still gives each call whole elements against every target
+        rng = np.random.default_rng(12)
+        n = 7
+        observed = rng.uniform(-1.0, 1.0, n)
+        sd = rng.uniform(0.5, 2.0, n)
+        lower = observed - rng.uniform(0.1, 3.0, n)
+        upper = observed + rng.uniform(0.1, 3.0, n)
+        targets = np.linspace(0.02, 0.98, n_targets)
+        unblocked = solve_tn_quantiles(observed, sd, lower, upper, targets)
+
+        bulk = gaussian.solve_tn_mean_bulk
+        calls = []
+
+        def recording_bulk(*args, **kwargs):
+            calls.append(args[4].tolist())
+            return bulk(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "BULK_BLOCK", block)
+        monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", recording_bulk)
+        mu = solve_tn_quantiles(observed, sd, lower, upper, targets)
+        per_call = max(1, block // n_targets)
+        sizes = [min(per_call, n - start) for start in range(0, n, per_call)]
+        assert calls == [[targets.tolist()] * m for m in sizes]
+        np.testing.assert_array_equal(mu, unblocked)
 
     def test_scalar_bound_beside_arrays_rejected(self):
         with pytest.raises(ValueError, match=r"differ in shape: \[\(2,\), \(2,\), \(2,\), \(\)\]"):
