@@ -89,12 +89,7 @@ def _check_alphas(args) -> None:
 
 def cmd_analyze(args) -> int:
     _check_alphas(args)
-    panel = load_panel(args.input)
-    if not 1 <= args.trend_order <= panel.k:
-        raise InvalidArgumentError(
-            f"--trend-order must satisfy 1 <= p <= K={panel.k}, got {args.trend_order}"
-        )
-    bundle = estimate_event_study(panel)
+    bundle = estimate_event_study(load_panel(args.input))
     report = analyze(
         bundle,
         alpha_pretest=args.alpha_pretest,
@@ -157,12 +152,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    if args.k < 1:
-        raise InvalidArgumentError("--k must be >= 1")
-    if not (1 <= args.p <= args.k):
-        raise InvalidArgumentError(f"--p must satisfy 1 <= p <= k (got p={args.p}, k={args.k})")
-    if args.m < 1:
-        raise InvalidArgumentError("--m must be >= 1")
     vec = eta_gamma(args.k, args.p, args.m)
     print(" ".join(repr(float(x)) for x in vec))
     return EXIT_OK

@@ -4,21 +4,23 @@ quantile-unbiased estimation.
 
 The mean solve works on the offset of the mean from the observed value in
 units of sd, where the CDF no longer depends on the location or scale of the
-data.  A bracket opens at +/-0.25 about the untruncated root -ndtri(target)
-and steps outward, doubling, to at most +/-40; Chandrupatla's (1997) hybrid
-of inverse quadratic interpolation and bisection shrinks it to 1e-8, in
-about 8 CDF evaluations per element on the simulator's windows.  Each
-evaluation takes three ``log_ndtr`` calls.  :func:`solve_tn_quantiles` is
-the one entry into the solve for every estimate and interval: it returns
-unbounded roots as infinities and raises
-:class:`~condid.errors.NoConvergenceError` for a solve that did not
-converge.
+data.  It starts at the untruncated root -ndtri(target) and takes Halley
+steps on the CDF's closed-form slope and curvature, each kept strictly
+inside the bracket that the evaluated points span; a step that would leave
+it falls back to a doubling step towards a search edge at +/-40, or to
+bisection once both ends are known.  That takes about 3.4 CDF evaluations
+per element on the simulator's windows, each three ``log_ndtr`` and three
+``exp`` calls.  :func:`solve_tn_quantiles` is the one entry into the solve
+for every estimate and interval: it returns unbounded roots as infinities
+and raises :class:`~condid.errors.NoConvergenceError` for a solve that did
+not converge.
 
 All truncated-normal computations run in log space, on the side of zero
 where the window's bulk lies, so windows many standard deviations out in a
 tail keep full relative accuracy.  Truncation bounds are IEEE infinities
 used as explicit sentinels: an infinite bound standardizes to the infinite
-z-value, whose ``log_ndtr`` is exactly 0 or -inf.
+z-value, which the CDF kernel clamps to +/-1e150, where ``log_ndtr`` gives
+the same CDF as at infinity and the normal density is exactly 0.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ __all__ = [
 LOG_MASS_FLOOR = -740.0
 
 _SYM_RTOL = 1e-12
+
+# standardized truncation bounds beyond this are clamped to it in the CDF
+# kernel: phi is exactly 0 there, and so is p*phi(p), with no inf*0
+_Z_CAP = 1e150
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Most (element, target) pairs per solve_tn_mean_bulk call in
 # solve_tn_quantiles: the bulk solve's temporaries grow with its batch, while
@@ -201,26 +208,46 @@ def _window_log_mass(zlo, zhi) -> np.ndarray:
 
 
 def _cdf_excess(u, zlo, zhi, target):
-    """CDF at 0 of TN(u, 1, [zlo, zhi]) minus ``target``; decreasing in ``u``.
+    """CDF at 0 of TN(u, 1, [zlo, zhi]) minus ``target``, with its first and
+    second derivatives in ``u``; the CDF decreases in ``u``.
 
     With ``a, x, b = zlo - u, -u, zhi - u`` the CDF is
-    (Phi(x) - Phi(a)) / (Phi(b) - Phi(a)).  Where ``a + b > 0`` the window's
-    bulk lies right of zero, where Phi is close to 1 and loses digits, so the
-    points are reflected to ``a', x', b' = -b, -x, -a`` and the CDF is
-    (Phi(b') - Phi(x')) / (Phi(b') - Phi(a')).  Three ``log_ndtr`` calls
+    F = (Phi(x) - Phi(a)) / (Phi(b) - Phi(a)).  Where ``a + b > 0`` the
+    window's bulk lies right of zero, where Phi is close to 1 and loses
+    digits, so the points are reflected to ``a', x', b' = -b, -x, -a`` and
+    F = (Phi(b') - Phi(x')) / (Phi(b') - Phi(a')).  Three ``log_ndtr`` calls
     give either form; both are exactly 0 (1) at the lower (upper) edge and
-    keep full relative accuracy for small CDF values.  Requires
+    keep full relative accuracy for small CDF values.
+
+    With Z = Phi(b) - Phi(a), ``g_p = phi(p) / Z``, G = g_b - g_a and
+    H = g_x - g_a, the derivatives are
+
+        F'  = -H + F*G
+        F'' = -(x*g_x - a*g_a) - H*G + F'*G + F*(b*g_b - a*g_a + G**2),
+
+    three ``exp`` calls more.  Bounds are clamped at +/-1e150, where phi is
+    exactly 0 and so is ``p*g_p``, as it is at an infinite bound.  Requires
     ``zlo <= 0 <= zhi``.
     """
-    a, x, b = zlo - u, -u, zhi - u
-    with np.errstate(divide="ignore", invalid="ignore"):
+    a = np.maximum(zlo, -_Z_CAP) - u
+    b = np.minimum(zhi, _Z_CAP) - u
+    x = -u
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flip = a + b > 0
         la = log_ndtr(np.where(flip, -b, a))
         lx = log_ndtr(np.where(flip, u, x))
         lb = log_ndtr(np.where(flip, -a, b))
         q = lx - lb
-        num = np.where(flip, -np.expm1(q), np.exp(q) * -np.expm1(la - lx))
-        return num / -np.expm1(la - lb) - target
+        mass = -np.expm1(la - lb)  # Z / Phi(b'), with b' = b or -a
+        cdf = np.where(flip, -np.expm1(q), np.exp(q) * -np.expm1(la - lx)) / mass
+        scale = _INV_SQRT_2PI / mass
+        ga = np.exp(-0.5 * a * a - lb) * scale
+        gx = np.exp(-0.5 * x * x - lb) * scale
+        gb = np.exp(-0.5 * b * b - lb) * scale
+        G, H, aga = gb - ga, gx - ga, a * ga
+        slope = cdf * G - H
+        curvature = cdf * (b * gb - aga + G * G) - (x * gx - aga) + (slope - H) * G
+    return cdf - target, slope, curvature
 
 
 def tn_cdf(spec: TruncatedNormalSpec, x: float) -> float:
@@ -244,7 +271,7 @@ def tn_cdf(spec: TruncatedNormalSpec, x: float) -> float:
     if x <= lower or x >= upper:
         return float(x >= upper)
     # standardized about x, as in the mean solve
-    return float(_cdf_excess((mu - x) / sd, (lower - x) / sd, (upper - x) / sd, 0.0))
+    return float(_cdf_excess((mu - x) / sd, (lower - x) / sd, (upper - x) / sd, 0.0)[0])
 
 
 def solve_tn_mean_bulk(
@@ -268,27 +295,35 @@ def solve_tn_mean_bulk(
     strictly decreasing in ``u`` and does not depend on the location or the
     scale of the data.
 
-    The bracket opens at ``c -/+ 0.25``, where ``c = -ndtri(target)`` is the
-    root when nothing is truncated, clipped to ``-/+max_radius``.  While the
-    CDF at one end misses the target, that end steps outward by a step that
-    doubles each time (0.5, 1, 2, ...), its old position becoming the
-    other end, and the ends stop at ``-/+max_radius``.  Chandrupatla's
-    (1997) hybrid of inverse quadratic interpolation and bisection then
-    shrinks the bracket, one CDF evaluation per unconverged element and
-    iteration (about 8 in all on the simulator's windows, against 10.6 from
-    a cold +/-1 bracket and about 30 for bisection).  An element converges
-    once its bracket is at most 1e-8 wide in ``u`` (1e-8*sd in ``mu``) and
-    the CDF at both its ends lies within ``cdf_tol`` of the target; it
-    returns the secant root of that bracket.  Every step is elementwise, so
-    an element's result does not depend on the batch it is solved in.
+    The iteration starts at ``c = -ndtri(target)``, the root when nothing is
+    truncated, clipped to ``-/+max_radius``.  Each CDF evaluation also
+    gives the CDF's first two derivatives in ``u``, and every evaluated
+    point becomes one end of the bracket on its side of the root.  The next
+    point is the Halley step ``delta = -f / (F' - f*F''/(2F'))``, with
+    ``f = F - target``, when it lands strictly inside the bracket (the
+    ``rtsafe`` safeguard of *Numerical Recipes* section 9.4).  Otherwise,
+    while the bracket's far end is still unevaluated, the point steps
+    towards the root by a step that doubles each time (0.5, 1, 2, ...),
+    clamped at ``-/+max_radius``; once both ends are evaluated, it bisects.
+    That takes about 3.4 CDF evaluations per element on the simulator's
+    windows, against 8.2 for Chandrupatla's (1997) method from a bracket
+    about ``c``.  An element converges where ``F' < 0``, ``|f| <= cdf_tol``
+    and the Halley step is at most 1e-8 long and lands in the closed bracket
+    (it returns the point plus the step, the point itself where ``f`` is
+    exactly 0), or where the bracket is at most 1e-8 wide (it returns the
+    next point).  Every step is elementwise, so an element's result does
+    not depend on the batch it is solved in.
 
     Returns
     -------
     (mu, status) : tuple of ndarray
         ``status`` is 0 where the solve converged; -1 where the root lies
         below ``observed - max_radius*sd`` and +1 where it lies above
-        ``observed + max_radius*sd`` (``mu`` is -inf / +inf there); 2 where
-        ``max_iter`` iterations ended before convergence (``mu`` is NaN).
+        ``observed + max_radius*sd`` (``mu`` is -inf / +inf there), i.e.
+        where the CDF at that edge is still below / above the target; 2
+        where ``max_iter`` Halley or bisection steps ended before
+        convergence, or where the CDF is NaN (``mu`` is NaN).  Steps towards
+        an unevaluated edge do not count against ``max_iter``.
     """
     observed, sd, lower, upper, target = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (observed, sd, lower, upper, target))
@@ -306,82 +341,62 @@ def solve_tn_mean_bulk(
     zlo = (lower - observed) / sd
     zhi = (upper - observed) / sd
 
-    center = np.clip(-ndtri(target), -max_radius, max_radius)
-    lo = np.maximum(center - 0.25, -max_radius)
-    hi = np.minimum(center + 0.25, max_radius)
-    f_lo = _cdf_excess(lo, zlo, zhi, target)
-    f_hi = _cdf_excess(hi, zlo, zhi, target)
-    step = np.full(n, 0.5)
-    # F is decreasing in u: the bracket straddles the root once f_lo >= 0 >= f_hi
-    while True:
-        down = (f_lo < 0) & (lo > -max_radius)
-        move = np.flatnonzero(down | ((f_hi > 0) & (hi < max_radius)))
-        if move.size == 0:
-            break
-        down = down[move]
-        inner = np.where(down, lo[move], hi[move])
-        f_inner = np.where(down, f_lo[move], f_hi[move])
-        outer = np.clip(inner + np.where(down, -step[move], step[move]), -max_radius, max_radius)
-        f_outer = _cdf_excess(outer, zlo[move], zhi[move], target[move])
-        lo[move], hi[move] = np.where(down, outer, inner), np.where(down, inner, outer)
-        f_lo[move], f_hi[move] = np.where(down, f_outer, f_inner), np.where(down, f_inner, f_outer)
-        step[move] *= 2.0
-
+    # the arrays hold the unfinished elements ``act`` only; lo and hi are
+    # the bracket ends, -inf / +inf until a point on that side is evaluated
+    root = np.full(n, math.nan)
     status = np.zeros(n, dtype=np.int8)
-    status[f_lo < 0] = -1
-    status[f_hi > 0] = 1
-
-    # Chandrupatla: x1 is the newest point, x2 the other end of the bracket
-    # and x3 the end it replaced; the next point is x1 + t*(x2 - x1).  The
-    # arrays hold the unconverged elements ``act`` only.
-    u = np.full(n, math.nan)
-    act = np.flatnonzero(status == 0)
-    zlo, zhi, target = zlo[act], zhi[act], target[act]
-    x1, f1, x2, f2 = lo[act], f_lo[act], hi[act], f_hi[act]
-    t = np.full(act.size, 0.5)
-    for _ in range(max_iter):
-        if act.size == 0:
-            break
-        xt = x1 + t * (x2 - x1)
-        ft = _cdf_excess(xt, zlo, zhi, target)
-        same = np.sign(ft) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
-        # converge both the bracket and the CDF value: where the CDF is very
-        # flat in u, the CDF tolerance alone leaves the mean poorly pinned.
-        # F is monotone, so once both ends are within cdf_tol so is every
-        # point between them; the secant root of the last bracket pins u far
-        # closer than u_tol, whichever bracket the iteration ended on
-        dx = np.abs(x2 - x1)
-        done = (dx <= u_tol) & (np.maximum(np.abs(f1), np.abs(f2)) <= cdf_tol)
-        if done.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = f1[done] / (f1[done] - f2[done])
-            w = np.where(np.isfinite(w), w, 0.5)
-            u[act[done]] = x1[done] + w * (x2[done] - x1[done])
-            left = ~done
-            act, zlo, zhi, target, x1, f1, x2, f2, x3, f3, dx = (
-                a[left] for a in (act, zlo, zhi, target, x1, f1, x2, f2, x3, f3, dx)
+    act = np.arange(n)
+    u = np.clip(-ndtri(target), -max_radius, max_radius)
+    lo, hi = np.full(n, -math.inf), np.full(n, math.inf)
+    step = np.full(n, 0.5)
+    spent = np.zeros(n, dtype=np.int64)
+    while act.size:
+        f, slope, curvature = _cdf_excess(u, zlo, zhi, target)
+        up = f > 0  # F decreases in u: the root lies above u
+        lo, hi = np.where(up, u, lo), np.where(up, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            delta = -f / (slope - f * curvature / (2.0 * slope))
+        halley = u + delta
+        floor, ceiling = np.maximum(lo, -max_radius), np.minimum(hi, max_radius)
+        inside = (floor < halley) & (halley < ceiling)
+        outward = ~inside & np.isinf(np.where(up, hi, lo))
+        nxt = np.where(
+            inside,
+            halley,
+            np.where(outward, np.clip(u + np.where(up, step, -step), -max_radius, max_radius),
+                     0.5 * (lo + hi)),
+        )
+        # a converging step may round to u itself, an end of the bracket, so
+        # it need only land in the closed bracket (at an exact root it is 0);
+        # where the CDF is flat in floating point (slope 0), the step is no
+        # estimate at all
+        settled = (
+            (np.abs(delta) <= u_tol) & (np.abs(f) <= cdf_tol) & (slope < 0)
+            & (floor <= halley) & (halley <= ceiling)
+        )
+        done = settled | (hi - lo <= u_tol)
+        # status -1 (+1): the CDF at the lower (upper) search edge is still
+        # below (above) the target, so the root lies beyond it
+        below = (u == -max_radius) & (f < 0)
+        above = (u == max_radius) & (f > 0)
+        finished = done | below | above
+        spent += ~outward
+        # a NaN CDF (a window of zero width) can never settle, nor reach an
+        # edge status
+        exhausted = ((spent > max_iter) & ~finished) | np.isnan(f)
+        root[act[done]] = np.where(settled, halley, nxt)[done]
+        status[act[below]] = -1
+        status[act[above]] = 1
+        status[act[exhausted]] = 2
+        step = np.where(outward, 2.0 * step, step)
+        u = nxt
+        left = ~(finished | exhausted)
+        if not left.all():
+            act, zlo, zhi, target, u, lo, hi, step, spent = (
+                a[left] for a in (act, zlo, zhi, target, u, lo, hi, step, spent)
             )
-        # inverse quadratic interpolation where it stays monotone on the
-        # bracket, bisection elsewhere; the step keeps u_tol/2 clear of both
-        # ends, so the bracket shrinks by at least that much
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(
-                iqi,
-                f1 / (f2 - f1) * f3 / (f2 - f3)
-                + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2),
-                0.5,
-            )
-            tl = np.minimum(0.5 * u_tol / dx, 0.5)
-        t = np.clip(t, tl, 1.0 - tl)
-    status[act] = 2
 
-    mu = observed + u * sd
+    mu = observed + root * sd
     mu[status == -1] = -math.inf
     mu[status == 1] = math.inf
     return mu.reshape(shape), status.reshape(shape)

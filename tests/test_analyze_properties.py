@@ -109,3 +109,37 @@ def test_relabelling_units_leaves_report_bytes_unchanged(panel, data):
     base, _ = report(panel)
     other, _ = report(relabelled)
     assert json.dumps(other, indent=2) == json.dumps(base, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(panel=panels(), seed=st.integers(0, 2**32 - 1))
+def test_shuffling_rows_moves_no_number_beyond_rounding(panel, seed):
+    # the cell sums run in row order, and cell_statistics centres on the
+    # first row's outcome, so a shuffle may move the low bits of every
+    # number; none may move by more than 1e-10 of its own scale: the se for
+    # the Wald blocks, the contrast's sd for the conditional blocks, and
+    # sqrt(sigma_ii * sigma_jj) for the covariance
+    order = np.random.default_rng(seed).permutation(panel.n_rows)
+    shuffled = PanelData(unit=panel.unit[order], period=panel.period[order],
+                         treatment=panel.treatment[order], outcome=panel.outcome[order])
+    base, sigma = report(panel)
+    other, _ = report(shuffled)
+    assert other["pretest"] == base["pretest"]
+    scale = np.sqrt(np.outer(np.diag(sigma.entries), np.diag(sigma.entries)))
+    assert np.all(np.abs(np.array(other["sigma"]) - np.array(base["sigma"])) <= 1e-10 * scale)
+    k = panel.k
+    scales = {name: base[name]["se"] for name in ("traditional", "efficient")}
+    if base["pretest"]["passed"]:
+        for name, eta in zip(CONDITIONAL, (np.eye(k + 1)[0], eta_gamma(k, 1))):
+            scales[name] = math.sqrt(eta @ sigma.entries @ eta)
+    for name in BLOCKS:
+        if name not in scales:
+            assert other[name] is None and base[name] is None
+            continue
+        assert other[name].keys() == base[name].keys()
+        for key, value in base[name].items():
+            got, want = float(other[name][key]), float(value)
+            if math.isinf(want):
+                assert got == want, (name, key)
+            else:
+                assert abs(got - want) <= 1e-10 * scales[name], (name, key)
