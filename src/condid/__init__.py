@@ -15,7 +15,7 @@ The package exposes, on top of the usual event-study estimator:
   replicated experiments.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from . import errors
 from .errors import CondidError
@@ -32,7 +32,6 @@ from .estimators import (
 from .event_study import (
     EstimateBundle,
     PanelData,
-    estimate_covariance,
     estimate_event_study,
     load_panel,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "InferenceReport",
     "EstimateBundle",
     "PanelData",
-    "estimate_covariance",
     "estimate_event_study",
     "load_panel",
     "CovarianceMatrix",

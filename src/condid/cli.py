@@ -17,13 +17,13 @@ from dataclasses import fields
 from . import __version__
 from .errors import (
     CondidError,
-    InvalidArgumentError,
     NumericalError,
     PanelParseError,
     PanelValidationError,
 )
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
+from .pretest import critical_value
 from .simulation import SimConfig, SimTableRow, _format_value, rows_to_csv, rows_to_json, run_table
 from .simulation import json_number as _json_num
 
@@ -81,14 +81,9 @@ def payload_to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _check_alphas(args) -> None:
-    for flag, alpha in (("--alpha-pretest", args.alpha_pretest), ("--alpha-ci", args.alpha_ci)):
-        if not 0.0 < alpha < 1.0:
-            raise InvalidArgumentError(f"{flag} must lie strictly inside (0, 1), got {alpha}")
-
-
 def cmd_analyze(args) -> int:
-    _check_alphas(args)
+    for flag, alpha in (("--alpha-pretest", args.alpha_pretest), ("--alpha-ci", args.alpha_ci)):
+        critical_value(alpha, flag)
     bundle = estimate_event_study(load_panel(args.input))
     report = analyze(
         bundle,

@@ -27,10 +27,6 @@ class CholeskyError(NumericalError):
     """A matrix required to be positive definite is not."""
 
 
-class DegenerateWindowError(NumericalError):
-    """A truncation window carries less probability mass than exp(-740)."""
-
-
 class NoConvergenceError(NumericalError):
     """A bracketed root solve used up its iteration budget unconverged."""
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     ConstraintViolatedError,
@@ -85,10 +84,10 @@ def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
 def adjustment_weights(sigma: CovarianceMatrix) -> np.ndarray:
     """The weight vector Sigma22^-1 Sigma21 applied to beta_pre."""
     try:
-        factor = cho_factor(sigma.sigma22, lower=True)
+        chol = np.linalg.cholesky(sigma.sigma22)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("pre-coefficient covariance block is singular") from exc
-    return cho_solve(factor, sigma.sigma12)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, sigma.sigma12))
 
 
 def polyhedral_window(
@@ -216,8 +215,6 @@ def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> floa
     NoConvergenceError
         The solve used up its iteration budget.
     """
-    if not (0.0 < target < 1.0):
-        raise InvalidArgumentError("target must lie strictly inside (0, 1)")
     mu = float(solve_tn_quantiles(law.observed, law.spec.sd, *law.window, (target,))[0])
     if math.isinf(mu):
         raise UnboundedEstimateError(

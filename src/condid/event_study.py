@@ -17,7 +17,7 @@ import csv
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -34,9 +34,7 @@ from .gaussian import CovarianceMatrix
 __all__ = [
     "PanelData",
     "EstimateBundle",
-    "CellStats",
     "estimate_event_study",
-    "estimate_covariance",
     "load_panel",
     "PANEL_HEADER",
 ]
@@ -130,53 +128,28 @@ class PanelData:
         return self.outcome.shape[0]
 
 
-@dataclass(frozen=True)
-class CellStats:
-    """Per-period cell means, within-cell variances and counts.
-
-    Arrays are indexed by period offset: position j corresponds to period
-    ``j - K`` for ``j = 0..K+1`` (ascending order -K, ..., 0, 1).  The means
-    are of the outcome minus the panel's first outcome, a constant that
-    cancels in every difference of means.
-    """
-
-    k: int
-    mean_treat: np.ndarray
-    mean_ctrl: np.ndarray
-    var_treat: np.ndarray
-    var_ctrl: np.ndarray
-    n_treat: np.ndarray
-    n_ctrl: np.ndarray
-
-    def delta_mean(self) -> np.ndarray:
-        return self.mean_treat - self.mean_ctrl
-
-    def delta_variance(self) -> np.ndarray:
-        """Estimated Var(delta-mean) per period: s2_T/n_T + s2_C/n_C."""
-        return self.var_treat / self.n_treat + self.var_ctrl / self.n_ctrl
-
-
 @dataclass(frozen=True, eq=False)
 class EstimateBundle:
     """Estimated coefficients (post first, then pre in -1..-K order) with
-    their covariance."""
+    their covariance; ``k`` is the number of pre coefficients."""
 
     beta_post: float
     beta_pre: np.ndarray
     sigma: CovarianceMatrix
-    k: int = field(default=-1)
 
     def __post_init__(self):
         beta_pre = np.asarray(self.beta_pre, dtype=float)
         object.__setattr__(self, "beta_pre", beta_pre)
-        k = self.k if self.k >= 0 else beta_pre.shape[0]
-        object.__setattr__(self, "k", k)
-        if beta_pre.shape != (k,):
-            raise InvalidArgumentError(f"beta_pre must have length k={k}")
-        if self.sigma.dim != k + 1:
+        if beta_pre.ndim != 1:
+            raise InvalidArgumentError(f"beta_pre must be one-dimensional, got shape {beta_pre.shape}")
+        if self.sigma.dim != self.k + 1:
             raise InvalidArgumentError(
-                f"sigma dimension {self.sigma.dim} does not match k + 1 = {k + 1}"
+                f"sigma dimension {self.sigma.dim} does not match k + 1 = {self.k + 1}"
             )
+
+    @property
+    def k(self) -> int:
+        return self.beta_pre.shape[0]
 
     @property
     def beta(self) -> np.ndarray:
@@ -184,11 +157,21 @@ class EstimateBundle:
         return np.concatenate(([self.beta_post], self.beta_pre))
 
 
-def cell_statistics(data: PanelData) -> CellStats:
-    """Means, variances (ddof=1) and counts per (group, period) cell."""
+def estimate_event_study(data: PanelData) -> EstimateBundle:
+    """Event-study coefficients and their covariance, in one pass over the
+    (group, period) cells' means, variances (ddof=1) and counts.
+
+    The coefficients are the treated-minus-control cell means against
+    period 0: exactly the saturated-regression OLS coefficients.  The
+    covariance assumes cross-period independence: each period contributes
+    ``v_t = s2_T/n_T + s2_C/n_C``, and every coefficient shares the
+    reference-period term, so the off-diagonal entries all equal ``v_0`` and
+    the diagonal is ``v_0 + v_t``.  Serially correlated errors are out of
+    scope.
+    """
     k = data.k
-    idx = data.period + k  # 0..k+1
-    code = idx * 2 + data.treatment.astype(int)
+    # cell (period + K) * 2 + treated, periods ascending -K, ..., 0, 1
+    code = (data.period + k) * 2 + data.treatment.astype(int)
     n_cells = 2 * (k + 2)
     counts = np.bincount(code, minlength=n_cells).astype(float)
     # sums of outcomes far from zero lose the low bits that differences of
@@ -197,63 +180,17 @@ def cell_statistics(data: PanelData) -> CellStats:
     resid = data.outcome - data.outcome[0]
     means = np.bincount(code, weights=resid, minlength=n_cells) / counts
     resid -= means[code]
-    ss = np.bincount(code, weights=resid * resid, minlength=n_cells)
-    variances = ss / (counts - 1.0)
-    return CellStats(
-        k=k,
-        mean_treat=means[1::2],
-        mean_ctrl=means[0::2],
-        var_treat=variances[1::2],
-        var_ctrl=variances[0::2],
-        n_treat=counts[1::2],
-        n_ctrl=counts[0::2],
-    )
-
-
-def _coefficients_from_cells(cells: CellStats) -> tuple[float, np.ndarray]:
-    delta = cells.delta_mean()
-    ref = delta[cells.k]  # period 0
-    beta_post = float(delta[cells.k + 1] - ref)
-    # pre coefficients ordered (-1, -2, ..., -K)
-    beta_pre = delta[cells.k - 1 :: -1] - ref
-    return beta_post, beta_pre
-
-
-def _covariance_from_cells(cells: CellStats) -> CovarianceMatrix:
-    v = cells.delta_variance()
-    v0 = v[cells.k]
-    # coefficient order (post, -1, ..., -K)
-    v_coef = np.concatenate(([v[cells.k + 1]], v[cells.k - 1 :: -1]))
-    sigma = np.full((cells.k + 1, cells.k + 1), v0)
-    sigma[np.diag_indices(cells.k + 1)] += v_coef
-    return CovarianceMatrix(sigma, allow_singular=True)
-
-
-def estimate_event_study(data: PanelData) -> EstimateBundle:
-    """Estimate the event-study coefficients and their covariance.
-
-    Returns
-    -------
-    EstimateBundle
-        ``beta_post`` and ``beta_pre`` from cell-mean differencing (exactly
-        the saturated-regression OLS coefficients), with covariance from
-        :func:`estimate_covariance`.
-    """
-    cells = cell_statistics(data)
-    beta_post, beta_pre = _coefficients_from_cells(cells)
-    sigma = _covariance_from_cells(cells)
-    return EstimateBundle(beta_post=beta_post, beta_pre=beta_pre, sigma=sigma, k=data.k)
-
-
-def estimate_covariance(data: PanelData) -> CovarianceMatrix:
-    """Coefficient covariance under cross-period independence.
-
-    Each period contributes ``v_t = s2_T/n_T + s2_C/n_C``; every coefficient
-    shares the reference-period term, so off-diagonal entries all equal
-    ``v_0`` and the diagonal is ``v_0 + v_t``.  Panels with serially
-    correlated errors are outside this estimator's scope.
-    """
-    return _covariance_from_cells(cell_statistics(data))
+    variances = np.bincount(code, weights=resid * resid, minlength=n_cells) / (counts - 1.0)
+    # per period: the treated-minus-control mean and its variance
+    delta = means[1::2] - means[0::2]
+    v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
+    # periods in coefficient order (1, -1, ..., -K); period 0 sits at index k
+    order = np.concatenate(([k + 1], np.arange(k - 1, -1, -1)))
+    beta = delta[order] - delta[k]
+    cov = np.full((k + 1, k + 1), v[k])
+    cov[np.diag_indices(k + 1)] += v[order]
+    sigma = CovarianceMatrix(cov, allow_singular=True)
+    return EstimateBundle(beta_post=float(beta[0]), beta_pre=beta[1:], sigma=sigma)
 
 
 def _first_duplicate(unit: np.ndarray, period: np.ndarray) -> tuple:

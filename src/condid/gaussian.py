@@ -17,10 +17,11 @@ not converge.
 
 All truncated-normal computations run in log space, on the side of zero
 where the window's bulk lies, so windows many standard deviations out in a
-tail keep full relative accuracy.  Truncation bounds are IEEE infinities
-used as explicit sentinels: an infinite bound standardizes to the infinite
-z-value, which the CDF kernel clamps to +/-1e150, where ``log_ndtr`` gives
-the same CDF as at infinity and the normal density is exactly 0.
+tail keep their relative accuracy (:func:`tn_cdf` states the bound).
+Truncation bounds are IEEE infinities used as explicit sentinels: an
+infinite bound standardizes to the infinite z-value, which the CDF kernel
+clamps to +/-1e150, where ``log_ndtr`` gives the same CDF as at infinity and
+the normal density is exactly 0.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtri
 
-from .errors import CholeskyError, DegenerateWindowError, InvalidArgumentError, NoConvergenceError
+from .errors import CholeskyError, InvalidArgumentError, NoConvergenceError
 
 __all__ = [
     "CovarianceMatrix",
@@ -40,10 +41,6 @@ __all__ = [
     "solve_tn_mean_bulk",
     "solve_tn_quantiles",
 ]
-
-# Window mass below exp(LOG_MASS_FLOOR) cannot be represented even as a
-# subnormal double; tn_cdf refuses such windows rather than returning noise.
-LOG_MASS_FLOOR = -740.0
 
 _SYM_RTOL = 1e-12
 
@@ -166,47 +163,6 @@ class TruncatedNormalSpec:
         return math.sqrt(self.var)
 
 
-def _log1mexp(d: np.ndarray) -> np.ndarray:
-    """log(1 - exp(d)) for d <= 0, elementwise, accurate near both ends."""
-    d = np.asarray(d, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = d < -math.log(2.0)
-        out = np.where(small, np.log1p(-np.exp(d)), np.log(-np.expm1(d)))
-    return out
-
-
-def _window_log_mass(zlo, zhi) -> np.ndarray:
-    """log(Phi(zhi) - Phi(zlo)) elementwise, stable in either tail.
-
-    Both-in-left-tail windows use the CDF difference in log space; both-in-
-    right-tail windows use the survival function via symmetry; windows that
-    straddle zero carry O(1) mass and use the direct difference.  Empty or
-    inverted windows map to -inf.
-    """
-    zlo = np.asarray(zlo, dtype=float)
-    zhi = np.asarray(zhi, dtype=float)
-    zlo, zhi = np.broadcast_arrays(zlo, zhi)
-    out = np.full(zlo.shape, -math.inf)
-
-    valid = zhi > zlo
-    left = valid & (zhi <= 0)
-    right = valid & (zlo >= 0)
-    mid = valid & ~left & ~right
-
-    if left.any():
-        a = log_ndtr(zhi[left])
-        b = log_ndtr(zlo[left])
-        out[left] = a + _log1mexp(b - a)
-    if right.any():
-        a = log_ndtr(-zlo[right])
-        b = log_ndtr(-zhi[right])
-        out[right] = a + _log1mexp(b - a)
-    if mid.any():
-        with np.errstate(divide="ignore"):
-            out[mid] = np.log(ndtr(zhi[mid]) - ndtr(zlo[mid]))
-    return out
-
-
 def _cdf_excess(u, zlo, zhi, target):
     """CDF at 0 of TN(u, 1, [zlo, zhi]) minus ``target``, with its first and
     second derivatives in ``u``; the CDF decreases in ``u``.
@@ -251,27 +207,40 @@ def _cdf_excess(u, zlo, zhi, target):
 
 
 def tn_cdf(spec: TruncatedNormalSpec, x: float) -> float:
-    """CDF of the truncated normal law at ``x``.
+    """CDF of the truncated normal law at ``x``: 0 and 1 outside ``[lower,
+    upper]``, and for every other valid input a value in [0, 1] that does
+    not decrease in ``x``.
 
-    Values of ``x`` outside ``[lower, upper]`` clamp to 0 and 1.
-
-    Raises
-    ------
-    DegenerateWindowError
-        When the window mass is below exp(-740), i.e. zero even as a
-        subnormal double.
+    With ``d`` the window's distance from the mean (at least 1), ``w`` its
+    width and ``s`` the distance of ``x`` from its nearer edge, all in sd:
+    the mean solve's kernel, standardized about ``x`` with the mean's offset
+    clamped at +/-1e150 like the bounds, has a relative error below
+    ``eps * (d**2 + 100 * d * (1/s + 1/w))`` against an 80-digit mpmath CDF
+    (``eps = 2**-52``).  Where the law's spread ``min(w, 1/d)`` is below
+    1e-4 sd, its exponential limit about the edge nearer the mean is more
+    accurate, with a relative error below ``min(w, 1/d)**2 + 1e3 * eps``, and
+    is used instead.  On windows 1e-3 to 10 sd wide with ``x`` uniform
+    inside, the worst relative error measured was 2e-9 at 38 sd out, 3e-7 at
+    200 sd, 2e-8 at 1e3 sd, 6e-8 at 1e4 sd and 1e-10 at 1e5 sd.
     """
-    mu, sd, lower, upper = spec.mu, spec.sd, spec.lower, spec.upper
-    log_mass = float(_window_log_mass((lower - mu) / sd, (upper - mu) / sd))
-    if log_mass < LOG_MASS_FLOOR:
-        raise DegenerateWindowError(
-            f"truncation window [{lower}, {upper}] carries log-mass "
-            f"{log_mass:.1f} < {LOG_MASS_FLOOR} under mu={mu}, var={spec.var}"
-        )
+    mu, sd, lower, upper, x = map(float, (spec.mu, spec.sd, spec.lower, spec.upper, x))
     if x <= lower or x >= upper:
         return float(x >= upper)
-    # standardized about x, as in the mean solve
-    return float(_cdf_excess((mu - x) / sd, (lower - x) / sd, (upper - x) / sd, 0.0)[0])
+    near = max(lower - mu, mu - upper, 0.0) / sd  # the window's distance from mu
+    width = (upper - lower) / sd
+    if width >= 1e-4 and near <= 1e4:
+        u = min(max((mu - x) / sd, -_Z_CAP), _Z_CAP)
+        return float(_cdf_excess(u, (lower - x) / sd, (upper - x) / sd, 0.0)[0])
+    if near * width < 1e-16:  # flat across the window
+        return (x - lower) / (upper - lower)
+    # the density at t sd inside the near edge is exp(-near * t) up to the
+    # dropped factor exp(-t**2 / 2); with the upper edge near, the mass below
+    # x is the tail beyond t = h, taken as its own exponential law of rate
+    # near + h (the ratio (near + h) / near is formed unscaled: no inf / inf)
+    h = (upper - x) / sd if mu > upper else 0.0
+    rates = 1.0 + (upper - x) / (mu - upper) if mu > upper else 1.0
+    tail = math.exp(-h * (near + 0.5 * h)) / rates if h else 1.0
+    return tail * math.expm1(-(near + h) * ((x - lower) / sd)) / math.expm1(-near * width)
 
 
 def solve_tn_mean_bulk(
@@ -416,11 +385,14 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     Raises
     ------
     InvalidArgumentError
-        ``observed``, ``sd``, ``lower`` and ``upper`` differ in shape.
+        ``observed``, ``sd``, ``lower`` and ``upper`` differ in shape, or a
+        target lies outside (0, 1).
     NoConvergenceError
         Some solve used up its iteration budget; no NaN is ever returned.
     """
     targets = np.asarray(targets, dtype=float)
+    if not np.all((targets > 0.0) & (targets < 1.0)):
+        raise InvalidArgumentError(f"targets must lie strictly inside (0, 1), got {targets.tolist()}")
     columns = [np.asarray(a, dtype=float) for a in (observed, sd, lower, upper)]
     shapes = [c.shape for c in columns]
     if len(set(shapes)) > 1:

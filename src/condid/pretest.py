@@ -51,10 +51,14 @@ class PolyhedralConstraint:
         return bool(np.all(self.a_matrix @ beta <= self.b_vector + slack))
 
 
-def critical_value(alpha: float) -> float:
-    """Two-sided standard-normal critical value (1.959964... at alpha=0.05)."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidArgumentError("alpha must lie strictly inside (0, 1)")
+def critical_value(alpha: float, name: str = "alpha") -> float:
+    """Two-sided standard-normal critical value (1.959964... at alpha=0.05);
+    ``alpha``, named ``name`` in the error, must lie in (0, 1) with
+    ``1 - alpha/2`` below 1.0 in floating point (above about 1.1e-16)."""
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise InvalidArgumentError(
+            f"{name} must lie strictly inside (0, 1), with 1 - alpha/2 below 1.0, got {alpha}"
+        )
     return float(ndtri(1.0 - alpha / 2.0))
 
 
@@ -75,17 +79,14 @@ def build_ns_polyhedron(sigma: CovarianceMatrix, alpha: float = 0.05) -> Polyhed
 def ns_rows(k: int) -> np.ndarray:
     """The 2K x (K+1) matrix of :func:`build_ns_polyhedron`: rows ``+e_j``
     for the pre coefficients -1..-K, then rows ``-e_j``."""
-    eye = np.eye(k)
-    zeros = np.zeros((k, 1))
-    return np.block([[zeros, eye], [zeros, -eye]])
+    a = np.zeros((2 * k, k + 1))
+    a[:k, 1:] = np.eye(k)
+    a[k:, 1:] = -np.eye(k)
+    return a
 
 
 def passes_pretest(bundle: EstimateBundle, alpha: float = 0.05) -> bool:
-    """True when every pre coefficient is individually insignificant.
-
-    Uses weak inequalities, so a coefficient sitting exactly on the critical
-    boundary passes.
-    """
-    c = critical_value(alpha)
-    pre_sd = np.sqrt(np.diag(bundle.sigma.entries)[1:])
-    return bool(np.all(np.abs(bundle.beta_pre) <= c * pre_sd))
+    """True when every pre coefficient is individually insignificant: the
+    event of :func:`build_ns_polyhedron` without slack, whose +/-1 and 0 rows
+    make ``A beta`` exact, so a coefficient exactly on the boundary passes."""
+    return build_ns_polyhedron(bundle.sigma, alpha).holds_at(bundle.beta, rtol=0.0)

@@ -92,9 +92,7 @@ class SimConfig:
         if not math.isfinite(self.trend_slope):
             raise InvalidArgumentError(f"trend_slope must be finite, got {self.trend_slope}")
         for name in ("alpha_pretest", "alpha_ci"):
-            alpha = getattr(self, name)
-            if not 0.0 < alpha < 1.0:
-                raise InvalidArgumentError(f"{name} must lie strictly inside (0, 1), got {alpha}")
+            critical_value(getattr(self, name), name)
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
         if self.chunk_size < 1:
@@ -221,16 +219,11 @@ class ReplicationRecords:
 # --- data generation ---------------------------------------------------------
 
 
-def _t_values(k: int) -> np.ndarray:
-    """Periods in coefficient-aligned order (1, 0, -1, ..., -K)."""
-    return np.concatenate(([1, 0], -np.arange(1, k + 1)))
-
-
 def _fast_cell_draws(
     config: SimConfig, k: int, slope: float, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n replications of (difference-in-means, estimated variances)."""
-    t = _t_values(k).astype(float)
+    t = np.concatenate(([1.0, 0.0], -np.arange(1.0, k + 1)))  # periods (1, 0, -1, ..., -K)
     n_cell = config.n_per_cell
     sig2 = config.sigma_noise**2
     cell_var = 2.0 * sig2 / n_cell
@@ -275,8 +268,10 @@ def _records_from_draws(
     tn = {name: nan.copy() for name in ReplicationRecords._ARRAYS if name.startswith("tn_")}
     lam = v_coef[:, 1:]
     sd_pre = np.sqrt(v0[:, None] + lam)
-    c_crit = critical_value(config.alpha_pretest)
-    accepted = np.all(np.abs(beta[:, 1:]) <= c_crit * sd_pre, axis=1)
+    # the pretest event A beta <= b; its +/-1 and 0 rows make A beta exact
+    a = ns_rows(k)
+    b = np.tile(critical_value(config.alpha_pretest) * sd_pre, 2)
+    accepted = np.all(beta @ a.T <= b, axis=1)
 
     # pre-period adjustment: the estimated covariance is always a rank-one
     # update of a diagonal, so the solve has a closed form
@@ -290,14 +285,12 @@ def _records_from_draws(
 
     idx = np.flatnonzero(accepted)
     if k >= 1 and idx.size:
-        beta_a = beta[idx]
-        a = ns_rows(k)
-        b = np.tile(c_crit * sd_pre[idx], 2)
         # one window call per contrast keeps the (n, 2K) temporaries at one
         # contrast's size; Sigma eta for Sigma = v0 11' + diag(v_coef)
         windows = [
             polyhedral_window(
-                beta_a, (v0[idx, None] * eta.sum() + v_coef[idx] * eta)[:, None], eta[None], a, b
+                beta[idx], (v0[idx, None] * eta.sum() + v_coef[idx] * eta)[:, None], eta[None],
+                a, b[idx],
             )
             for eta in (np.eye(k + 1)[0], eta_gamma_vec)
         ]

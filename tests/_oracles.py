@@ -73,7 +73,6 @@ class CellDraws:
             beta_post=float(beta[0]),
             beta_pre=beta[2:],
             sigma=CovarianceMatrix(sigma, allow_singular=True),
-            k=self.k,
         )
 
 

@@ -114,7 +114,7 @@ def test_relabelling_units_leaves_report_bytes_unchanged(panel, data):
 @settings(max_examples=100, deadline=None)
 @given(panel=panels(), seed=st.integers(0, 2**32 - 1))
 def test_shuffling_rows_moves_no_number_beyond_rounding(panel, seed):
-    # the cell sums run in row order, and cell_statistics centres on the
+    # the cell sums run in row order, and estimate_event_study centres on the
     # first row's outcome, so a shuffle may move the low bits of every
     # number; none may move by more than 1e-10 of its own scale: the se for
     # the Wald blocks, the contrast's sd for the conditional blocks, and

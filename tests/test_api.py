@@ -24,7 +24,6 @@ PUBLIC = [
     "InferenceReport",
     "EstimateBundle",
     "PanelData",
-    "estimate_covariance",
     "estimate_event_study",
     "load_panel",
     "CovarianceMatrix",

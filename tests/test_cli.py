@@ -288,6 +288,25 @@ class TestConsoleEntrypoint:
         assert result.returncode == 0
         assert len(result.stdout.split()) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", str(EXAMPLE_PANEL)],
+            ["simulate", "--table", "1", "--reps", "200", "--k-max", "1"],
+        ],
+        ids=["analyze", "simulate"],
+    )
+    def test_alpha_ci_whose_quantile_rounds_to_one_exits_at_once(self, argv, tmp_path):
+        # 1 - 1e-17/2 rounds to 1.0: a solve for that target never ends
+        result = subprocess.run(
+            [sys.executable, "-m", "condid.cli", *argv, "--alpha-ci", "1e-17",
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == EXIT_VALIDATION, result.stderr
+        assert "alpha" in result.stderr and "below 1.0" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_startup_skips_optimize_and_stats(self):
         # each adds 100-200 ms to every command's start-up
         code = (

@@ -13,7 +13,6 @@ from condid.errors import (
 )
 from condid.event_study import (
     PanelData,
-    estimate_covariance,
     estimate_event_study,
     load_panel,
 )
@@ -253,7 +252,7 @@ class TestCovariance:
         rng = np.random.default_rng(11)
         n = 100_000
         panel = make_panel(1, n, lambda t, d, i: 0.0, jitter=1.0, rng=rng)
-        sigma = estimate_covariance(panel)
+        sigma = estimate_event_study(panel).sigma
         # diagonal 4 sigma^2 / N, off-diagonal 2 sigma^2 / N
         np.testing.assert_allclose(np.diag(sigma.entries), 4.0 / n, rtol=0.05)
         np.testing.assert_allclose(sigma.entries[0, 1], 2.0 / n, rtol=0.05)
@@ -270,7 +269,7 @@ class TestCovariance:
             unit=panel.unit, period=panel.period,
             treatment=panel.treatment, outcome=outcome,
         )
-        sigma = estimate_covariance(panel)
+        sigma = estimate_event_study(panel).sigma
         cells_v0 = sigma.entries[0, 1]
         offdiag = sigma.entries[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(offdiag, cells_v0, atol=1e-15)
@@ -279,7 +278,7 @@ class TestCovariance:
         # sigma=1, N=250 per cell: SE(beta_post) = sqrt(4/250) = 0.1265 ~ 0.127
         rng = np.random.default_rng(13)
         panel = make_panel(1, 250, lambda t, d, i: 0.0, jitter=1.0, rng=rng)
-        sigma = estimate_covariance(panel)
+        sigma = estimate_event_study(panel).sigma
         se = np.sqrt(sigma.sigma11)
         assert se == pytest.approx(0.1265, abs=0.015)
         assert np.sqrt(4.0 / 250.0) == pytest.approx(0.12649, abs=1e-4)
@@ -289,7 +288,7 @@ class TestCovariance:
         for _ in range(10):
             k = int(rng.integers(1, 5))
             panel = make_panel(k, 10, lambda t, d, i: 0.0, jitter=1.0, rng=rng)
-            sigma = estimate_covariance(panel)
+            sigma = estimate_event_study(panel).sigma
             np.testing.assert_allclose(sigma.entries, sigma.entries.T)
             assert np.all(np.linalg.eigvalsh(sigma.entries) > 0)
             sigma.cholesky()

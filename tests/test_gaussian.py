@@ -4,9 +4,10 @@ import functools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm, truncnorm
@@ -14,7 +15,6 @@ from scipy.stats import norm, truncnorm
 from condid import gaussian
 from condid.errors import (
     CholeskyError,
-    DegenerateWindowError,
     NoConvergenceError,
     SingularMatrixError,
     UnboundedEstimateError,
@@ -36,6 +36,10 @@ from _oracles import (
 )
 
 INF = math.inf
+# a float of either sign with a log-uniform magnitude in [1e-300, 1e300]
+LOG_UNIFORM = st.builds(
+    lambda sign, power: sign * 10.0**power, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)
+)
 
 
 def truncnorm_cdf(x, mu, sd, lower, upper):
@@ -174,12 +178,9 @@ class TestTnCdf:
 
     @staticmethod
     def _mp_survival(z):
-        import mpmath as mp
-
         return mp.erfc(mp.mpf(z) / mp.sqrt(2)) / 2
 
     def test_deep_right_tail_matches_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         lo, hi, x = 20.0, 21.0, 20.5
         spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=lo, upper=hi)
@@ -189,18 +190,82 @@ class TestTnCdf:
         assert tn_cdf(spec, x) == pytest.approx(expected, rel=1e-9)
 
     def test_deep_left_tail_matches_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         lo, hi, x = -26.0, -24.0, -25.0
         spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=lo, upper=hi)
         expected = float((mp.ncdf(x) - mp.ncdf(lo)) / (mp.ncdf(hi) - mp.ncdf(lo)))
         assert tn_cdf(spec, x) == pytest.approx(expected, rel=1e-9)
 
-    def test_degenerate_window_raises(self):
-        # window mass ~ exp(-765), below the exp(-740) representability floor
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=39.0, upper=40.0)
-        with pytest.raises(DegenerateWindowError):
-            tn_cdf(spec, 39.5)
+    @classmethod
+    def _mp_cdf(cls, lower, upper, x):
+        """80-digit CDF of N(0, 1) truncated to [lower, upper], at x."""
+        mp.mp.dps = 80
+        if lower + upper > 0:
+            s_lo = cls._mp_survival(lower)
+            return (s_lo - cls._mp_survival(x)) / (s_lo - cls._mp_survival(upper))
+        s_lo = cls._mp_survival(-lower)
+        return (cls._mp_survival(-x) - s_lo) / (cls._mp_survival(-upper) - s_lo)
+
+    @pytest.mark.parametrize("distance", [38.0, 200.0, 1e3, 1e4, 2e4, 1e5, 1e7])
+    def test_far_windows_match_mpmath_within_documented_bound(self, distance):
+        # windows 1e-4 to 10 sd wide, in both tails, with x drawn towards
+        # either edge; the bound is the one tn_cdf's docstring states for
+        # its kernel (up to 1e4 sd) and for the exponential limit beyond
+        eps = 2.0**-52
+        rng = np.random.default_rng(int(distance))
+        for _ in range(40):
+            width = 10.0 ** rng.uniform(-4, 1)
+            lower, upper = (distance, distance + width)
+            if rng.uniform() < 0.5:
+                lower, upper = -upper, -lower
+            toward = rng.uniform() ** 3 * width
+            x = lower + toward if rng.uniform() < 0.5 else upper - toward
+            if not lower < x < upper:
+                continue
+            expected = self._mp_cdf(lower, upper, x)
+            if expected < 1e-300:  # below the smallest normal double
+                continue
+            got = tn_cdf(TruncatedNormalSpec(mu=0.0, var=1.0, lower=lower, upper=upper), x)
+            s = min(x - lower, upper - x)
+            if distance <= 1e4:
+                bound = eps * (distance**2 + 100.0 * distance * (1.0 / s + 1.0 / width))
+            else:
+                bound = min(width, 1.0 / distance) ** 2 + 1e3 * eps
+            assert float(abs(got - expected) / expected) <= bound, (lower, upper, x)
+
+    @pytest.mark.parametrize(
+        "mu, var, lower, upper, x, expected",
+        [
+            (0.0, 1.0, 1e160, 2e160, 1.5e160, 1.0),
+            (1e300, 1.0, -1e300, 1e300, 0.0, 0.0),
+            (0.0, 1e-310, 0.0, 1.0, 0.5, 1.0),
+            (-1e300, 1.0, 0.0, 1.0, 0.5, 1.0),
+            (0.0, 1.0, 0.0, 1e-17, 2.5e-18, 0.25),
+        ],
+    )
+    def test_extreme_inputs_give_the_limit(self, mu, var, lower, upper, x, expected):
+        # the mean, the bounds and x lie so far apart in sd, or the window is
+        # so narrow, that the law collapses onto one edge or is flat in it
+        spec = TruncatedNormalSpec(mu=mu, var=var, lower=lower, upper=upper)
+        assert tn_cdf(spec, x) == pytest.approx(expected, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=LOG_UNIFORM, a=LOG_UNIFORM, b=LOG_UNIFORM, x1=LOG_UNIFORM, x2=LOG_UNIFORM,
+        var=st.builds(lambda p: 10.0**p, st.floats(-300.0, 300.0)),
+        inside=st.floats(0.0, 1.0),
+    )
+    @example(mu=0.0, a=1e160, b=2e160, x1=1e160, x2=2e160, var=1.0, inside=0.5)
+    @example(mu=1e300, a=-1e300, b=1e300, x1=-1e300, x2=1e300, var=1.0, inside=0.5)
+    @example(mu=0.0, a=0.0, b=1.0, x1=0.0, x2=1.0, var=1e-310, inside=0.5)
+    def test_any_valid_input_gives_a_monotone_probability(self, mu, a, b, x1, x2, var, inside):
+        # magnitudes log-uniform up to 1e300, plus a point inside the window
+        lower, upper = min(a, b), max(a, b)
+        assume(lower < upper)
+        spec = TruncatedNormalSpec(mu=mu, var=var, lower=lower, upper=upper)
+        points = sorted((x1, x2, lower * (1.0 - inside) + upper * inside))
+        values = [tn_cdf(spec, x) for x in points]
+        assert 0.0 <= values[0] <= values[1] <= values[2] <= 1.0
 
     def test_nondecreasing_in_x(self):
         spec = TruncatedNormalSpec(mu=0.3, var=2.0, lower=-1.0, upper=2.5)
@@ -215,23 +280,6 @@ class TestTnCdf:
             for m in mus
         ]
         assert np.all(np.diff(vals) < 0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        a=st.floats(min_value=-6.0, max_value=6.0),
-        width=st.floats(min_value=1e-3, max_value=8.0),
-    )
-    def test_window_mass_matches_direct_difference(self, a, width):
-        # the naive CDF difference is a valid oracle only where it does not
-        # itself cancel: require the mass to dominate float noise in the CDFs
-        from hypothesis import assume
-
-        from condid.gaussian import _window_log_mass
-
-        b = a + width
-        direct = norm.cdf(b) - norm.cdf(a)
-        assume(direct > 1e-6)
-        assert math.exp(float(_window_log_mass(a, b))) == pytest.approx(direct, rel=1e-9)
 
     @pytest.mark.parametrize(
         "zlo, zhi, zx",
@@ -605,6 +653,12 @@ class TestSolveTnQuantiles:
     def test_scalar_bound_beside_arrays_rejected(self):
         with pytest.raises(ValueError, match=r"differ in shape: \[\(2,\), \(2,\), \(2,\), \(\)\]"):
             solve_tn_quantiles(np.array([0.0, 2.0]), np.ones(2), np.zeros(2), 2.0, (0.3,))
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_target_outside_unit_interval_rejected(self, target):
+        # a target of 0 or 1 has its root at -/+ infinity: no solve may start
+        with pytest.raises(ValueError, match="targets must lie strictly inside"):
+            solve_tn_quantiles(0.5, 1.0, 0.0, 2.0, (0.5, target))
 
     def test_longer_bound_array_rejected(self):
         with pytest.raises(ValueError, match=r"\[\(2,\), \(2,\), \(3,\), \(2,\)\]"):

@@ -54,6 +54,17 @@ class TestBuildPolyhedron:
         with pytest.raises(ValueError):
             build_ns_polyhedron(sigma, alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 5e-324, 1.1e-16])
+    def test_alpha_whose_quantile_rounds_to_one_is_rejected(self, alpha):
+        # 1 - alpha/2 rounds to 1.0, whose normal quantile is infinite
+        assert 1.0 - alpha / 2.0 == 1.0
+        with pytest.raises(ValueError, match="level must lie strictly inside"):
+            critical_value(alpha, "level")
+
+    def test_smallest_usable_alpha_is_accepted(self):
+        assert 1.0 - 1.2e-16 / 2.0 < 1.0
+        assert 8.0 < critical_value(1.2e-16) < np.inf
+
 
 class TestPassesPretest:
     def setup_method(self):
@@ -72,6 +83,14 @@ class TestPassesPretest:
         b = bundle_with(0.0, [2.5 * self.sd, 0.0], self.sigma)
         assert not passes_pretest(b)
 
+    def test_one_ulp_beyond_the_boundary_fails(self):
+        # the verdict has no slack, unlike holds_at's default
+        bound = build_ns_polyhedron(self.sigma, 0.05).b_vector[0]
+        for sign in (1.0, -1.0):
+            b = bundle_with(0.0, [sign * np.nextafter(bound, np.inf), 0.0], self.sigma)
+            assert not passes_pretest(b)
+            assert passes_pretest(bundle_with(0.0, [sign * bound, 0.0], self.sigma))
+
     def test_agrees_with_polyhedron_on_random_bundles(self):
         rng = np.random.default_rng(1234)
         n_checked = 0
@@ -80,6 +99,10 @@ class TestPassesPretest:
             bundle = random_bundle(rng, k)
             con = build_ns_polyhedron(bundle.sigma, alpha=0.05)
             assert passes_pretest(bundle, 0.05) == con.holds_at(bundle.beta)
+            # the rule as stated: every |beta_j| within c times its own se
+            pre_sd = np.sqrt(np.diag(bundle.sigma.entries)[1:])
+            direct = np.all(np.abs(bundle.beta_pre) <= critical_value(0.05) * pre_sd)
+            assert passes_pretest(bundle, 0.05) == direct
             n_checked += 1
         assert n_checked == 10_000
 
