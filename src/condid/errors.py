@@ -31,18 +31,6 @@ class NoConvergenceError(NumericalError):
     """A bracketed root solve used up its iteration budget unconverged."""
 
 
-class UnboundedEstimateError(NumericalError):
-    """A quantile-unbiased solve diverged; the estimate is +/-infinity.
-
-    ``side`` is -1 when the root lies below ``observed - 40*sd`` and +1 when
-    it lies above ``observed + 40*sd``.
-    """
-
-    def __init__(self, message: str, side: int):
-        super().__init__(message)
-        self.side = side
-
-
 class ZeroContrastError(NumericalError):
     """The contrast vector is zero (or has zero variance under sigma)."""
 

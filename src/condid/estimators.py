@@ -33,7 +33,6 @@ from .errors import (
     InvalidArgumentError,
     RankDeficientError,
     SingularMatrixError,
-    UnboundedEstimateError,
     ZeroContrastError,
 )
 from .event_study import EstimateBundle
@@ -205,24 +204,16 @@ def condition_contrast(
 def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> float:
     """The mean parameter placing the observed contrast at quantile ``target``.
 
-    ``target=0.5`` gives the median-unbiased point estimate.
+    ``target=0.5`` gives the median-unbiased point estimate.  A root beyond
+    ``observed +/- 40 sd`` is returned as ``-inf``/``+inf``, as
+    :func:`conditional_ci` and :func:`analyze` report it.
 
     Raises
     ------
-    UnboundedEstimateError
-        The solve ran off ``observed +/- 40 sd``; the estimate is reported as
-        an infinite interval endpoint by callers, never silently clamped.
     NoConvergenceError
         The solve used up its iteration budget.
     """
-    mu = float(solve_tn_quantiles(law.observed, law.spec.sd, *law.window, (target,))[0])
-    if math.isinf(mu):
-        raise UnboundedEstimateError(
-            f"mean solving CDF({law.observed})={target} lies beyond observed "
-            f"{'+' if mu > 0 else '-'} 40 sd (sd={law.spec.sd:g})",
-            side=1 if mu > 0 else -1,
-        )
-    return mu
+    return float(solve_tn_quantiles(law.observed, law.spec.sd, *law.window, (target,))[0])
 
 
 def conditional_ci(law: ConditionalLaw, alpha: float = 0.05) -> tuple[float, float]:

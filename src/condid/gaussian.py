@@ -49,6 +49,9 @@ _SYM_RTOL = 1e-12
 _Z_CAP = 1e150
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# the mean solve converges only where |F - target| is at most this
+_CDF_TOL = 1e-8
+
 # Most (element, target) pairs per solve_tn_mean_bulk call in
 # solve_tn_quantiles: the bulk solve's temporaries grow with its batch, while
 # its cost per pair stops falling at about this size.
@@ -69,12 +72,12 @@ class CovarianceMatrix:
     allow_singular : bool
         When False (default) the matrix must be positive definite; a failed
         Cholesky factorization raises :class:`CholeskyError` at construction.
-        When True, positive definiteness is checked lazily, on first use of
-        :meth:`cholesky`.  Estimated covariances from degenerate samples
-        (zero within-cell variance) need this escape hatch.
+        When True, positive definiteness is not checked.  Estimated
+        covariances from degenerate samples (zero within-cell variance) need
+        this escape hatch.
     """
 
-    __slots__ = ("entries", "_chol")
+    __slots__ = ("entries",)
 
     def __init__(self, entries, *, allow_singular: bool = False):
         arr = np.array(entries, dtype=float)
@@ -88,15 +91,11 @@ class CovarianceMatrix:
         arr = 0.5 * (arr + arr.T)
         arr.flags.writeable = False
         self.entries = arr
-        self._chol = None
         if not allow_singular:
-            self._chol = self._factor()
-
-    def _factor(self) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self.entries)
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyError("covariance is not positive definite") from exc
+            try:
+                np.linalg.cholesky(arr)
+            except np.linalg.LinAlgError as exc:
+                raise CholeskyError("covariance is not positive definite") from exc
 
     @property
     def dim(self) -> int:
@@ -121,12 +120,6 @@ class CovarianceMatrix:
     def sigma22(self) -> np.ndarray:
         """Covariance block of the pre coefficients, shape (K, K)."""
         return self.entries[1:, 1:]
-
-    def cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor; raises :class:`CholeskyError` if not PD."""
-        if self._chol is None:
-            self._chol = self._factor()
-        return self._chol
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CovarianceMatrix(dim={self.dim})"
@@ -250,7 +243,6 @@ def solve_tn_mean_bulk(
     upper,
     target,
     *,
-    cdf_tol: float = 1e-8,
     max_radius: float = 40.0,
     max_iter: int = 200,
 ):
@@ -276,7 +268,7 @@ def solve_tn_mean_bulk(
     clamped at ``-/+max_radius``; once both ends are evaluated, it bisects.
     That takes about 3.4 CDF evaluations per element on the simulator's
     windows, against 8.2 for Chandrupatla's (1997) method from a bracket
-    about ``c``.  An element converges where ``F' < 0``, ``|f| <= cdf_tol``
+    about ``c``.  An element converges where ``F' < 0``, ``|f| <= 1e-8``
     and the Halley step is at most 1e-8 long and lands in the closed bracket
     (it returns the point plus the step, the point itself where ``f`` is
     exactly 0), or where the bracket is at most 1e-8 wide (it returns the
@@ -290,9 +282,9 @@ def solve_tn_mean_bulk(
         below ``observed - max_radius*sd`` and +1 where it lies above
         ``observed + max_radius*sd`` (``mu`` is -inf / +inf there), i.e.
         where the CDF at that edge is still below / above the target; 2
-        where ``max_iter`` Halley or bisection steps ended before
-        convergence, or where the CDF is NaN (``mu`` is NaN).  Steps towards
-        an unevaluated edge do not count against ``max_iter``.
+        where the element was still unfinished after ``max_iter`` loop
+        passes, or where the CDF is NaN (``mu`` is NaN).  Every pass counts:
+        one CDF evaluation and one step of any kind.
     """
     observed, sd, lower, upper, target = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (observed, sd, lower, upper, target))
@@ -318,8 +310,9 @@ def solve_tn_mean_bulk(
     u = np.clip(-ndtri(target), -max_radius, max_radius)
     lo, hi = np.full(n, -math.inf), np.full(n, math.inf)
     step = np.full(n, 0.5)
-    spent = np.zeros(n, dtype=np.int64)
-    while act.size:
+    for _ in range(max_iter):
+        if not act.size:
+            break
         f, slope, curvature = _cdf_excess(u, zlo, zhi, target)
         up = f > 0  # F decreases in u: the root lies above u
         lo, hi = np.where(up, u, lo), np.where(up, hi, u)
@@ -340,7 +333,7 @@ def solve_tn_mean_bulk(
         # where the CDF is flat in floating point (slope 0), the step is no
         # estimate at all
         settled = (
-            (np.abs(delta) <= u_tol) & (np.abs(f) <= cdf_tol) & (slope < 0)
+            (np.abs(delta) <= u_tol) & (np.abs(f) <= _CDF_TOL) & (slope < 0)
             & (floor <= halley) & (halley <= ceiling)
         )
         done = settled | (hi - lo <= u_tol)
@@ -349,10 +342,9 @@ def solve_tn_mean_bulk(
         below = (u == -max_radius) & (f < 0)
         above = (u == max_radius) & (f > 0)
         finished = done | below | above
-        spent += ~outward
         # a NaN CDF (a window of zero width) can never settle, nor reach an
         # edge status
-        exhausted = ((spent > max_iter) & ~finished) | np.isnan(f)
+        exhausted = np.isnan(f)
         root[act[done]] = np.where(settled, halley, nxt)[done]
         status[act[below]] = -1
         status[act[above]] = 1
@@ -361,9 +353,10 @@ def solve_tn_mean_bulk(
         u = nxt
         left = ~(finished | exhausted)
         if not left.all():
-            act, zlo, zhi, target, u, lo, hi, step, spent = (
-                a[left] for a in (act, zlo, zhi, target, u, lo, hi, step, spent)
+            act, zlo, zhi, target, u, lo, hi, step = (
+                a[left] for a in (act, zlo, zhi, target, u, lo, hi, step)
             )
+    status[act] = 2  # still unfinished after the last pass
 
     mu = observed + root * sd
     mu[status == -1] = -math.inf

@@ -151,7 +151,7 @@ def mvn_sample(mean, cov, rng: np.random.Generator) -> np.ndarray:
     if isinstance(cov, CovarianceMatrix):
         if cov.dim != mean.shape[0]:
             raise ValueError("mean and covariance dimensions disagree")
-        chol = cov.cholesky()
+        chol = np.linalg.cholesky(cov.entries)
     else:
         arr = np.asarray(cov, dtype=float)
         if arr.shape != (mean.shape[0], mean.shape[0]):
@@ -192,7 +192,7 @@ def conditional_moment_oracle(
     if reps < 10_000:
         raise ValueError("the oracle needs reps >= 10_000 to be meaningful")
     true_beta = np.asarray(true_beta, dtype=float)
-    chol = sigma.cholesky()
+    chol = np.linalg.cholesky(sigma.entries)
     a = constraint.a_matrix
     b = constraint.b_vector
     kept = []

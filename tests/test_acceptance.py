@@ -220,7 +220,7 @@ class TestCriterion5Properties:
             n = 100_000
             for k in (1, 4):
                 sigma = _rcs_sigma(k)
-                chol = sigma.cholesky()
+                chol = np.linalg.cholesky(sigma.entries)
                 draws = rng.standard_normal((n, k + 1)) @ chol.T
                 w = adjustment_weights(sigma)
                 tilde = draws[:, 0] - draws[:, 1:] @ w
@@ -290,7 +290,7 @@ class TestCriterion5Properties:
                 a = rng.standard_normal((k + 1, k + 1))
                 sigma = CovarianceMatrix(a @ a.T + (k + 1) * np.eye(k + 1))
                 constraint = build_ns_polyhedron(sigma, 0.05)
-                chol = sigma.cholesky()
+                chol = np.linalg.cholesky(sigma.entries)
                 bundle = None
                 for _ in range(1000):
                     draw = chol @ rng.standard_normal(k + 1)

@@ -9,7 +9,6 @@ from condid.errors import (
     ConstraintViolatedError,
     InvalidArgumentError,
     RankDeficientError,
-    UnboundedEstimateError,
     ZeroContrastError,
 )
 from condid.estimators import (
@@ -196,7 +195,7 @@ class TestConditionContrast:
         for _ in range(60):
             k = int(rng.integers(1, 4))
             sigma = random_pd_sigma(rng, k + 1, scale=0.5)
-            beta = sigma.cholesky() @ rng.standard_normal(k + 1)
+            beta = np.linalg.cholesky(sigma.entries) @ rng.standard_normal(k + 1)
             m = int(rng.integers(2, 7))
             a = rng.standard_normal((m, k + 1))
             slack = rng.uniform(0.05, 2.0, size=m)
@@ -256,7 +255,7 @@ class TestConditionContrast:
 
 def _accepted_bundle(rng, mean, sigma, constraint, max_tries=10_000):
     """Rejection-sample one coefficient vector satisfying the constraint."""
-    chol = sigma.cholesky()
+    chol = np.linalg.cholesky(sigma.entries)
     for _ in range(max_tries):
         beta = np.asarray(mean) + chol @ rng.standard_normal(sigma.dim)
         if constraint.holds_at(beta):
@@ -297,7 +296,7 @@ class TestQuantileSolves:
         lo, hi = conditional_ci(law, 0.05)
         assert lo <= est <= hi
 
-    def test_unbounded_estimate_surfaces_as_error(self):
+    def test_unbounded_estimate_is_an_infinity(self):
         # observed essentially on the lower window edge: the solve diverges
         from condid.estimators import ConditionalLaw
         from condid.gaussian import TruncatedNormalSpec
@@ -310,10 +309,8 @@ class TestQuantileSolves:
             c_vector=np.array([1.0, 0.5]),
             eta=np.array([1.0, 0.0]),
         )
-        with pytest.raises(UnboundedEstimateError) as err:
-            quantile_unbiased_estimate(law, 0.025)
-        assert err.value.side == -1
-        # the interval surfaces the failure as an infinite endpoint
+        assert quantile_unbiased_estimate(law, 0.025) == -INF
+        # the interval reports the same root as an infinite endpoint
         lo, hi = conditional_ci(law, 0.05)
         assert lo == -INF or math.isfinite(lo)
         assert hi == -INF
@@ -509,7 +506,7 @@ class TestDistributionalProperties:
         self.rng = np.random.default_rng(515)
 
     def _draws(self, beta, sigma, n):
-        chol = sigma.cholesky()
+        chol = np.linalg.cholesky(sigma.entries)
         return np.asarray(beta) + self.rng.standard_normal((n, sigma.dim)) @ chol.T
 
     def test_adjusted_estimator_uncorrelated_with_pre(self):

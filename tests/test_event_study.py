@@ -291,7 +291,6 @@ class TestCovariance:
             sigma = estimate_event_study(panel).sigma
             np.testing.assert_allclose(sigma.entries, sigma.entries.T)
             assert np.all(np.linalg.eigvalsh(sigma.entries) > 0)
-            sigma.cholesky()
 
 
 class TestLoadPanel:

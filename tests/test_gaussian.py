@@ -2,6 +2,8 @@
 
 import functools
 import math
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -17,9 +19,9 @@ from condid.errors import (
     CholeskyError,
     NoConvergenceError,
     SingularMatrixError,
-    UnboundedEstimateError,
 )
-from condid.estimators import ConditionalLaw, quantile_unbiased_estimate
+from condid.estimators import ConditionalLaw, efficient_estimator, quantile_unbiased_estimate
+from condid.event_study import EstimateBundle
 from condid.gaussian import (
     CovarianceMatrix,
     TruncatedNormalSpec,
@@ -36,6 +38,7 @@ from _oracles import (
 )
 
 INF = math.inf
+NAN = math.nan
 # a float of either sign with a log-uniform magnitude in [1e-300, 1e300]
 LOG_UNIFORM = st.builds(
     lambda sign, power: sign * 10.0**power, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)
@@ -80,10 +83,13 @@ class TestCovarianceMatrix:
         with pytest.raises(CholeskyError):
             CovarianceMatrix([[1.0, 2.0], [2.0, 1.0]])
 
-    def test_allow_singular_defers_factorization(self):
+    def test_allow_singular_matrix_is_rejected_by_efficient_estimator(self):
+        # a degenerate sample's covariance is accepted as data, and the
+        # estimator that must solve against its pre block refuses it
         cov = CovarianceMatrix(np.zeros((2, 2)), allow_singular=True)
-        with pytest.raises(CholeskyError):
-            cov.cholesky()
+        bundle = EstimateBundle(beta_post=0.0, beta_pre=np.zeros(1), sigma=cov)
+        with pytest.raises(SingularMatrixError):
+            efficient_estimator(bundle)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -378,9 +384,7 @@ class TestSolveTnMean:
         assert hi_target < lo_target
 
     def test_no_bracket_near_window_edge(self):
-        with pytest.raises(UnboundedEstimateError) as err:
-            quantile_unbiased_estimate(scalar_law(1e-12, 1.0, 0.0, 1.0), 0.025)
-        assert err.value.side == -1
+        assert quantile_unbiased_estimate(scalar_law(1e-12, 1.0, 0.0, 1.0), 0.025) == -INF
 
     # (observed, sd, lower, upper): windows deep in either tail, narrow
     # windows, one-sided windows, observed on or next to a window edge
@@ -481,9 +485,7 @@ class TestSolveTnMean:
         observed = 0.0 if side < 0 else 2.0
         mu, status = solve_tn_mean_bulk(observed, 1.0, 0.0, 2.0, 0.5)
         assert int(status) == side and float(mu) == side * INF
-        with pytest.raises(UnboundedEstimateError) as err:
-            quantile_unbiased_estimate(scalar_law(observed, 1.0, 0.0, 2.0), 0.5)
-        assert err.value.side == side
+        assert quantile_unbiased_estimate(scalar_law(observed, 1.0, 0.0, 2.0), 0.5) == side * INF
 
     def test_zero_width_window_is_reported_at_once(self):
         # the CDF of a zero-width window is NaN under every mean, so no step
@@ -499,16 +501,20 @@ class TestSolveTnMean:
         )
         with pytest.raises(NoConvergenceError):
             quantile_unbiased_estimate(scalar_law(0.5, 1.0, 0.0, 2.0), 0.3)
-        # one unconverged solve fails the whole call; unbounded ones, which
-        # never iterate, still come back as -inf / +inf
-        with pytest.raises(NoConvergenceError, match="1 truncated-normal"):
+        # every pass counts, the outward steps towards the search edge too:
+        # with one pass, the two elements on a window edge are unfinished
+        # as well, and any unconverged solve fails the whole call
+        with pytest.raises(NoConvergenceError, match="3 truncated-normal"):
             solve_tn_quantiles(
                 np.array([0.5, 0.0, 2.0]), np.ones(3), np.zeros(3), np.full(3, 2.0), (0.3,)
             )
-        mu = solve_tn_quantiles(
-            np.array([0.0, 2.0]), np.ones(2), np.zeros(2), np.full(2, 2.0), (0.3,)
-        )
-        assert mu[:, 0].tolist() == [-INF, INF]
+        # from the warm start 0.52, steps of 0.5, 1, ..., 32 reach the edge
+        # -/+40 on the eighth pass, which finds the root beyond it
+        edge = np.array([0.0, 2.0])
+        mu, status = solve_tn_mean_bulk(edge, 1.0, 0.0, 2.0, 0.3, max_iter=7)
+        assert status.tolist() == [2, 2] and np.isnan(mu).all()
+        mu, status = solve_tn_mean_bulk(edge, 1.0, 0.0, 2.0, 0.3, max_iter=8)
+        assert status.tolist() == [-1, 1] and mu.tolist() == [-INF, INF]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -577,6 +583,101 @@ class TestSolveTnMean:
             return
         recovered = quantile_unbiased_estimate(scalar_law(x, sd * sd, lower, upper), target)
         assert recovered == pytest.approx(mu, abs=1e-6 * max(1.0, abs(mu)) + 1e-6)
+
+
+class TestTermination:
+    """Every solve ends within its pass budget and reports how it ended."""
+
+    # each call steps outward at a search edge, or bisects a window too
+    # narrow to settle, until its budget ends; a subprocess turns a budget
+    # that does not hold into a timeout instead of a hung suite
+    @pytest.mark.parametrize(
+        "call, statuses",
+        [
+            ("solve_tn_mean_bulk(9e-13, 1.0, 0.0, 1e-12, 0.9005681818199736)", "2"),
+            ("solve_tn_mean_bulk(0.0, 1.0, -1.0, 1.0, [0.0, 1.0])", "[1, 2]"),
+            ("solve_tn_mean_bulk(0, 1, -1, 1, [1.0])", "[2]"),
+        ],
+    )
+    def test_call_returns_within_its_budget(self, call, statuses):
+        code = f"from condid.gaussian import solve_tn_mean_bulk; print({call}[1].tolist())"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == statuses
+
+    def test_quantile_estimate_on_a_narrow_window_raises_within_its_budget(self):
+        code = "\n".join([
+            "import numpy as np",
+            "from condid.errors import NoConvergenceError",
+            "from condid.estimators import ConditionalLaw, quantile_unbiased_estimate",
+            "from condid.gaussian import TruncatedNormalSpec",
+            "spec = TruncatedNormalSpec(mu=9e-13, var=1.0, lower=0.0, upper=1e-12)",
+            "law = ConditionalLaw(spec=spec, observed=9e-13, z_vector=np.zeros(1),",
+            "                     c_vector=np.ones(1), eta=np.ones(1))",
+            "try:",
+            "    quantile_unbiased_estimate(law, 0.9005681818199736)",
+            "except NoConvergenceError:",
+            "    print('NoConvergenceError')",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "NoConvergenceError"
+
+    @staticmethod
+    def assert_status_matches_mean(mu, status):
+        assert set(status.ravel().tolist()) <= {-1, 0, 1, 2}
+        np.testing.assert_array_equal(np.isneginf(mu), status == -1)
+        np.testing.assert_array_equal(np.isposinf(mu), status == 1)
+        np.testing.assert_array_equal(np.isnan(mu), status == 2)
+
+    TARGETS = np.array([0.0, 1e-300, 1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-6, 1.0 - 2.0**-53, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        center=st.floats(min_value=-50.0, max_value=50.0),
+        sd=st.floats(min_value=-3.0, max_value=3.0).map(lambda p: 10.0**p),
+        width=st.floats(min_value=-12.0, max_value=-2.0).map(lambda p: 10.0**p),
+        gap=st.one_of(
+            st.just(0.0), st.floats(min_value=-16.0, max_value=-2.0).map(lambda p: 10.0**p)
+        ),
+        sides=st.sampled_from(["both", "lower", "upper"]),
+        near_lower=st.booleans(),
+    )
+    def test_narrow_windows_end_with_a_status(self, center, sd, width, gap, sides, near_lower):
+        # windows 1e-12 to 1e-2 sd wide, or one-sided, with the observed
+        # value 0 to 1e-2 sd inside an edge: the ill-conditioned class
+        if sides == "both":
+            lower, upper = center, center + width * sd
+            gap = min(gap, width)
+            observed = lower + gap * sd if near_lower else upper - gap * sd
+        elif sides == "lower":
+            lower, upper, observed = center, INF, center + gap * sd
+        else:
+            lower, upper, observed = -INF, center, center - gap * sd
+        mu, status = solve_tn_mean_bulk(observed, sd, lower, upper, self.TARGETS)
+        self.assert_status_matches_mean(mu, status)
+
+    @pytest.mark.parametrize(
+        "observed, sd, lower, upper",
+        [
+            (NAN, 1.0, 0.0, 1.0),
+            (0.5, NAN, 0.0, 1.0),
+            (0.5, 1.0, NAN, 1.0),
+            (0.5, 1.0, 0.0, NAN),
+            (0.0, 1.0, 0.0, 0.0),
+            (3.0, 2.0, 3.0, 3.0),
+        ],
+    )
+    def test_nan_inputs_and_zero_width_windows_end_with_a_status(
+        self, observed, sd, lower, upper
+    ):
+        targets = np.append(self.TARGETS, NAN)
+        mu, status = solve_tn_mean_bulk(observed, sd, lower, upper, targets)
+        self.assert_status_matches_mean(mu, status)
 
 
 class TestSolveTnQuantiles:
@@ -684,7 +785,7 @@ class TestMvnSample:
             [[2.0, 0.6, 0.3], [0.6, 1.5, 0.4], [0.3, 0.4, 1.0]]
         )
         n = 100_000
-        chol = cov.cholesky()
+        chol = np.linalg.cholesky(cov.entries)
         draws = mean + rng.standard_normal((n, 3)) @ chol.T
         # identical construction to mvn_sample, vectorized for speed; spot
         # check a few single draws agree with the one-at-a-time API
