@@ -37,7 +37,7 @@ from .errors import (
 )
 from .event_study import EstimateBundle
 from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_quantiles
-from .pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value, passes_pretest
+from .pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value
 
 __all__ = [
     "ConditionalLaw",
@@ -341,11 +341,12 @@ def analyze(
     traditional = _wald_block(bundle.beta_post, bundle.sigma.sigma11, alpha_ci)
     eff_est, eff_var = efficient_estimator(bundle)
     efficient = _wald_block(eff_est, eff_var, alpha_ci)
-    passed = passes_pretest(bundle, alpha_pretest)
+    # the pretest verdict of passes_pretest, on the polyhedron the windows use
+    constraint = build_ns_polyhedron(bundle.sigma, alpha_pretest)
+    passed = constraint.holds_at(bundle.beta, rtol=0.0)
     beta_block = None
     gamma_block = None
     if passed:
-        constraint = build_ns_polyhedron(bundle.sigma, alpha_pretest)
         eta = np.stack([np.eye(k + 1)[0], eta_gamma(k, trend_order)])
         sigma_eta = (bundle.sigma.entries * eta[:, None, :]).sum(axis=-1)
         observed, var, lower, upper = polyhedral_window(

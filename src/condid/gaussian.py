@@ -282,9 +282,9 @@ def solve_tn_mean_bulk(
         below ``observed - max_radius*sd`` and +1 where it lies above
         ``observed + max_radius*sd`` (``mu`` is -inf / +inf there), i.e.
         where the CDF at that edge is still below / above the target; 2
-        where the element was still unfinished after ``max_iter`` loop
-        passes, or where the CDF is NaN (``mu`` is NaN).  Every pass counts:
-        one CDF evaluation and one step of any kind.
+        where the element was unfinished after ``max_iter`` loop passes, the
+        CDF is NaN or an outward step cannot move (``mu`` is NaN).  Every
+        pass counts: one CDF evaluation and one step of any kind.
     """
     observed, sd, lower, upper, target = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (observed, sd, lower, upper, target))
@@ -342,9 +342,9 @@ def solve_tn_mean_bulk(
         below = (u == -max_radius) & (f < 0)
         above = (u == max_radius) & (f > 0)
         finished = done | below | above
-        # a NaN CDF (a window of zero width) can never settle, nor reach an
-        # edge status
-        exhausted = np.isnan(f)
+        # these never finish: a NaN CDF (a window of zero width), and a point
+        # whose outward step is clipped back onto it, as every later pass repeats it
+        exhausted = np.isnan(f) | (outward & (nxt == u) & ~finished)
         root[act[done]] = np.where(settled, halley, nxt)[done]
         status[act[below]] = -1
         status[act[above]] = 1

@@ -53,6 +53,10 @@ __all__ = [
 # statistics suppressed.
 MIN_ACCEPTED = 500
 
+# Replications per chunk.  Each chunk draws from its own RNG stream, so this
+# value decides every table's bytes.
+CHUNK_REPS = 25_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -61,8 +65,8 @@ class SimConfig:
     ``trend_slope`` applies to the trend DGP only; the null DGP always uses
     slope zero.  ``use_estimated_sigma`` mirrors what a practitioner can do
     (per-replication estimated covariance); switching it off isolates the
-    known-covariance behaviour.  ``chunk_size`` fixes the replication
-    partition regardless of ``workers``, which is what makes output
+    known-covariance behaviour.  Replications run in chunks of
+    :data:`CHUNK_REPS` whatever ``workers`` is, which is what makes output
     byte-identical under any worker count.
     """
 
@@ -76,7 +80,6 @@ class SimConfig:
     alpha_ci: float = 0.05
     use_estimated_sigma: bool = True
     workers: int = 1
-    chunk_size: int = 25_000
 
     def __post_init__(self):
         if self.reps < 1:
@@ -95,8 +98,6 @@ class SimConfig:
             critical_value(getattr(self, name), name)
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
-        if self.chunk_size < 1:
-            raise InvalidArgumentError("chunk_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -165,18 +166,19 @@ def _proportion_se(p: float, n: float) -> float:
 class ReplicationRecords:
     """Per-replication results for one (DGP, K) cell; plain parallel arrays.
 
-    TN fields are NaN for replications that failed the pretest (no
-    conditional law exists there) and everywhere when K = 0.
+    ``accepted`` marks which simulated replications passed the pretest; every
+    other array holds the accepted ones only, in order (the TN arrays are NaN
+    when K = 0).
     """
 
     dgp: str
     k: int
     alpha_ci: float
+    accepted: np.ndarray
     beta_post: np.ndarray
     se_trad: np.ndarray
     beta_tilde: np.ndarray
     se_eff: np.ndarray
-    accepted: np.ndarray
     tn_beta_est: np.ndarray
     tn_beta_lo: np.ndarray
     tn_beta_hi: np.ndarray
@@ -184,36 +186,14 @@ class ReplicationRecords:
     tn_gamma_lo: np.ndarray
     tn_gamma_hi: np.ndarray
 
-    _ARRAYS = (
-        "beta_post",
-        "se_trad",
-        "beta_tilde",
-        "se_eff",
-        "accepted",
-        "tn_beta_est",
-        "tn_beta_lo",
-        "tn_beta_hi",
-        "tn_gamma_est",
-        "tn_gamma_lo",
-        "tn_gamma_hi",
-    )
-
-    @property
-    def n(self) -> int:
-        return self.beta_post.shape[0]
-
-    def subset(self, mask: np.ndarray) -> "ReplicationRecords":
-        kwargs = {name: getattr(self, name)[mask] for name in self._ARRAYS}
-        return ReplicationRecords(dgp=self.dgp, k=self.k, alpha_ci=self.alpha_ci, **kwargs)
-
     @staticmethod
     def concatenate(parts: list["ReplicationRecords"]) -> "ReplicationRecords":
         head = parts[0]
-        kwargs = {
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in ReplicationRecords._ARRAYS
-        }
-        return ReplicationRecords(dgp=head.dgp, k=head.k, alpha_ci=head.alpha_ci, **kwargs)
+        return ReplicationRecords(**{
+            f.name: np.concatenate([getattr(p, f.name) for p in parts])
+            if isinstance(getattr(head, f.name), np.ndarray) else getattr(head, f.name)
+            for f in fields(ReplicationRecords)
+        })
 
 
 # --- data generation ---------------------------------------------------------
@@ -247,52 +227,44 @@ def _records_from_draws(
     dgp: str,
     delta: np.ndarray,
     v: np.ndarray,
-    eta_gamma_vec: np.ndarray | None,
 ) -> ReplicationRecords:
     """Everything the tables need, computed elementwise across replications.
 
     Uses only elementwise operations and per-axis reductions so that results
     do not depend on chunk boundaries.
     """
-    n = delta.shape[0]
     beta = delta - delta[:, [1]]
     beta = np.delete(beta, 1, axis=1)  # coefficient order (post, -1, ..., -K)
     v0 = v[:, 1]
     v_coef = np.delete(v, 1, axis=1)
-    var_trad = v0 + v_coef[:, 0]
-    se_trad = np.sqrt(var_trad)
-
-    # at K = 0 every replication is accepted, the adjusted estimator is the
-    # traditional one and there is nothing to condition on
-    nan = np.full(n, math.nan)
-    tn = {name: nan.copy() for name in ReplicationRecords._ARRAYS if name.startswith("tn_")}
-    lam = v_coef[:, 1:]
-    sd_pre = np.sqrt(v0[:, None] + lam)
     # the pretest event A beta <= b; its +/-1 and 0 rows make A beta exact
     a = ns_rows(k)
-    b = np.tile(critical_value(config.alpha_pretest) * sd_pre, 2)
+    b = np.tile(critical_value(config.alpha_pretest) * np.sqrt(v0[:, None] + v_coef[:, 1:]), 2)
     accepted = np.all(beta @ a.T <= b, axis=1)
+
+    # the tables read the accepted replications only; at K = 0 that is every
+    # replication, and the adjusted estimator is the traditional one
+    beta, v0, v_coef, b = beta[accepted], v0[accepted], v_coef[accepted], b[accepted]
+    var_trad = v0 + v_coef[:, 0]
 
     # pre-period adjustment: the estimated covariance is always a rank-one
     # update of a diagonal, so the solve has a closed form
-    inv_lam = 1.0 / lam
+    inv_lam = 1.0 / v_coef[:, 1:]
     s = inv_lam.sum(axis=1)
     shrink = v0 / (1.0 + v0 * s)
     w = shrink[:, None] * inv_lam
     beta_tilde = beta[:, 0] - (w * beta[:, 1:]).sum(axis=1)
     var_eff = var_trad - v0 * w.sum(axis=1)
-    se_eff = np.sqrt(var_eff)
 
-    idx = np.flatnonzero(accepted)
-    if k >= 1 and idx.size:
+    mu = np.full((beta.shape[0], 2, 3), math.nan)  # K = 0: nothing to condition on
+    if k >= 1 and mu.size:
         # one window call per contrast keeps the (n, 2K) temporaries at one
         # contrast's size; Sigma eta for Sigma = v0 11' + diag(v_coef)
         windows = [
             polyhedral_window(
-                beta[idx], (v0[idx, None] * eta.sum() + v_coef[idx] * eta)[:, None], eta[None],
-                a, b[idx],
+                beta, (v0[:, None] * eta.sum() + v_coef * eta)[:, None], eta[None], a, b
             )
-            for eta in (np.eye(k + 1)[0], eta_gamma_vec)
+            for eta in (np.eye(k + 1)[0], eta_gamma(k, 1))
         ]
         obs, var, lo, hi = (np.concatenate(parts, axis=1) for parts in zip(*windows))
         alpha = config.alpha_ci
@@ -301,21 +273,18 @@ def _records_from_draws(
             mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, targets)
         except NoConvergenceError as exc:
             raise NoConvergenceError(f"{exc} ({dgp} DGP, K={k})") from None
-        for j, name in enumerate(("tn_beta", "tn_gamma")):
-            tn[f"{name}_est"][idx] = mu[:, j, 0]
-            tn[f"{name}_lo"][idx] = mu[:, j, 1]
-            tn[f"{name}_hi"][idx] = mu[:, j, 2]
 
     return ReplicationRecords(
         dgp=dgp,
         k=k,
         alpha_ci=config.alpha_ci,
-        beta_post=beta[:, 0],
-        se_trad=se_trad,
-        beta_tilde=beta_tilde,
-        se_eff=se_eff,
         accepted=accepted,
-        **tn,
+        beta_post=beta[:, 0],
+        se_trad=np.sqrt(var_trad),
+        beta_tilde=beta_tilde,
+        se_eff=np.sqrt(var_eff),
+        tn_beta_est=mu[:, 0, 0], tn_beta_lo=mu[:, 0, 1], tn_beta_hi=mu[:, 0, 2],
+        tn_gamma_est=mu[:, 1, 0], tn_gamma_lo=mu[:, 1, 1], tn_gamma_hi=mu[:, 1, 2],
     )
 
 
@@ -330,18 +299,16 @@ def _chunk_seed(config: SimConfig, slope: float, k: int, chunk_index: int):
 def _run_chunk(args) -> ReplicationRecords:
     config, k, dgp, slope, chunk_index, n = args
     rng = np.random.default_rng(_chunk_seed(config, slope, k, chunk_index))
-    eta_vec = eta_gamma(k, 1) if k >= 1 else None
     delta, v = _fast_cell_draws(config, k, slope, rng, n)
-    return _records_from_draws(config, k, dgp, delta, v, eta_vec)
+    return _records_from_draws(config, k, dgp, delta, v)
 
 
 def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
     """All replications for one (DGP, K) cell, reduced in chunk order."""
     slope = 0.0 if dgp == "null" else config.trend_slope
-    size = config.chunk_size
     args = [
-        (config, k, dgp, slope, i, min(size, config.reps - start))
-        for i, start in enumerate(range(0, config.reps, size))
+        (config, k, dgp, slope, i, min(CHUNK_REPS, config.reps - start))
+        for i, start in enumerate(range(0, config.reps, CHUNK_REPS))
     ]
     if config.workers <= 1 or len(args) == 1:
         parts = [_run_chunk(a) for a in args]
@@ -413,34 +380,34 @@ def summarize_row(records: ReplicationRecords, truth_beta: float) -> SimTableRow
     left uncomputed -- the conditional statistics when K = 0, everything but
     the counts when the cell is degenerate -- are NaN.
     """
-    if records.n == 0:
+    if records.accepted.size == 0:
         raise InvalidArgumentError("no replication records")
     k = records.k
-    acc = records.subset(records.accepted)
-    degenerate = k >= 1 and acc.n < MIN_ACCEPTED
+    n_accepted = int(np.count_nonzero(records.accepted))
+    degenerate = k >= 1 and n_accepted < MIN_ACCEPTED
     row = {
         "dgp": records.dgp,
         "k": k,
-        "n_accepted": acc.n,
-        "accept_prob": acc.n / records.n,
+        "n_accepted": n_accepted,
+        "accept_prob": n_accepted / records.accepted.size,
         "degenerate": degenerate,
     }
     z = critical_value(records.alpha_ci)
     if not degenerate:
         row.update(
-            _wald_stats("traditional", acc.beta_post, acc.se_trad, z, truth_beta),
-            median_traditional=_median(acc.beta_post),
-            median_width_traditional=_median(2.0 * z * acc.se_trad),
+            _wald_stats("traditional", records.beta_post, records.se_trad, z, truth_beta),
+            median_traditional=_median(records.beta_post),
+            median_width_traditional=_median(2.0 * z * records.se_trad),
         )
     if not degenerate and k >= 1:
         row.update(
-            _wald_stats("efficient", acc.beta_tilde, acc.se_eff, z, truth_beta),
-            median_tn_beta=_median(acc.tn_beta_est),
-            median_tn_gamma=_median(acc.tn_gamma_est),
-            tn_reject_beta_post=_ci_reject_rate(acc.tn_beta_lo, acc.tn_beta_hi, truth_beta),
-            tn_reject_zero_gamma=_ci_reject_rate(acc.tn_gamma_lo, acc.tn_gamma_hi, 0.0),
-            median_width_tn_beta=_median(_widths(acc.tn_beta_lo, acc.tn_beta_hi)),
-            median_width_tn_gamma=_median(_widths(acc.tn_gamma_lo, acc.tn_gamma_hi)),
+            _wald_stats("efficient", records.beta_tilde, records.se_eff, z, truth_beta),
+            median_tn_beta=_median(records.tn_beta_est),
+            median_tn_gamma=_median(records.tn_gamma_est),
+            tn_reject_beta_post=_ci_reject_rate(records.tn_beta_lo, records.tn_beta_hi, truth_beta),
+            tn_reject_zero_gamma=_ci_reject_rate(records.tn_gamma_lo, records.tn_gamma_hi, 0.0),
+            median_width_tn_beta=_median(_widths(records.tn_beta_lo, records.tn_beta_hi)),
+            median_width_tn_gamma=_median(_widths(records.tn_gamma_lo, records.tn_gamma_hi)),
         )
     return SimTableRow(**{f.name: row.get(f.name, math.nan) for f in fields(SimTableRow)})
 

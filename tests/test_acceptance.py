@@ -326,8 +326,7 @@ class TestCriterion5Properties:
             )
             for dgp in ("null", "trend"):
                 truth_beta = 0.0 if dgp == "null" else cfg.trend_slope
-                records = simulate_cell(cfg, 3, dgp)
-                acc = records.subset(records.accepted)
+                acc = simulate_cell(cfg, 3, dgp)  # records of accepted replications
                 cover_beta = np.mean(
                     (acc.tn_beta_lo <= truth_beta) & (truth_beta <= acc.tn_beta_hi)
                 )
@@ -342,8 +341,7 @@ class TestCriterion5Properties:
                 reps=DESK_REPS, seed=SEED + 2, alpha_ci=0.10,
                 use_estimated_sigma=False, workers=2,
             )
-            records = simulate_cell(cfg, 3, "trend")
-            acc = records.subset(records.accepted)
+            acc = simulate_cell(cfg, 3, "trend")  # records of accepted replications
             p = np.mean(acc.tn_beta_hi <= 0.065)
             assert p == pytest.approx(0.05, abs=0.01)
 

@@ -607,6 +607,23 @@ class TestTermination:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == statuses
 
+    def test_a_step_that_cannot_move_ends_the_solve(self, monkeypatch):
+        # by pass 12 the point stands on the lower search edge with f exactly
+        # 0 and a noisy slope above 0: nothing settles, no edge status fires
+        # and the outward step is clipped back to the edge, so every later
+        # pass would repeat that pass until the budget of 200 ran out
+        calls = []
+        cdf_excess = gaussian._cdf_excess
+
+        def counting_cdf_excess(*args):
+            calls.append(1)
+            return cdf_excess(*args)
+
+        monkeypatch.setattr(gaussian, "_cdf_excess", counting_cdf_excess)
+        mu, status = solve_tn_mean_bulk(9e-13, 1.0, 0.0, 1e-12, 0.9005681818199736)
+        assert int(status) == 2 and math.isnan(float(mu))
+        assert len(calls) <= 15
+
     def test_quantile_estimate_on_a_narrow_window_raises_within_its_budget(self):
         code = "\n".join([
             "import numpy as np",

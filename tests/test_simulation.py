@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine."""
 
+import dataclasses
 import functools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from condid import gaussian
+from condid import gaussian, simulation
 from condid.errors import NoConvergenceError
 from condid.estimators import (
     analyze,
@@ -88,8 +89,10 @@ class TestEngineMatchesScalarPipeline:
         k = 2
         rng = np.random.default_rng(88)
         delta, v = _fast_cell_draws(cfg, k, 0.065, rng, 250)
-        records = _records_from_draws(cfg, k, "trend", delta, v, eta_gamma(k, 1))
-        checked_accepted = 0
+        records = _records_from_draws(cfg, k, "trend", delta, v)
+        # records hold the accepted replications only: the j-th stored entry
+        # is the j-th accepted replication
+        j = 0
         for i in range(250):
             draws = CellDraws(
                 k=k, n_per_cell=cfg.n_per_cell,
@@ -99,27 +102,32 @@ class TestEngineMatchesScalarPipeline:
             bundle = draws.to_bundle()
             report = analyze(bundle, 0.05, 0.05, 1)
             assert report.pretest.passed == bool(records.accepted[i])
-            assert records.beta_post[i] == pytest.approx(
+            if not report.pretest.passed:
+                continue
+            assert records.beta_post[j] == pytest.approx(
                 report.traditional.estimate, abs=1e-12
             )
-            assert records.se_trad[i] == pytest.approx(report.traditional.se, rel=1e-12)
-            assert records.beta_tilde[i] == pytest.approx(
+            assert records.se_trad[j] == pytest.approx(report.traditional.se, rel=1e-12)
+            assert records.beta_tilde[j] == pytest.approx(
                 report.efficient.estimate, rel=1e-10, abs=1e-12
             )
-            assert records.se_eff[i] == pytest.approx(report.efficient.se, rel=1e-10)
-            if report.pretest.passed:
-                checked_accepted += 1
-                # both paths solve the same windows: they may differ only in
-                # rounding, within 1e-10 of the contrast's sd
-                for name, blk, eta in (
-                    ("tn_beta", report.median_unbiased_beta, np.eye(k + 1)[0]),
-                    ("tn_gamma", report.median_unbiased_gamma, eta_gamma(k, 1)),
-                ):
-                    sd = math.sqrt(eta @ bundle.sigma.entries @ eta)
-                    got = [getattr(records, f"{name}_{part}")[i] for part in ("est", "lo", "hi")]
-                    expected = [blk.estimate, blk.ci_lower, blk.ci_upper]
-                    assert got == pytest.approx(expected, abs=1e-10 * sd)
-        assert checked_accepted > 50
+            assert records.se_eff[j] == pytest.approx(report.efficient.se, rel=1e-10)
+            # both paths solve the same windows: they may differ only in
+            # rounding, within 1e-10 of the contrast's sd
+            for name, blk, eta in (
+                ("tn_beta", report.median_unbiased_beta, np.eye(k + 1)[0]),
+                ("tn_gamma", report.median_unbiased_gamma, eta_gamma(k, 1)),
+            ):
+                sd = math.sqrt(eta @ bundle.sigma.entries @ eta)
+                got = [getattr(records, f"{name}_{part}")[j] for part in ("est", "lo", "hi")]
+                expected = [blk.estimate, blk.ci_lower, blk.ci_upper]
+                assert got == pytest.approx(expected, abs=1e-10 * sd)
+            j += 1
+        # every stored number was checked, and there are plenty of them
+        for f in dataclasses.fields(records):
+            if f.name != "accepted" and isinstance(getattr(records, f.name), np.ndarray):
+                assert getattr(records, f.name).shape == (j,), f.name
+        assert j > 50
 
         # edge inputs: K = 1, alpha_ci near 0 and 1, and a pre coefficient
         # pinned to its pretest bound, which puts the observed contrast on a
@@ -163,27 +171,38 @@ class TestEngineMatchesScalarPipeline:
     def test_accepted_draws_lie_inside_their_window(self):
         cfg = SimConfig(reps=20_000, seed=3)
         rec = simulate_cell(cfg, 3, "trend")
-        acc = rec.accepted
-        # estimates exist exactly on the acceptance event
-        assert np.all(np.isnan(rec.tn_beta_est[~acc]))
-        assert not np.any(np.isnan(rec.tn_beta_est[acc]) & np.isnan(rec.tn_beta_lo[acc]))
+        # every array but the mask holds exactly the accepted replications,
+        # and every one of them has its estimates: no NaN reaches a record
+        n_accepted = np.count_nonzero(rec.accepted)
+        assert rec.accepted.shape == (cfg.reps,) and 0 < n_accepted < cfg.reps
+        for f in dataclasses.fields(rec):
+            values = getattr(rec, f.name)
+            if f.name != "accepted" and isinstance(values, np.ndarray):
+                assert values.shape == (n_accepted,), f.name
+                assert not np.any(np.isnan(values)), f.name
+
+
+def assert_records_identical(a, b):
+    for f in dataclasses.fields(ReplicationRecords):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f.name, strict=True)
+        else:
+            assert x == y, f.name
 
 
 class TestDeterminism:
-    def test_same_seed_bitwise_identical(self):
-        cfg = SimConfig(reps=5_000, seed=11, chunk_size=1_024)
-        a = simulate_cell(cfg, 2, "trend")
-        b = simulate_cell(cfg, 2, "trend")
-        for name in ReplicationRecords._ARRAYS:
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    # small chunks, so that a few thousand replications span many chunks
+    def test_same_seed_bitwise_identical(self, monkeypatch):
+        monkeypatch.setattr(simulation, "CHUNK_REPS", 1_024)
+        cfg = SimConfig(reps=5_000, seed=11)
+        assert_records_identical(simulate_cell(cfg, 2, "trend"), simulate_cell(cfg, 2, "trend"))
 
-    def test_worker_count_does_not_change_results(self):
-        base = SimConfig(reps=4_000, seed=11, chunk_size=512, workers=1)
-        multi = SimConfig(reps=4_000, seed=11, chunk_size=512, workers=3)
-        a = simulate_cell(base, 2, "trend")
-        b = simulate_cell(multi, 2, "trend")
-        for name in ReplicationRecords._ARRAYS:
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(simulation, "CHUNK_REPS", 512)
+        base = SimConfig(reps=4_000, seed=11, workers=1)
+        multi = SimConfig(reps=4_000, seed=11, workers=3)
+        assert_records_identical(simulate_cell(base, 2, "trend"), simulate_cell(multi, 2, "trend"))
 
     def test_different_seeds_differ(self):
         a = simulate_cell(SimConfig(reps=1_000, seed=1), 1, "null")
@@ -193,16 +212,19 @@ class TestDeterminism:
 
 class TestSummarizeRow:
     def _records(self, **overrides):
+        # n accepted replications, then ``rejected`` ones that only the mask
+        # records
         n = overrides.pop("n", 3)
+        rejected = overrides.pop("rejected", 0)
         base = dict(
             dgp="null",
             k=1,
             alpha_ci=0.05,
+            accepted=np.arange(n + rejected) < n,
             beta_post=np.zeros(n),
             se_trad=np.full(n, 0.1),
             beta_tilde=np.zeros(n),
             se_eff=np.full(n, 0.09),
-            accepted=np.ones(n, dtype=bool),
             tn_beta_est=np.zeros(n),
             tn_beta_lo=np.full(n, -0.2),
             tn_beta_hi=np.full(n, 0.2),
@@ -219,6 +241,15 @@ class TestSummarizeRow:
         assert math.isnan(row.actual_sd_traditional)
         assert row.n_accepted == 1
         assert row.degenerate  # 1 < MIN_ACCEPTED
+
+    def test_statistics_run_over_the_accepted_records(self):
+        rec = self._records(n=600, rejected=400, beta_post=np.full(600, 0.25))
+        row = summarize_row(rec, 0.0)
+        assert row.n_accepted == 600
+        assert row.accept_prob == 0.6
+        assert not row.degenerate
+        assert row.bias_traditional == 0.25
+        assert row.median_width_tn_beta == pytest.approx(0.4)
 
     def test_median_width_with_infinite_interval(self):
         rec = self._records(
@@ -335,9 +366,10 @@ class TestRunTable:
         assert all(b <= a + 0.01 for a, b in zip(probs, probs[1:]))
 
     def test_unconditional_se_calibration(self):
-        # defaults sigma=1, N=250: mean SE of the post coefficient ~ 0.1265
+        # defaults sigma=1, N=250: mean SE of the post coefficient ~ 0.1265;
+        # the K = 0 cell accepts every replication, so records cover them all
         cfg = SimConfig(reps=20_000, seed=12)
-        rec = simulate_cell(cfg, 1, "null")
+        rec = simulate_cell(cfg, 0, "null")
         assert rec.se_trad.mean() == pytest.approx(0.1265, abs=0.002)
 
 
