@@ -9,6 +9,8 @@ error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -24,8 +26,7 @@ from .errors import (
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
 from .pretest import critical_value
-from .simulation import SimConfig, SimTableRow, _format_value, rows_to_csv, rows_to_json, run_table
-from .simulation import json_number as _json_num
+from .simulation import SimConfig, SimTableRow, run_table
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -33,6 +34,40 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 REPORT_SCHEMA_VERSION = 1
+
+# (label, field, format) of each figure a summary line shows unless it is NaN
+SUMMARY_FIELDS = (("accept", "accept_prob", ".4f"), ("bias", "bias_traditional", "+.4f"),
+                  ("size", "size_traditional", ".4f"), ("tn_reject", "tn_reject_beta_post", ".4f"))
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _json_num(value):
+    """JSON has no infinity or NaN literals: infinities become "inf"/"-inf",
+    NaN becomes null; anything else passes through."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_text(rows) -> str:
+    """Rows of strings as CSV text, one line per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _block_payload(block) -> dict | None:
@@ -69,34 +104,36 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 
 
 def payload_to_csv(payload: dict) -> str:
-    import csv
-    import io
-
-    rows: list[tuple[str, str]] = []
+    """One ``key,value`` line per leaf; nested keys are dot-joined."""
+    rows = [("key", "value")]
     _flatten("", payload, rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    return _csv_text(rows)
+
+
+def rows_to_csv(rows: list[SimTableRow]) -> str:
+    """One row per line, header matching the field names, full-precision floats."""
+    names = [f.name for f in fields(SimTableRow)]
+    return _csv_text([names, *([_format_value(getattr(row, n)) for n in names] for row in rows)])
+
+
+def rows_to_json(rows: list[SimTableRow]) -> str:
+    """JSON array of row objects; infinities as "inf"/"-inf", NaN as null."""
+    return _json_text([_block_payload(row) for row in rows])
+
+
+def _given(args, names) -> dict:
+    """The given options among ``names``; SimConfig or analyze() defaults the rest."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def cmd_analyze(args) -> int:
-    for flag, alpha in (("--alpha-pretest", args.alpha_pretest), ("--alpha-ci", args.alpha_ci)):
-        critical_value(alpha, flag)
+    options = _given(args, ("alpha_pretest", "alpha_ci", "trend_order"))
+    for name in ("alpha_pretest", "alpha_ci"):
+        if name in options:
+            critical_value(options[name], "--" + name.replace("_", "-"))
     bundle = estimate_event_study(load_panel(args.input))
-    report = analyze(
-        bundle,
-        alpha_pretest=args.alpha_pretest,
-        alpha_ci=args.alpha_ci,
-        trend_order=args.trend_order,
-    )
-    payload = report_payload(report, bundle.sigma)
-    text = (
-        json.dumps(payload, indent=2) + "\n"
-        if args.format == "json"
-        else payload_to_csv(payload)
-    )
+    payload = report_payload(analyze(bundle, **options), bundle.sigma)
+    text = _json_text(payload) if args.format == "json" else payload_to_csv(payload)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     return EXIT_OK
@@ -109,35 +146,15 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
         if row.degenerate:
             parts.append(f"DEGENERATE (n_accepted={row.n_accepted})")
         else:
-            parts.append(f"accept={row.accept_prob:.4f} (mc se {se['accept_prob']:.4f})")
-            if not math.isnan(row.bias_traditional):
-                parts.append(
-                    f"bias={row.bias_traditional:+.4f} (mc se {se['bias_traditional']:.4f})"
-                )
-            if not math.isnan(row.size_traditional):
-                parts.append(
-                    f"size={row.size_traditional:.4f} (mc se {se['size_traditional']:.4f})"
-                )
-            if not math.isnan(row.tn_reject_beta_post):
-                parts.append(
-                    f"tn_reject={row.tn_reject_beta_post:.4f} "
-                    f"(mc se {se['tn_reject_beta_post']:.4f})"
-                )
+            for label, name, spec in SUMMARY_FIELDS:
+                value = getattr(row, name)
+                if not math.isnan(value):
+                    parts.append(f"{label}={value:{spec}} (mc se {se[name]:.4f})")
         print("  ".join(parts))
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(
-        k_max=args.k_max,
-        n_per_cell=args.n,
-        sigma_noise=args.sigma,
-        trend_slope=args.slope,
-        reps=args.reps,
-        seed=args.seed,
-        alpha_pretest=args.alpha_pretest,
-        alpha_ci=args.alpha_ci,
-        workers=args.workers,
-    )
+    config = SimConfig(**_given(args, [f.name for f in fields(SimConfig)]))
     rows = run_table(config, args.table, None if args.dgp == "default" else args.dgp)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -163,30 +180,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"condid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="analyze a panel CSV")
+    # flags for SimConfig fields and analyze() keywords state no default
+    quiet = argparse.SUPPRESS
+    p_an = sub.add_parser("analyze", help="analyze a panel CSV", argument_default=quiet)
     p_an.add_argument("--input", required=True, help="panel CSV (unit,period,treatment,outcome)")
     p_an.add_argument("--output", required=True, help="report path")
     p_an.add_argument("--format", choices=("json", "csv"), default="json")
-    p_an.add_argument("--alpha-pretest", type=float, default=0.05, dest="alpha_pretest")
-    p_an.add_argument("--alpha-ci", type=float, default=0.05, dest="alpha_ci")
-    p_an.add_argument("--trend-order", type=int, default=1, dest="trend_order")
+    p_an.add_argument("--alpha-pretest", type=float)
+    p_an.add_argument("--alpha-ci", type=float)
+    p_an.add_argument("--trend-order", type=int)
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser("simulate", help="reproduce one of the published tables")
+    p_sim = sub.add_parser(
+        "simulate", help="reproduce one of the published tables", argument_default=quiet
+    )
     p_sim.add_argument("--table", type=int, required=True, choices=(1, 2, 3, 4))
     p_sim.add_argument("--output", required=True)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--reps", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--dgp", choices=("default", "null", "trend"), default="default",
                        help="restrict output rows to one DGP")
-    p_sim.add_argument("--k-max", type=int, default=8, dest="k_max")
-    p_sim.add_argument("--n", type=int, default=250, help="observations per (group, period) cell")
-    p_sim.add_argument("--sigma", type=float, default=1.0, help="outcome noise sd")
-    p_sim.add_argument("--slope", type=float, default=0.065, help="trend DGP slope")
-    p_sim.add_argument("--alpha-pretest", type=float, default=0.05, dest="alpha_pretest")
-    p_sim.add_argument("--alpha-ci", type=float, default=0.05, dest="alpha_ci")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--k-max", type=int)
+    p_sim.add_argument("--n", type=int, dest="n_per_cell", metavar="N",
+                       help="observations per (group, period) cell")
+    p_sim.add_argument("--sigma", type=float, dest="sigma_noise", metavar="SIGMA",
+                       help="outcome noise sd")
+    p_sim.add_argument("--slope", type=float, dest="trend_slope", metavar="SLOPE",
+                       help="trend DGP slope")
+    p_sim.add_argument("--alpha-pretest", type=float)
+    p_sim.add_argument("--alpha-ci", type=float)
+    p_sim.add_argument("--workers", type=int)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eta = sub.add_parser("eta", help="print a trend-adjustment contrast vector")

@@ -44,8 +44,6 @@ __all__ = [
     "simulate_cell",
     "run_table",
     "summarize_row",
-    "rows_to_csv",
-    "rows_to_json",
     "MIN_ACCEPTED",
 ]
 
@@ -303,9 +301,19 @@ def _run_chunk(args) -> ReplicationRecords:
     return _records_from_draws(config, k, dgp, delta, v)
 
 
+def _slope(config: SimConfig, dgp: str) -> float:
+    """The DGP's trend slope, which is also its true post coefficient."""
+    slopes = {"null": 0.0, "trend": config.trend_slope}
+    if dgp not in slopes:
+        raise InvalidArgumentError(f"dgp must be 'null' or 'trend', got {dgp!r}")
+    return slopes[dgp]
+
+
 def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
     """All replications for one (DGP, K) cell, reduced in chunk order."""
-    slope = 0.0 if dgp == "null" else config.trend_slope
+    slope = _slope(config, dgp)
+    if k < 0:
+        raise InvalidArgumentError(f"k must be >= 0, got {k}")
     args = [
         (config, k, dgp, slope, i, min(CHUNK_REPS, config.reps - start))
         for i, start in enumerate(range(0, config.reps, CHUNK_REPS))
@@ -321,29 +329,19 @@ def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
 # --- aggregation --------------------------------------------------------------
 
 
-def _mean(x: np.ndarray) -> float:
-    return float(np.mean(x)) if x.size else math.nan
-
-
 def _sd(x: np.ndarray) -> float:
-    if x.size < 2:
-        return math.nan
-    return float(np.std(x, ddof=1))
+    return float(np.std(x, ddof=1)) if x.size >= 2 else math.nan
 
 
 def _median(x: np.ndarray) -> float:
-    return float(np.median(x)) if x.size else math.nan
+    return float(np.median(x))
 
 
 def _reject_rate(estimate, se, z, value) -> float:
-    if estimate.size == 0:
-        return math.nan
     return float(np.mean(np.abs(estimate - value) > z * se))
 
 
 def _ci_reject_rate(lo, hi, value) -> float:
-    if lo.size == 0:
-        return math.nan
     return float(np.mean((lo > value) | (hi < value)))
 
 
@@ -360,8 +358,8 @@ def _wald_stats(name: str, estimate, se, z: float, truth_beta: float) -> dict:
     ``reject_beta_post_*`` are one rate under two labels."""
     size = _reject_rate(estimate, se, z, truth_beta)
     return {
-        f"bias_{name}": _mean(estimate) - truth_beta,
-        f"mean_se_{name}": _mean(se),
+        f"bias_{name}": float(np.mean(estimate)) - truth_beta,
+        f"mean_se_{name}": float(np.mean(se)),
         f"actual_sd_{name}": _sd(estimate),
         f"size_{name}": size,
         f"reject_beta_post_{name}": size,
@@ -378,13 +376,14 @@ def summarize_row(records: ReplicationRecords, truth_beta: float) -> SimTableRow
     widths participate in medians as infinities, and a single accepted
     replication yields NaN standard deviations rather than a crash.  Fields
     left uncomputed -- the conditional statistics when K = 0, everything but
-    the counts when the cell is degenerate -- are NaN.
+    the counts when the cell is degenerate (fewer than :data:`MIN_ACCEPTED`
+    accepted replications, or none at K = 0) -- are NaN.
     """
     if records.accepted.size == 0:
         raise InvalidArgumentError("no replication records")
     k = records.k
     n_accepted = int(np.count_nonzero(records.accepted))
-    degenerate = k >= 1 and n_accepted < MIN_ACCEPTED
+    degenerate = n_accepted < (MIN_ACCEPTED if k >= 1 else 1)
     row = {
         "dgp": records.dgp,
         "k": k,
@@ -437,46 +436,7 @@ def run_table(config: SimConfig, table_id: int, dgp: str | None = None) -> list[
             raise InvalidArgumentError(f"table {table_id} has only {'/'.join(dgps)} rows")
         dgps = (dgp,)
     return [
-        summarize_row(simulate_cell(config, k, dgp), 0.0 if dgp == "null" else config.trend_slope)
+        summarize_row(simulate_cell(config, k, dgp), _slope(config, dgp))
         for dgp in dgps
         for k in range(k_lo, config.k_max + 1)
     ]
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def rows_to_csv(rows: list[SimTableRow]) -> str:
-    """One row per line, header matching the field names, full-precision floats."""
-    names = [f.name for f in fields(SimTableRow)]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, name)) for name in names))
-    return "\n".join(lines) + "\n"
-
-
-def json_number(value):
-    """JSON has no infinity or NaN literals: infinities become "inf"/"-inf",
-    NaN becomes null; anything else passes through."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-    return value
-
-
-def rows_to_json(rows: list[SimTableRow]) -> str:
-    """JSON array of row objects; infinities as "inf"/"-inf", NaN as null."""
-    import json
-
-    names = [f.name for f in fields(SimTableRow)]
-    payload = [
-        {name: json_number(getattr(row, name)) for name in names} for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condid import gaussian, simulation
+from condid import cli, gaussian, simulation
 from condid.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -138,6 +138,15 @@ class TestAnalyze:
         assert rc == EXIT_PARSE
         assert "line 6: not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_left_out_options_take_analyze_defaults(self, fmt, tmp_path):
+        base = ["analyze", "--input", str(EXAMPLE_PANEL), "--format", fmt, "--output"]
+        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+        assert main(base + [str(implicit)]) == EXIT_OK
+        assert main(base + [str(explicit), "--alpha-pretest", "0.05", "--alpha-ci", "0.05",
+                            "--trend-order", "1"]) == EXIT_OK
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_csv_format_output(self, tmp_path):
         out = tmp_path / "report.csv"
         rc = main(["analyze", "--input", str(EXAMPLE_PANEL), "--format", "csv",
@@ -254,6 +263,17 @@ class TestSimulate:
         assert rc == EXIT_NUMERICAL
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_left_out_options_take_simconfig_defaults(self, tmp_path, monkeypatch):
+        configs = []
+
+        def capture(config, table_id, dgp):
+            configs.append(config)
+            return []
+
+        monkeypatch.setattr(cli, "run_table", capture)
+        assert main(["simulate", "--table", "1", "--output", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert configs == [SimConfig()]
 
     def test_dgp_filter(self, tmp_path):
         out = tmp_path / "rows.json"

@@ -27,7 +27,8 @@ def test_python_blocks_run_from_repo_root(monkeypatch):
 
 def test_removed_names_are_gone():
     names = removed_names()
-    assert {"gaussian.solve_tn_mean", "errors.NoBracketError"} <= set(names)
+    assert {"gaussian.solve_tn_mean", "errors.NoBracketError", "simulation.rows_to_csv",
+            "simulation.rows_to_json", "simulation.json_number"} <= set(names)
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)

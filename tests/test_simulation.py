@@ -2,14 +2,17 @@
 
 import dataclasses
 import functools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from condid import gaussian, simulation
-from condid.errors import NoConvergenceError
+from condid.cli import rows_to_csv, rows_to_json
+from condid.errors import InvalidArgumentError, NoConvergenceError
 from condid.estimators import (
     analyze,
     condition_contrast,
@@ -22,10 +25,9 @@ from condid.pretest import build_ns_polyhedron, critical_value
 from condid.simulation import (
     ReplicationRecords,
     SimConfig,
+    SimTableRow,
     _fast_cell_draws,
     _records_from_draws,
-    rows_to_csv,
-    rows_to_json,
     run_table,
     simulate_cell,
     summarize_row,
@@ -295,6 +297,16 @@ class TestSummarizeRow:
         assert math.isnan(row.median_tn_beta)
         assert not row.degenerate
 
+    def test_k0_row_with_nothing_accepted_is_degenerate(self):
+        rec = self._records(k=0, n=0, rejected=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = summarize_row(rec, 0.0)
+        assert row.degenerate
+        assert (row.n_accepted, row.accept_prob) == (0, 0.0)
+        stats = dataclasses.astuple(row)[5:]  # everything after the counts
+        assert len(stats) == 20 and all(math.isnan(x) for x in stats)
+
 
 class TestRunTable:
     def test_table1_structure_and_probability_ranges(self):
@@ -343,6 +355,13 @@ class TestRunTable:
         with pytest.raises(ValueError):
             run_table(SimConfig(reps=10, seed=0), 5)
 
+    def test_simulate_cell_rejects_unknown_dgp_and_negative_k(self):
+        cfg = SimConfig(reps=1_000)
+        with pytest.raises(InvalidArgumentError, match="dgp must be 'null' or 'trend', got 'nul'"):
+            simulate_cell(cfg, 1, "nul")
+        with pytest.raises(InvalidArgumentError, match="k must be >= 0, got -1"):
+            simulate_cell(cfg, -1, "null")
+
     def test_dgp_outside_table_rejected(self):
         with pytest.raises(ValueError, match="table 1 has only null rows"):
             run_table(SimConfig(reps=10, seed=0), 1, "trend")
@@ -377,7 +396,6 @@ class TestSerialization:
     def test_csv_and_json_round_trip_values(self):
         import csv as _csv
         import io
-        import json
 
         cfg = SimConfig(reps=800, seed=4, k_max=1)
         rows = run_table(cfg, 2)
@@ -388,6 +406,39 @@ class TestSerialization:
         payload = json.loads(rows_to_json(rows))
         assert payload[0]["k"] == 0
         assert payload[0]["bias_efficient"] is None  # NaN serializes as null
+
+    def test_writers_keep_special_values(self):
+        # NaN, +-inf, -0.0 and both booleans, against the text the writers
+        # have always produced
+        fields = dict.fromkeys((f.name for f in dataclasses.fields(SimTableRow)), math.nan)
+        fields.update(dgp="trend", k=2, n_accepted=3, accept_prob=0.1, degenerate=True,
+                      bias_traditional=-0.0, mean_se_traditional=1e-05,
+                      median_width_tn_beta=INF, median_width_tn_gamma=-INF)
+        first = SimTableRow(**fields)
+        rows = [first, dataclasses.replace(first, k=0, n_accepted=7, accept_prob=1.0,
+                                           degenerate=False, bias_traditional=0.12345678901234568)]
+        assert rows_to_csv(rows) == (
+            "dgp,k,n_accepted,accept_prob,degenerate,bias_traditional,mean_se_traditional,"
+            "actual_sd_traditional,size_traditional,reject_beta_post_traditional,"
+            "reject_zero_traditional,bias_efficient,mean_se_efficient,actual_sd_efficient,"
+            "size_efficient,reject_beta_post_efficient,reject_zero_efficient,"
+            "median_traditional,median_tn_beta,median_tn_gamma,tn_reject_beta_post,"
+            "tn_reject_zero_gamma,median_width_traditional,median_width_tn_beta,"
+            "median_width_tn_gamma\n"
+            "trend,2,3,0.1,true,-0.0,1e-05,"
+            "nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,inf,-inf\n"
+            "trend,0,7,1.0,false,0.12345678901234568,1e-05,"
+            "nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,inf,-inf\n"
+        )
+        text = rows_to_json(rows)
+        assert text.startswith('[\n  {\n    "dgp": "trend",\n    "k": 2,\n') and text.endswith("]\n")
+        payload = json.loads(text)
+        assert [p["degenerate"] for p in payload] == [True, False]
+        assert math.copysign(1.0, payload[0]["bias_traditional"]) == -1.0
+        assert payload[0]["actual_sd_traditional"] is None
+        assert (payload[0]["median_width_tn_beta"], payload[0]["median_width_tn_gamma"]) == (
+            "inf", "-inf"
+        )
 
     def test_mc_standard_errors(self):
         cfg = SimConfig(reps=2_000, seed=6, k_max=1)
