@@ -122,7 +122,7 @@ def rows_to_json(rows: list[SimTableRow]) -> str:
 
 
 def _given(args, names) -> dict:
-    """The given options among ``names``; SimConfig or analyze() defaults the rest."""
+    """The given options among ``names``; the library defaults the rest."""
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
@@ -155,7 +155,7 @@ def _print_simulation_summary(rows: list[SimTableRow]) -> None:
 
 def cmd_simulate(args) -> int:
     config = SimConfig(**_given(args, [f.name for f in fields(SimConfig)]))
-    rows = run_table(config, args.table, None if args.dgp == "default" else args.dgp)
+    rows = run_table(config, args.table, **_given(args, ("dgp",)))
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    vec = eta_gamma(args.k, args.p, args.m)
+    vec = eta_gamma(args.k, args.p, **_given(args, ("m",)))
     print(" ".join(repr(float(x)) for x in vec))
     return EXIT_OK
 
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"condid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags for SimConfig fields and analyze() keywords state no default
+    # flags for SimConfig fields and library keywords state no default
     quiet = argparse.SUPPRESS
     p_an = sub.add_parser("analyze", help="analyze a panel CSV", argument_default=quiet)
     p_an.add_argument("--input", required=True, help="panel CSV (unit,period,treatment,outcome)")
@@ -199,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--dgp", choices=("default", "null", "trend"), default="default",
-                       help="restrict output rows to one DGP")
+    p_sim.add_argument("--dgp", choices=("null", "trend"), help="restrict output rows to one DGP")
     p_sim.add_argument("--k-max", type=int)
     p_sim.add_argument("--n", type=int, dest="n_per_cell", metavar="N",
                        help="observations per (group, period) cell")
@@ -213,10 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_eta = sub.add_parser("eta", help="print a trend-adjustment contrast vector")
+    p_eta = sub.add_parser(
+        "eta", help="print a trend-adjustment contrast vector", argument_default=quiet
+    )
     p_eta.add_argument("--k", type=int, required=True)
     p_eta.add_argument("--p", type=int, required=True)
-    p_eta.add_argument("--m", type=int, default=1)
+    p_eta.add_argument("--m", type=int)
     p_eta.set_defaults(func=cmd_eta)
     return parser
 

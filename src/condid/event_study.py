@@ -236,8 +236,6 @@ def load_panel(path) -> PanelData:
     if columns is None:
         _raise_first_bad_line(path)
     unit, period, treatment, outcome = columns
-    if unit.size == 0:
-        raise InsufficientDataError("panel contains no observations")
     return PanelData(unit=unit, period=period, treatment=treatment, outcome=outcome)
 
 

@@ -15,7 +15,7 @@ from .gaussian import CovarianceMatrix
 __all__ = [
     "PolyhedralConstraint",
     "build_ns_polyhedron",
-    "ns_rows",
+    "ns_event",
     "passes_pretest",
     "critical_value",
 ]
@@ -63,26 +63,26 @@ def critical_value(alpha: float, name: str = "alpha") -> float:
 
 
 def build_ns_polyhedron(sigma: CovarianceMatrix, alpha: float = 0.05) -> PolyhedralConstraint:
-    """The no-significant-pre-coefficient event as a polyhedron.
+    """The no-significant-pre-coefficient event of one covariance as a
+    polyhedron: :func:`ns_event` at the pre coefficients' variances."""
+    return PolyhedralConstraint(*ns_event(np.diag(sigma.entries)[1:], alpha))
 
-    2K rows: for each pre coefficient j, ``+beta_pre_j <= c * sd_j`` followed
-    by the block of ``-beta_pre_j <= c * sd_j``, where ``sd_j`` is the
-    coefficient's own standard error and ``c`` the two-sided critical value.
-    The post coordinate gets zero weight in every row.
+
+def ns_event(pre_var: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The no-significant-pre-coefficient event ``a beta <= b``.
+
+    ``pre_var`` holds the K pre coefficients' variances, shape (..., K).
+    ``a`` is 2K x (K+1): for each pre coefficient j, a row ``+e_j`` (the
+    event ``+beta_pre_j <= c * sd_j``), then the block of rows ``-e_j``; the
+    post coordinate gets zero weight.  ``b`` has shape (..., 2K), each
+    variance's bound ``c * sd_j`` once per sign, with ``c`` the two-sided
+    critical value.
     """
-    c = critical_value(alpha)
-    pre_sd = np.sqrt(np.diag(sigma.entries)[1:])
-    b = np.concatenate([c * pre_sd, c * pre_sd])
-    return PolyhedralConstraint(a_matrix=ns_rows(sigma.k), b_vector=b)
-
-
-def ns_rows(k: int) -> np.ndarray:
-    """The 2K x (K+1) matrix of :func:`build_ns_polyhedron`: rows ``+e_j``
-    for the pre coefficients -1..-K, then rows ``-e_j``."""
+    k = np.shape(pre_var)[-1]
     a = np.zeros((2 * k, k + 1))
     a[:k, 1:] = np.eye(k)
     a[k:, 1:] = -np.eye(k)
-    return a
+    return a, np.tile(critical_value(alpha) * np.sqrt(pre_var), 2)
 
 
 def passes_pretest(bundle: EstimateBundle, alpha: float = 0.05) -> bool:

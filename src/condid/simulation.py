@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NoConvergenceError
 from .estimators import eta_gamma, polyhedral_window
 from .gaussian import solve_tn_quantiles
-from .pretest import critical_value, ns_rows
+from .pretest import critical_value, ns_event
 
 __all__ = [
     "SimConfig",
@@ -236,8 +236,7 @@ def _records_from_draws(
     v0 = v[:, 1]
     v_coef = np.delete(v, 1, axis=1)
     # the pretest event A beta <= b; its +/-1 and 0 rows make A beta exact
-    a = ns_rows(k)
-    b = np.tile(critical_value(config.alpha_pretest) * np.sqrt(v0[:, None] + v_coef[:, 1:]), 2)
+    a, b = ns_event(v0[:, None] + v_coef[:, 1:], config.alpha_pretest)
     accepted = np.all(beta @ a.T <= b, axis=1)
 
     # the tables read the accepted replications only; at K = 0 that is every

@@ -8,10 +8,10 @@ package reads.
   estimator reduces to the sufficient statistics the simulator draws
   directly; :class:`CellDraws` turns one replication of those draws into an
   :class:`~condid.event_study.EstimateBundle`.
-* :class:`EquicorrelatedSpec` and its closed-form inverse build the
+* :class:`EquicorrelatedSpec` and :func:`equicorrelated_matrix` build the
   covariance structure of repeated cross-sections.
-* :func:`mvn_sample` and :func:`conditional_moment_oracle` give
-  rejection-sampled conditional moments.
+* :func:`conditional_moment_oracle` gives rejection-sampled conditional
+  moments.
 * :func:`write_panel` writes a panel back to CSV.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from condid.errors import CholeskyError, NumericalError, SingularMatrixError
+from condid.errors import NumericalError
 from condid.event_study import PANEL_HEADER, EstimateBundle, PanelData
 from condid.gaussian import CovarianceMatrix
 from condid.pretest import PolyhedralConstraint
@@ -93,11 +93,6 @@ class EquicorrelatedSpec:
         if not (self.diag > 0):
             raise ValueError("diagonal (variance) must be positive")
 
-    def has_positive_equicorrelation(self) -> bool:
-        """True when the off-diagonal is strictly positive and strictly below
-        the diagonal -- the structure produced by repeated cross-sections."""
-        return self.offdiag > 0 and self.diag > self.offdiag
-
 
 def equicorrelated_matrix(spec: EquicorrelatedSpec) -> CovarianceMatrix:
     """Materialize the spec as a dense :class:`CovarianceMatrix`."""
@@ -105,63 +100,6 @@ def equicorrelated_matrix(spec: EquicorrelatedSpec) -> CovarianceMatrix:
     m = np.full((n, n), spec.offdiag)
     np.fill_diagonal(m, spec.diag)
     return CovarianceMatrix(m)
-
-
-def equicorrelated_inverse(spec: EquicorrelatedSpec) -> CovarianceMatrix:
-    """Closed-form inverse of an equicorrelated matrix.
-
-    For S = (d - r) I + r 11' the rank-one update formula gives
-
-        S^-1 = (d - r)^-1 I - [r (d - r)^-2 / (1 + n r (d - r)^-1)] 11'.
-
-    Raises
-    ------
-    SingularMatrixError
-        When ``d <= r`` or ``1 + n r / (d - r) <= 0`` (the matrix is not
-        positive definite and the closed form degenerates).
-    """
-    n, d, r = spec.dim, spec.diag, spec.offdiag
-    if n == 1:
-        # scalar case: the off-diagonal is irrelevant
-        return CovarianceMatrix([[1.0 / d]])
-    base = d - r
-    if base <= 0:
-        raise SingularMatrixError(
-            f"off-diagonal {r} must be strictly below diagonal {d} for inversion"
-        )
-    denom = 1.0 + n * r / base
-    if denom <= 0:
-        raise SingularMatrixError(
-            f"equicorrelated matrix with dim={n}, diag={d}, offdiag={r} is singular"
-        )
-    coeff = r / (base * base) / denom
-    inv = np.full((n, n), -coeff)
-    np.fill_diagonal(inv, 1.0 / base - coeff)
-    return CovarianceMatrix(inv)
-
-
-def mvn_sample(mean, cov, rng: np.random.Generator) -> np.ndarray:
-    """One multivariate normal draw via the Cholesky factor.
-
-    ``cov`` may be a :class:`CovarianceMatrix` or a raw symmetric array;
-    non-positive-definite input raises :class:`CholeskyError`.  Deterministic
-    for a fixed generator state.
-    """
-    mean = np.asarray(mean, dtype=float)
-    if isinstance(cov, CovarianceMatrix):
-        if cov.dim != mean.shape[0]:
-            raise ValueError("mean and covariance dimensions disagree")
-        chol = np.linalg.cholesky(cov.entries)
-    else:
-        arr = np.asarray(cov, dtype=float)
-        if arr.shape != (mean.shape[0], mean.shape[0]):
-            raise ValueError("mean and covariance dimensions disagree")
-        try:
-            chol = np.linalg.cholesky(arr)
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyError("covariance is not positive definite") from exc
-    z = rng.standard_normal(mean.shape[0])
-    return mean + chol @ z
 
 
 class DegenerateAcceptanceError(NumericalError):

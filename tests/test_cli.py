@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import functools
 import json
 import math
 import subprocess
@@ -120,10 +119,7 @@ class TestAnalyze:
     def test_unconverged_solve_exit_code(self, tmp_path, capsys, monkeypatch):
         # one iteration cannot converge: the bundled panel passes its
         # pretest, so analyze runs the conditional solve and must say so
-        monkeypatch.setattr(
-            gaussian, "solve_tn_mean_bulk",
-            functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
-        )
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 1)
         out = tmp_path / "r.json"
         rc = main(["analyze", "--input", str(EXAMPLE_PANEL), "--output", str(out)])
         assert rc == EXIT_NUMERICAL
@@ -209,6 +205,12 @@ class TestEta:
         rc = main(["eta", "--k", "2", "--p", "3"])
         assert rc == EXIT_VALIDATION
 
+    def test_left_out_m_is_the_first_post_period(self, capsys):
+        assert main(["eta", "--k", "4", "--p", "1"]) == EXIT_OK
+        left_out = capsys.readouterr().out
+        assert main(["eta", "--k", "4", "--p", "1", "--m", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == left_out
+
     def test_rank_deficient_basis_is_numerical_error(self, capsys):
         assert main(["eta", "--k", "11", "--p", "11"]) == EXIT_OK
         assert main(["eta", "--k", "12", "--p", "12"]) == EXIT_NUMERICAL
@@ -253,10 +255,7 @@ class TestSimulate:
     def test_unconverged_solve_exit_code(self, tmp_path, capsys, monkeypatch):
         # one iteration cannot converge: the table must not be written with
         # the unconverged solves as NaN medians and zero rejection rates
-        monkeypatch.setattr(
-            gaussian, "solve_tn_mean_bulk",
-            functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
-        )
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 1)
         out = tmp_path / "t.csv"
         rc = main(["simulate", "--table", "4", "--reps", "2000", "--k-max", "2",
                    "--output", str(out)])
@@ -267,13 +266,22 @@ class TestSimulate:
     def test_left_out_options_take_simconfig_defaults(self, tmp_path, monkeypatch):
         configs = []
 
-        def capture(config, table_id, dgp):
+        def capture(config, table_id, dgp=None):
             configs.append(config)
             return []
 
         monkeypatch.setattr(cli, "run_table", capture)
         assert main(["simulate", "--table", "1", "--output", str(tmp_path / "t.csv")]) == EXIT_OK
         assert configs == [SimConfig()]
+
+    def test_dgp_default_is_not_a_choice(self, tmp_path, capsys):
+        # leaving --dgp out runs every DGP of the table
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--table", "3", "--dgp", "default",
+                  "--output", str(tmp_path / "t.csv")])
+        assert exc.value.code == EXIT_PARSE
+        assert "invalid choice: 'default'" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_dgp_filter(self, tmp_path):
         out = tmp_path / "rows.json"

@@ -1,6 +1,5 @@
 """Tests for the Gaussian numerics core."""
 
-import functools
 import math
 import subprocess
 import sys
@@ -30,12 +29,6 @@ from condid.gaussian import (
     tn_cdf,
 )
 
-from _oracles import (
-    EquicorrelatedSpec,
-    equicorrelated_inverse,
-    equicorrelated_matrix,
-    mvn_sample,
-)
 
 INF = math.inf
 NAN = math.nan
@@ -94,63 +87,6 @@ class TestCovarianceMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             CovarianceMatrix(np.ones((2, 3)))
-
-
-# --- equicorrelated inverse ----------------------------------------------------
-
-
-class TestEquicorrelatedInverse:
-    def test_scalar_case_ignores_offdiag(self):
-        inv = equicorrelated_inverse(EquicorrelatedSpec(dim=1, diag=2.0, offdiag=99.0))
-        np.testing.assert_allclose(inv.entries, [[0.5]])
-
-    def test_dim2_closed_form(self):
-        # direct 2x2 inversion of [[2,1],[1,2]]
-        inv = equicorrelated_inverse(EquicorrelatedSpec(dim=2, diag=2.0, offdiag=1.0))
-        np.testing.assert_allclose(
-            inv.entries, [[2.0 / 3.0, -1.0 / 3.0], [-1.0 / 3.0, 2.0 / 3.0]], atol=1e-14
-        )
-
-    def test_dim3_row_sums_are_constant(self):
-        # ones-vector is an eigenvector: row sums of the inverse are all 0.25
-        spec = EquicorrelatedSpec(dim=3, diag=2.0, offdiag=1.0)
-        inv = equicorrelated_inverse(spec)
-        brute = np.linalg.inv(equicorrelated_matrix(spec).entries)
-        np.testing.assert_allclose(inv.entries, brute, atol=1e-12)
-        row_sums = inv.entries.sum(axis=1)
-        np.testing.assert_allclose(row_sums, 0.25, atol=1e-12)
-
-    def test_rejects_offdiag_at_or_above_diag(self):
-        with pytest.raises(SingularMatrixError):
-            equicorrelated_inverse(EquicorrelatedSpec(dim=3, diag=1.0, offdiag=1.0))
-        with pytest.raises(SingularMatrixError):
-            equicorrelated_inverse(EquicorrelatedSpec(dim=3, diag=1.0, offdiag=2.0))
-
-    def test_rejects_singular_negative_offdiag(self):
-        # diag + (n-1) offdiag = 0 makes the ones direction null
-        with pytest.raises(SingularMatrixError):
-            equicorrelated_inverse(EquicorrelatedSpec(dim=3, diag=1.0, offdiag=-0.5))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        dim=st.integers(min_value=1, max_value=12),
-        diag=st.floats(min_value=0.5, max_value=5.0),
-        u=st.floats(min_value=-0.85, max_value=0.85),
-    )
-    def test_inverse_times_matrix_is_identity(self, dim, diag, u):
-        lo = -0.9 / max(dim - 1, 1)
-        offdiag = diag * max(u, lo)
-        spec = EquicorrelatedSpec(dim=dim, diag=diag, offdiag=offdiag)
-        inv = equicorrelated_inverse(spec)
-        sigma = equicorrelated_matrix(spec)
-        np.testing.assert_allclose(
-            inv.entries @ sigma.entries, np.eye(dim), atol=1e-10
-        )
-
-    def test_positive_equicorrelation_predicate(self):
-        assert EquicorrelatedSpec(3, 2.0, 1.0).has_positive_equicorrelation()
-        assert not EquicorrelatedSpec(3, 2.0, -0.1).has_positive_equicorrelation()
-        assert not EquicorrelatedSpec(3, 2.0, 2.5).has_positive_equicorrelation()
 
 
 # --- truncated normal CDF -------------------------------------------------------
@@ -426,17 +362,18 @@ class TestSolveTnMean:
         assert seen == {-1, 0, 1}
 
     @pytest.mark.parametrize("max_radius", [40.0, 5.0])
-    def test_warm_start_statuses_follow_the_search_edge(self, max_radius):
+    def test_warm_start_statuses_follow_the_search_edge(self, max_radius, monkeypatch):
         # the bracket opens at -ndtri(target), which lies beyond +-5 for the
         # extreme targets; statuses must still come from the CDF at the
         # search edge, and converged roots must meet their targets
+        monkeypatch.setattr(gaussian, "_MAX_RADIUS", max_radius)
         windows = self.WINDOWS + [
             (0.0, 1.0, 0.0, INF), (0.0, 1.0, -INF, 0.0), (2.0, 0.5, 2.0, 2.0 + 1e-9)
         ]
         obs, sd, lower, upper = (np.array(col) for col in zip(*windows))
         seen = set()
         for target in (1e-300, 1e-16, 0.025, 0.5, 0.975, 1.0 - 1e-16):
-            mu, status = solve_tn_mean_bulk(obs, sd, lower, upper, target, max_radius=max_radius)
+            mu, status = solve_tn_mean_bulk(obs, sd, lower, upper, target)
             seen.update(status.tolist())
             ok = status == 0
             cdf = truncnorm_cdf(obs[ok], mu[ok], sd[ok], lower[ok], upper[ok])
@@ -494,11 +431,9 @@ class TestSolveTnMean:
         assert status.tolist() == [2, 0] and math.isnan(mu[0])
 
     def test_exhausted_budget_is_reported(self, monkeypatch):
-        mu, status = solve_tn_mean_bulk(0.5, 1.0, 0.0, 2.0, 0.3, max_iter=1)
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 1)
+        mu, status = solve_tn_mean_bulk(0.5, 1.0, 0.0, 2.0, 0.3)
         assert int(status) == 2 and math.isnan(float(mu))
-        monkeypatch.setattr(
-            gaussian, "solve_tn_mean_bulk", functools.partial(solve_tn_mean_bulk, max_iter=1)
-        )
         with pytest.raises(NoConvergenceError):
             quantile_unbiased_estimate(scalar_law(0.5, 1.0, 0.0, 2.0), 0.3)
         # every pass counts, the outward steps towards the search edge too:
@@ -511,9 +446,11 @@ class TestSolveTnMean:
         # from the warm start 0.52, steps of 0.5, 1, ..., 32 reach the edge
         # -/+40 on the eighth pass, which finds the root beyond it
         edge = np.array([0.0, 2.0])
-        mu, status = solve_tn_mean_bulk(edge, 1.0, 0.0, 2.0, 0.3, max_iter=7)
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 7)
+        mu, status = solve_tn_mean_bulk(edge, 1.0, 0.0, 2.0, 0.3)
         assert status.tolist() == [2, 2] and np.isnan(mu).all()
-        mu, status = solve_tn_mean_bulk(edge, 1.0, 0.0, 2.0, 0.3, max_iter=8)
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 8)
+        mu, status = solve_tn_mean_bulk(edge, 1.0, 0.0, 2.0, 0.3)
         assert status.tolist() == [-1, 1] and mu.tolist() == [-INF, INF]
 
     @settings(max_examples=200, deadline=None)
@@ -783,43 +720,3 @@ class TestSolveTnQuantiles:
             solve_tn_quantiles(
                 np.array([0.5, 1.0]), np.ones(2), np.zeros(3), np.full(2, 2.0), (0.5,)
             )
-
-
-# --- multivariate normal sampling -------------------------------------------------
-
-
-class TestMvnSample:
-    def test_deterministic_for_fixed_seed(self):
-        cov = CovarianceMatrix(np.eye(3))
-        a = mvn_sample(np.zeros(3), cov, np.random.default_rng(42))
-        b = mvn_sample(np.zeros(3), cov, np.random.default_rng(42))
-        np.testing.assert_array_equal(a, b)
-
-    def test_sample_mean_within_clt_bound(self):
-        rng = np.random.default_rng(5)
-        mean = np.array([1.0, -2.0, 0.5])
-        cov = CovarianceMatrix(
-            [[2.0, 0.6, 0.3], [0.6, 1.5, 0.4], [0.3, 0.4, 1.0]]
-        )
-        n = 100_000
-        chol = np.linalg.cholesky(cov.entries)
-        draws = mean + rng.standard_normal((n, 3)) @ chol.T
-        # identical construction to mvn_sample, vectorized for speed; spot
-        # check a few single draws agree with the one-at-a-time API
-        rng2 = np.random.default_rng(5)
-        for i in range(3):
-            np.testing.assert_allclose(mvn_sample(mean, cov, rng2), draws[i], atol=1e-12)
-        bound = 4.0 * np.sqrt(np.diag(cov.entries) / n)
-        assert np.all(np.abs(draws.mean(axis=0) - mean) < bound)
-        sample_cov = np.cov(draws, rowvar=False)
-        rel = np.linalg.norm(sample_cov - cov.entries) / np.linalg.norm(cov.entries)
-        assert rel < 0.05
-
-    def test_dimension_mismatch(self):
-        cov = CovarianceMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            mvn_sample(np.zeros(3), cov, np.random.default_rng(0))
-
-    def test_cholesky_failure_on_raw_non_pd(self):
-        with pytest.raises(CholeskyError):
-            mvn_sample(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.random.default_rng(0))

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from condid.event_study import EstimateBundle
 from condid.gaussian import CovarianceMatrix
-from condid.pretest import build_ns_polyhedron, critical_value, passes_pretest
+from condid.pretest import build_ns_polyhedron, critical_value, ns_event, passes_pretest
 
 from _oracles import EquicorrelatedSpec, equicorrelated_matrix
 
@@ -40,6 +40,20 @@ class TestBuildPolyhedron:
         np.testing.assert_array_equal(con.a_matrix[:, 0], np.zeros(4))
         np.testing.assert_array_equal(con.a_matrix[:2, 1:], np.eye(2))
         np.testing.assert_array_equal(con.a_matrix[2:, 1:], -np.eye(2))
+
+    @pytest.mark.parametrize("k", [0, 1, 8])
+    def test_ns_event_on_a_stack_is_each_polyhedron(self, k):
+        # the simulator's stacked event and analyze's polyhedron agree bit
+        # for bit, row by row
+        rng = np.random.default_rng(k)
+        bundles = [random_bundle(rng, k) for _ in range(5)]
+        pre_var = np.stack([np.diag(b.sigma.entries)[1:] for b in bundles])
+        a, b = ns_event(pre_var, 0.1)
+        assert a.shape == (2 * k, k + 1) and b.shape == (5, 2 * k)
+        for bundle, b_row in zip(bundles, b):
+            con = build_ns_polyhedron(bundle.sigma, 0.1)
+            assert con.a_matrix.tobytes() == a.tobytes() and con.a_matrix.shape == a.shape
+            assert con.b_vector.tobytes() == b_row.tobytes()
 
     def test_critical_value_tracks_alpha(self):
         assert critical_value(0.05) == pytest.approx(1.959964, abs=1e-5)

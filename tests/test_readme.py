@@ -1,20 +1,33 @@
 """The README's examples run, and what it lists as removed is gone."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import condid
+from condid import cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
 
 
+def removed_sections():
+    """The text under each "## Removed in" heading."""
+    return re.findall(r"^## Removed in [^\n]*\n(.*?)(?=^## |\Z)", README, re.M | re.S)
+
+
+def removed_bullets(pattern):
+    """The matches of ``pattern`` at the start of a bullet under a "## Removed in" heading."""
+    return [m for text in removed_sections() for m in re.findall(r"^- " + pattern, text, re.M)]
+
+
 def removed_names():
     """The first code span of each bullet under a "## Removed in" heading."""
-    sections = re.findall(r"^## Removed in [^\n]*\n(.*?)(?=^## |\Z)", README, re.M | re.S)
-    return [name for text in sections for name in re.findall(r"^- `([^`]+)`", text, re.M)]
+    return removed_bullets(r"`([^`]+)`")
 
 
 def test_python_blocks_run_from_repo_root(monkeypatch):
@@ -28,7 +41,7 @@ def test_python_blocks_run_from_repo_root(monkeypatch):
 def test_removed_names_are_gone():
     names = removed_names()
     assert {"gaussian.solve_tn_mean", "errors.NoBracketError", "simulation.rows_to_csv",
-            "simulation.rows_to_json", "simulation.json_number"} <= set(names)
+            "simulation.rows_to_json", "simulation.json_number", "pretest.ns_rows"} <= set(names)
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)
@@ -44,3 +57,26 @@ def test_removed_names_are_gone():
             assert not hasattr(owner, attr), name
         else:
             assert not any(hasattr(module, attr) for module in modules), name
+
+
+def test_removed_keywords_are_gone():
+    bullets = removed_bullets(r"The ((?:`\w+`(?:,? and |, )?)+) keywords? of `([\w.]+)`")
+    removed = {(kw, owner) for kws, owner in bullets for kw in re.findall(r"`(\w+)`", kws)}
+    assert {("max_radius", "gaussian.solve_tn_mean_bulk"),
+            ("max_iter", "gaussian.solve_tn_mean_bulk"),
+            ("cdf_tol", "gaussian.solve_tn_mean_bulk")} <= removed
+    for keyword, owner in removed:
+        function = condid
+        for part in owner.split("."):
+            function = getattr(function, part)
+        assert keyword not in inspect.signature(function).parameters, (keyword, owner)
+
+
+def test_removed_choices_are_refused(capsys):
+    removed = removed_bullets(r"The `([\w-]+)` choice of `(\w+) (--[\w-]+)`")
+    assert ("default", "simulate", "--dgp") in removed
+    for choice, command, flag in removed:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, choice])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert f"invalid choice: {choice!r}" in capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Tests for the Monte Carlo engine."""
 
 import dataclasses
-import functools
 import json
 import math
 import warnings
@@ -344,10 +343,7 @@ class TestRunTable:
                 assert r.n_accepted >= 0
 
     def test_unconverged_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            gaussian, "solve_tn_mean_bulk",
-            functools.partial(gaussian.solve_tn_mean_bulk, max_iter=1),
-        )
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 1)
         with pytest.raises(NoConvergenceError, match=r"\(null DGP, K=1\)"):
             run_table(SimConfig(reps=2_000, seed=5, k_max=2), 4)
 
