@@ -26,7 +26,7 @@ from .errors import (
 from .estimators import analyze, eta_gamma
 from .event_study import estimate_event_study, load_panel
 from .pretest import critical_value
-from .simulation import SimConfig, SimTableRow, run_table
+from .simulation import TABLE_SPECS, SimConfig, SimTableRow, run_table
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", help="reproduce one of the published tables", argument_default=quiet
     )
-    p_sim.add_argument("--table", type=int, required=True, choices=(1, 2, 3, 4))
+    p_sim.add_argument("--table", type=int, required=True, choices=TABLE_SPECS)
     p_sim.add_argument("--output", required=True)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--reps", type=int)

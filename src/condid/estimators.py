@@ -36,8 +36,10 @@ from .errors import (
     ZeroContrastError,
 )
 from .event_study import EstimateBundle
-from .gaussian import CovarianceMatrix, TruncatedNormalSpec, solve_tn_quantiles
-from .pretest import PolyhedralConstraint, build_ns_polyhedron, critical_value, passes_pretest
+from .gaussian import CovarianceMatrix, solve_tn_quantiles
+from .pretest import (
+    ALPHA, PolyhedralConstraint, build_ns_polyhedron, critical_value, passes_pretest,
+)
 
 __all__ = [
     "ConditionalLaw",
@@ -48,6 +50,7 @@ __all__ = [
     "efficient_estimator",
     "polyhedral_window",
     "condition_contrast",
+    "quantile_targets",
     "quantile_unbiased_estimate",
     "conditional_ci",
     "eta_gamma",
@@ -136,24 +139,27 @@ def polyhedral_window(
 class ConditionalLaw:
     """Truncated-normal law of one contrast, conditional on the event.
 
-    ``spec.mu`` stores the observed contrast as a reference point only: the
-    mean is the free parameter in every downstream solve.  ``z_vector`` and
-    ``c_vector`` satisfy ``beta_hat = z_vector + c_vector * observed``.
+    The observed contrast ``observed`` follows TN(mean, ``sd``^2, [``lower``,
+    ``upper``]); the mean is the free parameter of every solve.  ``z_vector``
+    and ``c_vector`` satisfy ``beta_hat = z_vector + c_vector * observed``.
     """
 
-    spec: TruncatedNormalSpec
     observed: float
+    sd: float
+    lower: float
+    upper: float
     z_vector: np.ndarray
     c_vector: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
-        if not self.spec.lower <= self.observed <= self.spec.upper:
-            raise InvalidArgumentError(f"observed {self.observed} outside window {self.window}")
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return self.spec.lower, self.spec.upper
+        observed, lower, upper = self.observed, self.lower, self.upper
+        if not 0.0 < self.sd < math.inf:
+            raise InvalidArgumentError(f"sd must be positive and finite, got {self.sd}")
+        if not lower < upper:
+            raise InvalidArgumentError(f"lower bound {lower} must be strictly below upper {upper}")
+        if not (math.isfinite(observed) and lower <= observed <= upper):
+            raise InvalidArgumentError(f"observed {observed} outside window [{lower}, {upper}]")
 
 
 def condition_contrast(
@@ -197,8 +203,7 @@ def condition_contrast(
     z = beta - c * observed
     # float dust can place the observed value epsilon outside its window
     observed = min(max(observed, lower), upper)
-    spec = TruncatedNormalSpec(mu=observed, var=var, lower=lower, upper=upper)
-    return ConditionalLaw(spec=spec, observed=observed, z_vector=z, c_vector=c, eta=eta)
+    return ConditionalLaw(observed, math.sqrt(var), lower, upper, z_vector=z, c_vector=c, eta=eta)
 
 
 def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> float:
@@ -213,21 +218,22 @@ def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> floa
     NoConvergenceError
         The solve used up its iteration budget.
     """
-    return float(solve_tn_quantiles(law.observed, law.spec.sd, *law.window, (target,))[0])
+    return float(solve_tn_quantiles(law.observed, law.sd, law.lower, law.upper, (target,))[0])
 
 
-def conditional_ci(law: ConditionalLaw, alpha: float = 0.05) -> tuple[float, float]:
-    """Equal-tailed 1-alpha interval for the contrast mean.
+def quantile_targets(alpha: float) -> tuple[float, float, float]:
+    """CDF targets of the median and of the 1-alpha interval's lower and upper
+    endpoints; the CDF decreases in the mean, so the lower one is 1 - alpha/2."""
+    return 0.5, 1.0 - alpha / 2.0, alpha / 2.0
 
-    The CDF at the observed value is decreasing in the mean, so the lower
-    endpoint solves for quantile ``1 - alpha/2`` and the upper endpoint for
-    ``alpha/2``; a solve that runs off ``observed +/- 40 sd`` yields an
-    infinite endpoint on that side.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidArgumentError("alpha must lie strictly inside (0, 1)")
-    targets = (1.0 - alpha / 2.0, alpha / 2.0)
-    lower, upper = solve_tn_quantiles(law.observed, law.spec.sd, *law.window, targets)
+
+def conditional_ci(law: ConditionalLaw, alpha: float = ALPHA) -> tuple[float, float]:
+    """Equal-tailed 1-alpha interval for the contrast mean, infinite on a side
+    where the solve runs off ``observed +/- 40 sd``; ``alpha`` obeys
+    :func:`~condid.pretest.critical_value`'s range rule."""
+    critical_value(alpha)
+    targets = quantile_targets(alpha)[1:]
+    lower, upper = solve_tn_quantiles(law.observed, law.sd, law.lower, law.upper, targets)
     return float(lower), float(upper)
 
 
@@ -322,8 +328,8 @@ def _wald_block(estimate: float, variance: float, alpha: float) -> EstimatorBloc
 
 def analyze(
     bundle: EstimateBundle,
-    alpha_pretest: float = 0.05,
-    alpha_ci: float = 0.05,
+    alpha_pretest: float = ALPHA,
+    alpha_ci: float = ALPHA,
     trend_order: int = 1,
 ) -> InferenceReport:
     """Run the full inference pipeline on one estimated bundle.
@@ -352,9 +358,7 @@ def analyze(
             bundle.beta[None], sigma_eta[None], eta, constraint.a_matrix,
             constraint.b_vector[None],
         )
-        # the CDF at the observed value decreases in the mean: the lower
-        # interval endpoint solves for quantile 1 - alpha/2
-        targets = (0.5, 1.0 - alpha_ci / 2.0, alpha_ci / 2.0)
+        targets = quantile_targets(alpha_ci)
         mu = solve_tn_quantiles(observed, np.sqrt(var), lower, upper, targets)[0]
         beta_block, gamma_block = (
             ConditionalBlock(

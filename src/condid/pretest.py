@@ -13,12 +13,15 @@ from .event_study import EstimateBundle
 from .gaussian import CovarianceMatrix
 
 __all__ = [
+    "ALPHA",
     "PolyhedralConstraint",
     "build_ns_polyhedron",
     "ns_event",
     "passes_pretest",
     "critical_value",
 ]
+
+ALPHA = 0.05  # the default of every significance level in the package
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +65,7 @@ def critical_value(alpha: float, name: str = "alpha") -> float:
     return float(ndtri(1.0 - alpha / 2.0))
 
 
-def build_ns_polyhedron(sigma: CovarianceMatrix, alpha: float = 0.05) -> PolyhedralConstraint:
+def build_ns_polyhedron(sigma: CovarianceMatrix, alpha: float = ALPHA) -> PolyhedralConstraint:
     """The no-significant-pre-coefficient event of one covariance as a
     polyhedron: :func:`ns_event` at the pre coefficients' variances."""
     return PolyhedralConstraint(*ns_event(np.diag(sigma.entries)[1:], alpha))
@@ -85,7 +88,7 @@ def ns_event(pre_var: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]
     return a, np.tile(critical_value(alpha) * np.sqrt(pre_var), 2)
 
 
-def passes_pretest(bundle: EstimateBundle, alpha: float = 0.05) -> bool:
+def passes_pretest(bundle: EstimateBundle, alpha: float = ALPHA) -> bool:
     """True when every pre coefficient is individually insignificant: the
     event of :func:`build_ns_polyhedron` without slack, whose +/-1 and 0 rows
     make ``A beta`` exact, so a coefficient exactly on the boundary passes."""

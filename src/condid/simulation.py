@@ -33,9 +33,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgumentError, NoConvergenceError
-from .estimators import eta_gamma, polyhedral_window
+from .estimators import eta_gamma, polyhedral_window, quantile_targets
 from .gaussian import solve_tn_quantiles
-from .pretest import critical_value, ns_event
+from .pretest import ALPHA, critical_value, ns_event
 
 __all__ = [
     "SimConfig",
@@ -74,8 +74,8 @@ class SimConfig:
     trend_slope: float = 0.065
     reps: int = 100_000
     seed: int = 0
-    alpha_pretest: float = 0.05
-    alpha_ci: float = 0.05
+    alpha_pretest: float = ALPHA
+    alpha_ci: float = ALPHA
     use_estimated_sigma: bool = True
     workers: int = 1
 
@@ -264,10 +264,8 @@ def _records_from_draws(
             for eta in (np.eye(k + 1)[0], eta_gamma(k, 1))
         ]
         obs, var, lo, hi = (np.concatenate(parts, axis=1) for parts in zip(*windows))
-        alpha = config.alpha_ci
-        targets = (0.5, 1.0 - alpha / 2.0, alpha / 2.0)
         try:
-            mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, targets)
+            mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, quantile_targets(config.alpha_ci))
         except NoConvergenceError as exc:
             raise NoConvergenceError(f"{exc} ({dgp} DGP, K={k})") from None
 

@@ -304,7 +304,7 @@ class TestCriterion5Properties:
                 if np.linalg.norm(eta) < 0.1:
                     continue
                 law = condition_contrast(bundle, eta, constraint)
-                sd = law.spec.sd
+                sd = law.sd
                 grid = law.observed + np.arange(-12.0, 12.0 + step, step) * sd
                 vals = law.z_vector[None, :] + grid[:, None] * law.c_vector[None, :]
                 feasible = np.all(
@@ -313,10 +313,10 @@ class TestCriterion5Properties:
                 assert feasible.any()
                 lo_grid, hi_grid = grid[feasible][0], grid[feasible][-1]
                 tol = step * sd + 1e-9
-                assert lo_grid >= law.spec.lower - tol
-                assert lo_grid <= max(law.spec.lower, grid[0]) + tol
-                assert hi_grid <= law.spec.upper + tol
-                assert hi_grid >= min(law.spec.upper, grid[-1]) - tol
+                assert lo_grid >= law.lower - tol
+                assert lo_grid <= max(law.lower, grid[0]) + tol
+                assert hi_grid <= law.upper + tol
+                assert hi_grid >= min(law.upper, grid[-1]) - tol
                 n_instances += 1
 
     def test_conditional_coverage_known_sigma(self):

@@ -128,8 +128,8 @@ class TestConditionContrast:
         bundle = make_bundle(0.05, [0.01, -0.02], sigma)
         constraint = build_ns_polyhedron(sigma, 0.05)
         law = condition_contrast(bundle, eta, constraint)
-        assert law.spec.lower == -INF
-        assert law.spec.upper == INF
+        assert law.lower == -INF
+        assert law.upper == INF
 
     def test_k1_hand_algebra(self):
         v = 0.008
@@ -143,8 +143,8 @@ class TestConditionContrast:
         b = critical_value(0.05) * math.sqrt(2 * v)
         z1 = 0.05 - 0.5 * 0.03
         assert law.c_vector[1] == pytest.approx(0.5, abs=1e-14)
-        assert law.spec.lower == pytest.approx((-b - z1) / 0.5, rel=1e-12)
-        assert law.spec.upper == pytest.approx((b - z1) / 0.5, rel=1e-12)
+        assert law.lower == pytest.approx((-b - z1) / 0.5, rel=1e-12)
+        assert law.upper == pytest.approx((b - z1) / 0.5, rel=1e-12)
 
     def test_z_reconstructs_beta(self):
         rng = np.random.default_rng(10)
@@ -158,7 +158,7 @@ class TestConditionContrast:
             np.testing.assert_allclose(
                 law.z_vector + law.c_vector * law.observed, bundle.beta, atol=1e-12
             )
-            assert law.spec.lower <= law.observed <= law.spec.upper
+            assert law.lower <= law.observed <= law.upper
 
     def test_grid_scan_oracle(self):
         rng = np.random.default_rng(11)
@@ -173,7 +173,7 @@ class TestConditionContrast:
             if np.linalg.norm(eta) < 0.1:
                 continue
             law = condition_contrast(bundle, eta, constraint)
-            sd = law.spec.sd
+            sd = law.sd
             grid = law.observed + np.arange(-12.0, 12.0 + step, step) * sd
             a, b = constraint.a_matrix, constraint.b_vector
             vals = law.z_vector[None, :] + grid[:, None] * law.c_vector[None, :]
@@ -182,10 +182,10 @@ class TestConditionContrast:
             lo_grid = grid[feasible][0]
             hi_grid = grid[feasible][-1]
             tol = step * sd + 1e-9
-            assert lo_grid >= law.spec.lower - tol
-            assert lo_grid <= max(law.spec.lower, grid[0]) + tol
-            assert hi_grid <= law.spec.upper + tol
-            assert hi_grid >= min(law.spec.upper, grid[-1]) - tol
+            assert lo_grid >= law.lower - tol
+            assert lo_grid <= max(law.lower, grid[0]) + tol
+            assert hi_grid <= law.upper + tol
+            assert hi_grid >= min(law.upper, grid[-1]) - tol
             n_instances += 1
 
     def test_grid_scan_oracle_general_polyhedra(self):
@@ -205,18 +205,18 @@ class TestConditionContrast:
             if np.linalg.norm(eta) < 0.1:
                 continue
             law = condition_contrast(bundle, eta, constraint)
-            assert law.spec.lower <= law.observed <= law.spec.upper
-            sd = law.spec.sd
+            assert law.lower <= law.observed <= law.upper
+            sd = law.sd
             grid = law.observed + np.arange(-15.0, 15.0 + step, step) * sd
             vals = law.z_vector[None, :] + grid[:, None] * law.c_vector[None, :]
             feasible = np.all(vals @ a.T <= constraint.b_vector + 1e-10, axis=1)
             assert feasible.any()
             lo_grid, hi_grid = grid[feasible][0], grid[feasible][-1]
             tol = step * sd + 1e-9
-            assert lo_grid >= law.spec.lower - tol
-            assert lo_grid <= max(law.spec.lower, grid[0]) + tol
-            assert hi_grid <= law.spec.upper + tol
-            assert hi_grid >= min(law.spec.upper, grid[-1]) - tol
+            assert lo_grid >= law.lower - tol
+            assert lo_grid <= max(law.lower, grid[0]) + tol
+            assert hi_grid <= law.upper + tol
+            assert hi_grid >= min(law.upper, grid[-1]) - tol
             # feasibility is contiguous along the slice (the set is an interval)
             idx = np.flatnonzero(feasible)
             assert np.all(np.diff(idx) == 1)
@@ -234,9 +234,9 @@ class TestConditionContrast:
                 continue
             raw_observed = float(eta @ bundle.beta)
             law = condition_contrast(bundle, eta, constraint)
-            assert law.spec.lower <= law.observed <= law.spec.upper
+            assert law.lower <= law.observed <= law.upper
             slack = 1e-9 * max(1.0, abs(raw_observed))
-            assert law.spec.lower - slack <= raw_observed <= law.spec.upper + slack
+            assert law.lower - slack <= raw_observed <= law.upper + slack
 
     def test_rejects_violating_bundle(self):
         sigma = repeated_cross_section_sigma(1)
@@ -286,7 +286,7 @@ class TestQuantileSolves:
         bundle = make_bundle(0.07, [0.01, 0.0], sigma)
         law = condition_contrast(bundle, eta, build_ns_polyhedron(sigma, 0.05))
         lo, hi = conditional_ci(law, 0.05)
-        half = critical_value(0.05) * law.spec.sd
+        half = critical_value(0.05) * law.sd
         assert lo == pytest.approx(law.observed - half, abs=1e-6)
         assert hi == pytest.approx(law.observed + half, abs=1e-6)
 
@@ -299,12 +299,12 @@ class TestQuantileSolves:
     def test_unbounded_estimate_is_an_infinity(self):
         # observed essentially on the lower window edge: the solve diverges
         from condid.estimators import ConditionalLaw
-        from condid.gaussian import TruncatedNormalSpec
 
-        spec = TruncatedNormalSpec(mu=1e-13, var=0.012, lower=0.0, upper=0.4)
         law = ConditionalLaw(
-            spec=spec,
             observed=1e-13,
+            sd=math.sqrt(0.012),
+            lower=0.0,
+            upper=0.4,
             z_vector=np.zeros(2),
             c_vector=np.array([1.0, 0.5]),
             eta=np.array([1.0, 0.0]),
@@ -314,6 +314,12 @@ class TestQuantileSolves:
         lo, hi = conditional_ci(law, 0.05)
         assert lo == -INF or math.isfinite(lo)
         assert hi == -INF
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1e-17, math.nan])
+    def test_ci_refuses_alpha_by_the_critical_value_rule(self, alpha):
+        # 1 - 1e-17/2 rounds to 1.0: the interval's lower target would be 1
+        with pytest.raises(InvalidArgumentError, match=f"^alpha must lie strictly inside .* {alpha}$"):
+            conditional_ci(self._law(), alpha)
 
     def test_ci_endpoint_monotone_in_alpha(self):
         law = self._law(observed=0.15)

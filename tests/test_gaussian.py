@@ -16,6 +16,7 @@ from scipy.stats import norm, truncnorm
 from condid import gaussian
 from condid.errors import (
     CholeskyError,
+    InvalidArgumentError,
     NoConvergenceError,
     SingularMatrixError,
 )
@@ -43,11 +44,10 @@ def truncnorm_cdf(x, mu, sd, lower, upper):
     return truncnorm.cdf(x, (lower - mu) / sd, (upper - mu) / sd, loc=mu, scale=sd)
 
 
-def scalar_law(observed, var, lower, upper):
+def scalar_law(observed, sd, lower, upper):
     """The conditional law of a one-coefficient contrast with this window."""
-    spec = TruncatedNormalSpec(mu=observed, var=var, lower=lower, upper=upper)
     return ConditionalLaw(
-        spec=spec, observed=observed, z_vector=np.zeros(1), c_vector=np.ones(1), eta=np.ones(1)
+        observed, sd, lower, upper, z_vector=np.zeros(1), c_vector=np.ones(1), eta=np.ones(1)
     )
 
 
@@ -487,13 +487,16 @@ class TestSolveTnMean:
             assert abs(float(mu_c) - c - float(mu)) <= 1e-9 * sd
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            scalar_law(3.0, 1.0, 0.0, 2.0)  # observed outside window
+        # no truncated normal has these (observed, sd, lower, upper)
+        for bad in ((3.0, 1.0, 0.0, 2.0), (INF, 1.0, 0.0, INF), (math.nan, 1.0, 0.0, 1.0),
+                    (0.5, -1.0, 0.0, 2.0), (0.5, 0.0, 0.0, 1.0), (0.5, INF, 0.0, 1.0),
+                    (0.5, math.nan, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 2.0, -2.0),
+                    (0.5, 1.0, math.nan, 1.0), (0.5, 1.0, 0.0, math.nan)):
+            with pytest.raises(InvalidArgumentError):
+                scalar_law(*bad)
         for target in (0.0, 1.0):
             with pytest.raises(ValueError):
                 quantile_unbiased_estimate(scalar_law(0.5, 1.0, 0.0, 2.0), target)
-        with pytest.raises(ValueError):
-            scalar_law(0.5, -1.0, 0.0, 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -518,7 +521,7 @@ class TestSolveTnMean:
         target = tn_cdf(spec, x)
         if not (1e-12 < target < 1.0 - 1e-12):
             return
-        recovered = quantile_unbiased_estimate(scalar_law(x, sd * sd, lower, upper), target)
+        recovered = quantile_unbiased_estimate(scalar_law(x, sd, lower, upper), target)
         assert recovered == pytest.approx(mu, abs=1e-6 * max(1.0, abs(mu)) + 1e-6)
 
 
@@ -566,9 +569,7 @@ class TestTermination:
             "import numpy as np",
             "from condid.errors import NoConvergenceError",
             "from condid.estimators import ConditionalLaw, quantile_unbiased_estimate",
-            "from condid.gaussian import TruncatedNormalSpec",
-            "spec = TruncatedNormalSpec(mu=9e-13, var=1.0, lower=0.0, upper=1e-12)",
-            "law = ConditionalLaw(spec=spec, observed=9e-13, z_vector=np.zeros(1),",
+            "law = ConditionalLaw(9e-13, 1.0, 0.0, 1e-12, z_vector=np.zeros(1),",
             "                     c_vector=np.ones(1), eta=np.ones(1))",
             "try:",
             "    quantile_unbiased_estimate(law, 0.9005681818199736)",

@@ -1,9 +1,17 @@
 """Tests for pre-trends acceptance and its polyhedral form."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import tokenize
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import condid
+from condid import pretest
 from condid.event_study import EstimateBundle
 from condid.gaussian import CovarianceMatrix
 from condid.pretest import build_ns_polyhedron, critical_value, ns_event, passes_pretest
@@ -138,3 +146,36 @@ class TestAcceptanceProbability:
         c = critical_value(0.05)
         accept = np.all(np.abs(beta_pre) <= c * sd, axis=1)
         assert accept.mean() == pytest.approx(published, abs=0.01)
+
+
+def test_every_significance_default_is_the_pretest_constant():
+    # identity, not equality: a literal 0.05 elsewhere is another object,
+    # except in pretest's own module code, so the code (not docstrings or
+    # comments) may write the number only as ALPHA's value
+    defaults = {}
+    for info in pkgutil.iter_modules(condid.__path__):
+        module = importlib.import_module(f"condid.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            numbers = [t.string for t in tokenize.generate_tokens(fh.readline)
+                       if t.type == tokenize.NUMBER and float(t.string.replace("_", "")) == 0.05]
+        assert len(numbers) == (module is pretest), (info.name, numbers)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if dataclasses.is_dataclass(obj):
+                params = {f.name: f.default for f in dataclasses.fields(obj)}
+            elif inspect.isfunction(obj):
+                params = {p.name: p.default for p in inspect.signature(obj).parameters.values()}
+            else:
+                continue
+            for param, default in params.items():
+                if param.startswith("alpha") and isinstance(default, float):
+                    defaults[f"{info.name}.{name}({param})"] = default
+    assert sorted(defaults) == [
+        "estimators.analyze(alpha_ci)", "estimators.analyze(alpha_pretest)",
+        "estimators.conditional_ci(alpha)", "pretest.build_ns_polyhedron(alpha)",
+        "pretest.passes_pretest(alpha)", "simulation.SimConfig(alpha_ci)",
+        "simulation.SimConfig(alpha_pretest)",
+    ]
+    assert all(default is pretest.ALPHA for default in defaults.values()), defaults
+    assert pretest.ALPHA == 0.05

@@ -1,5 +1,6 @@
 """The README's examples run, and what it lists as removed is gone."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -41,7 +42,8 @@ def test_python_blocks_run_from_repo_root(monkeypatch):
 def test_removed_names_are_gone():
     names = removed_names()
     assert {"gaussian.solve_tn_mean", "errors.NoBracketError", "simulation.rows_to_csv",
-            "simulation.rows_to_json", "simulation.json_number", "pretest.ns_rows"} <= set(names)
+            "simulation.rows_to_json", "simulation.json_number", "pretest.ns_rows",
+            "estimators.ConditionalLaw.spec", "estimators.ConditionalLaw.window"} <= set(names)
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)
@@ -55,6 +57,9 @@ def test_removed_names_are_gone():
             for part in path:
                 owner = getattr(owner, part)
             assert not hasattr(owner, attr), name
+            # a dataclass field without a default is no class attribute
+            if dataclasses.is_dataclass(owner):
+                assert attr not in {f.name for f in dataclasses.fields(owner)}, name
         else:
             assert not any(hasattr(module, attr) for module in modules), name
 
