@@ -30,14 +30,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+
+from condid import cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -101,8 +105,6 @@ def versions() -> dict:
 def run_case(name: str, workdir: Path) -> tuple[dict, str | None]:
     """``({"exit", "stdout", "stderr"}, output file text or None)`` of one case,
     run with ``workdir`` as the working directory and 80 terminal columns."""
-    from condid import cli
-
     argv = list(CASES[name])
     writes = argv[-1] == "--output"
     if writes:
@@ -115,7 +117,8 @@ def run_case(name: str, workdir: Path) -> tuple[dict, str | None]:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    output = (workdir / name).read_text(encoding="utf-8") if writes else None
+    written = workdir / name
+    output = written.read_text(encoding="utf-8") if written.exists() else None
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}, output
 
 
@@ -182,8 +185,10 @@ def test_output_matches_golden(name, golden, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     got, output = run_case(name, tmp_path)
     want = streams[name]
-    want_output = (GOLDEN / name).read_text(encoding="utf-8") if output is not None else None
+    kept = GOLDEN / name
+    want_output = kept.read_text(encoding="utf-8") if kept.exists() else None
     assert got["exit"] == want["exit"]
+    assert (output is None) == (want_output is None)
     if exact:
         assert got == want
         assert output == want_output
@@ -196,9 +201,6 @@ def test_output_matches_golden(name, golden, tmp_path, monkeypatch):
 
 def write_golden() -> None:
     """Regenerate every golden file from the current code."""
-    import os
-    import tempfile
-
     os.environ["COLUMNS"] = "80"
     streams = {}
     with tempfile.TemporaryDirectory() as tmp:
