@@ -15,7 +15,7 @@ The package exposes, on top of the usual event-study estimator:
   replicated experiments.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from . import errors
 from .errors import CondidError
@@ -35,7 +35,7 @@ from .event_study import (
     estimate_event_study,
     load_panel,
 )
-from .gaussian import CovarianceMatrix, TruncatedNormalSpec, tn_cdf
+from .gaussian import CovarianceMatrix
 from .pretest import PolyhedralConstraint, build_ns_polyhedron, passes_pretest
 from .simulation import SimConfig, SimTableRow, run_table, simulate_cell
 
@@ -55,8 +55,6 @@ __all__ = [
     "estimate_event_study",
     "load_panel",
     "CovarianceMatrix",
-    "TruncatedNormalSpec",
-    "tn_cdf",
     "PolyhedralConstraint",
     "build_ns_polyhedron",
     "passes_pretest",

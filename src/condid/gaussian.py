@@ -17,7 +17,7 @@ not converge.
 
 All truncated-normal computations run in log space, on the side of zero
 where the window's bulk lies, so windows many standard deviations out in a
-tail keep their relative accuracy (:func:`tn_cdf` states the bound).
+tail keep their relative accuracy (:func:`_cdf_excess` states the bound).
 Truncation bounds are IEEE infinities used as explicit sentinels: an
 infinite bound standardizes to the infinite z-value, which the CDF kernel
 clamps to +/-1e150, where ``log_ndtr`` gives the same CDF as at infinity and
@@ -27,7 +27,6 @@ the normal density is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri
@@ -36,8 +35,6 @@ from .errors import CholeskyError, InvalidArgumentError, NoConvergenceError
 
 __all__ = [
     "CovarianceMatrix",
-    "TruncatedNormalSpec",
-    "tn_cdf",
     "solve_tn_mean_bulk",
     "solve_tn_quantiles",
 ]
@@ -49,8 +46,9 @@ _SYM_RTOL = 1e-12
 _Z_CAP = 1e150
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# the mean solve's tolerance on |F - target|, search radius in sd and pass budget
-_CDF_TOL = 1e-8
+# the mean solve's tolerance on a step or a bracket in sd, search radius in
+# sd and pass budget
+_STEP_TOL = 1e-8
 _MAX_RADIUS = 40.0
 _MAX_ITER = 200
 
@@ -127,37 +125,6 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class TruncatedNormalSpec:
-    """Parameters of a univariate truncated normal law.
-
-    ``mu`` and ``var`` are the *untruncated* mean and variance; ``lower`` and
-    ``upper`` may be ``-inf`` / ``+inf``.  Equal bounds are rejected at
-    construction.
-    """
-
-    mu: float
-    var: float
-    lower: float = -math.inf
-    upper: float = math.inf
-
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise InvalidArgumentError("mu must be finite")
-        if not (self.var > 0) or not math.isfinite(self.var):
-            raise InvalidArgumentError("var must be positive and finite")
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise InvalidArgumentError("truncation bounds must not be NaN")
-        if not (self.lower < self.upper):
-            raise InvalidArgumentError(
-                f"lower bound {self.lower} must be strictly below upper {self.upper}"
-            )
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.var)
-
-
 def _cdf_excess(u, zlo, zhi, target):
     """CDF at 0 of TN(u, 1, [zlo, zhi]) minus ``target``, with its first and
     second derivatives in ``u``; the CDF decreases in ``u``.
@@ -179,6 +146,14 @@ def _cdf_excess(u, zlo, zhi, target):
     three ``exp`` calls more.  Bounds are clamped at +/-1e150, where phi is
     exactly 0 and so is ``p*g_p``, as it is at an infinite bound.  Requires
     ``zlo <= 0 <= zhi``.
+
+    With ``d`` the larger of 1 and the window's distance from the mean ``u``,
+    ``w`` its width and ``s`` the distance of 0 from its nearer edge: on
+    windows at least 1e-4 wide and at most 1e4 from the mean, F has a
+    relative error below ``eps * (d**2 + 100 * d * (1/s + 1/w))`` against an
+    80-digit mpmath CDF (``eps = 2**-52``).  On windows 1e-3 to 10 wide with
+    0 uniform inside, the worst relative error measured was 2e-9 at 38 out,
+    3e-7 at 200, 2e-8 at 1e3 and 6e-8 at 1e4.
     """
     a = np.maximum(zlo, -_Z_CAP) - u
     b = np.minimum(zhi, _Z_CAP) - u
@@ -199,43 +174,6 @@ def _cdf_excess(u, zlo, zhi, target):
         slope = cdf * G - H
         curvature = cdf * (b * gb - aga + G * G) - (x * gx - aga) + (slope - H) * G
     return cdf - target, slope, curvature
-
-
-def tn_cdf(spec: TruncatedNormalSpec, x: float) -> float:
-    """CDF of the truncated normal law at ``x``: 0 and 1 outside ``[lower,
-    upper]``, and for every other valid input a value in [0, 1] that does
-    not decrease in ``x``.
-
-    With ``d`` the window's distance from the mean (at least 1), ``w`` its
-    width and ``s`` the distance of ``x`` from its nearer edge, all in sd:
-    the mean solve's kernel, standardized about ``x`` with the mean's offset
-    clamped at +/-1e150 like the bounds, has a relative error below
-    ``eps * (d**2 + 100 * d * (1/s + 1/w))`` against an 80-digit mpmath CDF
-    (``eps = 2**-52``).  Where the law's spread ``min(w, 1/d)`` is below
-    1e-4 sd, its exponential limit about the edge nearer the mean is more
-    accurate, with a relative error below ``min(w, 1/d)**2 + 1e3 * eps``, and
-    is used instead.  On windows 1e-3 to 10 sd wide with ``x`` uniform
-    inside, the worst relative error measured was 2e-9 at 38 sd out, 3e-7 at
-    200 sd, 2e-8 at 1e3 sd, 6e-8 at 1e4 sd and 1e-10 at 1e5 sd.
-    """
-    mu, sd, lower, upper, x = map(float, (spec.mu, spec.sd, spec.lower, spec.upper, x))
-    if x <= lower or x >= upper:
-        return float(x >= upper)
-    near = max(lower - mu, mu - upper, 0.0) / sd  # the window's distance from mu
-    width = (upper - lower) / sd
-    if width >= 1e-4 and near <= 1e4:
-        u = min(max((mu - x) / sd, -_Z_CAP), _Z_CAP)
-        return float(_cdf_excess(u, (lower - x) / sd, (upper - x) / sd, 0.0)[0])
-    if near * width < 1e-16:  # flat across the window
-        return (x - lower) / (upper - lower)
-    # the density at t sd inside the near edge is exp(-near * t) up to the
-    # dropped factor exp(-t**2 / 2); with the upper edge near, the mass below
-    # x is the tail beyond t = h, taken as its own exponential law of rate
-    # near + h (the ratio (near + h) / near is formed unscaled: no inf / inf)
-    h = (upper - x) / sd if mu > upper else 0.0
-    rates = 1.0 + (upper - x) / (mu - upper) if mu > upper else 1.0
-    tail = math.exp(-h * (near + 0.5 * h)) / rates if h else 1.0
-    return tail * math.expm1(-(near + h) * ((x - lower) / sd)) / math.expm1(-near * width)
 
 
 def solve_tn_mean_bulk(observed, sd, lower, upper, target):
@@ -262,11 +200,14 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
     clamped at ``-/+40``; once both ends are evaluated, it bisects.
     That takes about 3.4 CDF evaluations per element on the simulator's
     windows, against 8.2 for Chandrupatla's (1997) method from a bracket
-    about ``c``.  An element converges where ``F' < 0``, ``|f| <= 1e-8``
-    and the Halley step is at most 1e-8 long and lands in the closed bracket
-    (it returns the point plus the step, the point itself where ``f`` is
-    exactly 0), or where the bracket is at most 1e-8 wide (it returns the
-    next point).  Every step is elementwise, so an element's result does
+    about ``c``.  An element converges where ``F' < 0`` and the Halley step
+    is at most 1e-8 (``_STEP_TOL``) long and lands in the closed bracket (it
+    returns the point plus the step, the point itself where ``f`` is exactly
+    0), or where the bracket is at most 1e-8 wide (it returns the next
+    point).  That is the one test: near a root, where the Halley step is
+    close to the Newton step ``-f/F'``, it also bounds ``|f|`` by 0.5e-8, as
+    ``|F'| <= 1/2`` (the slope is minus the covariance of an indicator with
+    a variable of variance at most 1).  Every step is elementwise, so an element's result does
     not depend on the batch it is solved in.
 
     Returns
@@ -288,7 +229,6 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
         a.ravel() for a in (observed, sd, lower, upper, target)
     )
     n = observed.size
-    u_tol = 1e-8
 
     # absorb float dust: the observed value is inside its window by
     # construction whenever the conditioning event held
@@ -327,10 +267,9 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
         # where the CDF is flat in floating point (slope 0), the step is no
         # estimate at all
         settled = (
-            (np.abs(delta) <= u_tol) & (np.abs(f) <= _CDF_TOL) & (slope < 0)
-            & (floor <= halley) & (halley <= ceiling)
+            (np.abs(delta) <= _STEP_TOL) & (slope < 0) & (floor <= halley) & (halley <= ceiling)
         )
-        done = settled | (hi - lo <= u_tol)
+        done = settled | (hi - lo <= _STEP_TOL)
         # status -1 (+1): the CDF at the lower (upper) search edge is still
         # below (above) the target, so the root lies beyond it
         below = (u == -_MAX_RADIUS) & (f < 0)

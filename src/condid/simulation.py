@@ -318,7 +318,9 @@ def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
     if config.workers <= 1 or len(args) == 1:
         parts = [_run_chunk(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a fork pool starts every worker at its first submit: no more than
+        # there are chunks
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as pool:
             parts = list(pool.map(_run_chunk, args))
     return ReplicationRecords.concatenate(parts)
 

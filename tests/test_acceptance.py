@@ -20,6 +20,7 @@ from condid.estimators import (
 )
 from condid.event_study import EstimateBundle
 from condid.gaussian import CovarianceMatrix
+from condid import simulation
 from condid.pretest import build_ns_polyhedron
 from condid.simulation import SimConfig, run_table, simulate_cell
 
@@ -373,7 +374,11 @@ class TestCriterion5Properties:
 
 
 class TestCriterion6Determinism:
-    def test_byte_identical_across_worker_counts(self, tmp_path):
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        # 20 chunks of 150 replications per cell, so that 4 and 16 workers
+        # both run the cell on a process pool; a one-chunk cell runs serially
+        # whatever the worker count
+        monkeypatch.setattr(simulation, "CHUNK_REPS", 150)
         with _report("6 simulate output byte-identical under 1, 4, 16 workers"):
             from condid.cli import main
 

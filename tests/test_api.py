@@ -27,8 +27,6 @@ PUBLIC = [
     "estimate_event_study",
     "load_panel",
     "CovarianceMatrix",
-    "TruncatedNormalSpec",
-    "tn_cdf",
     "PolyhedralConstraint",
     "build_ns_polyhedron",
     "passes_pretest",

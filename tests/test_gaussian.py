@@ -24,10 +24,8 @@ from condid.estimators import ConditionalLaw, efficient_estimator, quantile_unbi
 from condid.event_study import EstimateBundle
 from condid.gaussian import (
     CovarianceMatrix,
-    TruncatedNormalSpec,
     solve_tn_mean_bulk,
     solve_tn_quantiles,
-    tn_cdf,
 )
 
 
@@ -92,67 +90,66 @@ class TestCovarianceMatrix:
 # --- truncated normal CDF -------------------------------------------------------
 
 
+def kernel_cdf(x, mu, sd, lower, upper):
+    """The solve's CDF kernel at ``x`` inside ``[lower, upper]``: the CDF at 0
+    of the law standardized about ``x``, with the mean's offset clamped at
+    +/-1e150 like the bounds."""
+    u = min(max((mu - x) / sd, -gaussian._Z_CAP), gaussian._Z_CAP)
+    zlo, zhi = np.array((lower - x) / sd), np.array((upper - x) / sd)
+    return float(gaussian._cdf_excess(np.array(u), zlo, zhi, 0.0)[0])
+
+
+def _mp_survival(z):
+    return mp.erfc(mp.mpf(z) / mp.sqrt(2)) / 2
+
+
+def mp_cdf(lower, upper, x):
+    """80-digit CDF of N(0, 1) truncated to [lower, upper], at x."""
+    mp.mp.dps = 80
+    if lower + upper > 0:
+        s_lo = _mp_survival(lower)
+        return (s_lo - _mp_survival(x)) / (s_lo - _mp_survival(upper))
+    s_lo = _mp_survival(-lower)
+    return (_mp_survival(-x) - s_lo) / (_mp_survival(-upper) - s_lo)
+
+
 class TestTnCdf:
+    """The kernel on windows at least 1e-4 sd wide and at most 1e4 sd from
+    the mean, where its docstring states its error bound."""
+
     def test_untruncated_median(self):
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0)
-        assert tn_cdf(spec, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert kernel_cdf(0.0, 0.0, 1.0, -INF, INF) == pytest.approx(0.5, abs=1e-14)
 
     def test_symmetric_truncation_median(self):
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=-1.96, upper=1.96)
-        assert tn_cdf(spec, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert kernel_cdf(0.0, 0.0, 1.0, -1.96, 1.96) == pytest.approx(0.5, abs=1e-12)
 
     def test_half_normal_against_quadrature(self):
         # independent oracle: adaptive quadrature of the half-normal density
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=0.0, upper=INF)
         num, _ = quad(norm.pdf, 0.0, 1.0)
         den, _ = quad(norm.pdf, 0.0, 10.0)  # mass above 10 is ~0 at quad precision
         expected = num / den
         assert expected == pytest.approx(0.6826894921370859, abs=1e-9)
-        assert tn_cdf(spec, 1.0) == pytest.approx(expected, abs=1e-10)
-        assert tn_cdf(spec, 1.0) == pytest.approx(0.6826894921370859, abs=1e-12)
-
-    def test_clamps_outside_window(self):
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=-1.0, upper=1.0)
-        assert tn_cdf(spec, -2.0) == 0.0
-        assert tn_cdf(spec, -1.0) == 0.0
-        assert tn_cdf(spec, 1.0) == 1.0
-        assert tn_cdf(spec, 5.0) == 1.0
-
-    @staticmethod
-    def _mp_survival(z):
-        return mp.erfc(mp.mpf(z) / mp.sqrt(2)) / 2
+        assert kernel_cdf(1.0, 0.0, 1.0, 0.0, INF) == pytest.approx(expected, abs=1e-10)
+        assert kernel_cdf(1.0, 0.0, 1.0, 0.0, INF) == pytest.approx(0.6826894921370859, abs=1e-12)
 
     def test_deep_right_tail_matches_mpmath(self):
         mp.mp.dps = 60
         lo, hi, x = 20.0, 21.0, 20.5
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=lo, upper=hi)
-        num = self._mp_survival(lo) - self._mp_survival(x)
-        den = self._mp_survival(lo) - self._mp_survival(hi)
+        num = _mp_survival(lo) - _mp_survival(x)
+        den = _mp_survival(lo) - _mp_survival(hi)
         expected = float(num / den)
-        assert tn_cdf(spec, x) == pytest.approx(expected, rel=1e-9)
+        assert kernel_cdf(x, 0.0, 1.0, lo, hi) == pytest.approx(expected, rel=1e-9)
 
     def test_deep_left_tail_matches_mpmath(self):
         mp.mp.dps = 60
         lo, hi, x = -26.0, -24.0, -25.0
-        spec = TruncatedNormalSpec(mu=0.0, var=1.0, lower=lo, upper=hi)
         expected = float((mp.ncdf(x) - mp.ncdf(lo)) / (mp.ncdf(hi) - mp.ncdf(lo)))
-        assert tn_cdf(spec, x) == pytest.approx(expected, rel=1e-9)
+        assert kernel_cdf(x, 0.0, 1.0, lo, hi) == pytest.approx(expected, rel=1e-9)
 
-    @classmethod
-    def _mp_cdf(cls, lower, upper, x):
-        """80-digit CDF of N(0, 1) truncated to [lower, upper], at x."""
-        mp.mp.dps = 80
-        if lower + upper > 0:
-            s_lo = cls._mp_survival(lower)
-            return (s_lo - cls._mp_survival(x)) / (s_lo - cls._mp_survival(upper))
-        s_lo = cls._mp_survival(-lower)
-        return (cls._mp_survival(-x) - s_lo) / (cls._mp_survival(-upper) - s_lo)
-
-    @pytest.mark.parametrize("distance", [38.0, 200.0, 1e3, 1e4, 2e4, 1e5, 1e7])
+    @pytest.mark.parametrize("distance", [38.0, 200.0, 1e3, 1e4])
     def test_far_windows_match_mpmath_within_documented_bound(self, distance):
         # windows 1e-4 to 10 sd wide, in both tails, with x drawn towards
-        # either edge; the bound is the one tn_cdf's docstring states for
-        # its kernel (up to 1e4 sd) and for the exponential limit beyond
+        # either edge; the bound is the one _cdf_excess's docstring states
         eps = 2.0**-52
         rng = np.random.default_rng(int(distance))
         for _ in range(40):
@@ -164,32 +161,13 @@ class TestTnCdf:
             x = lower + toward if rng.uniform() < 0.5 else upper - toward
             if not lower < x < upper:
                 continue
-            expected = self._mp_cdf(lower, upper, x)
+            expected = mp_cdf(lower, upper, x)
             if expected < 1e-300:  # below the smallest normal double
                 continue
-            got = tn_cdf(TruncatedNormalSpec(mu=0.0, var=1.0, lower=lower, upper=upper), x)
+            got = kernel_cdf(x, 0.0, 1.0, lower, upper)
             s = min(x - lower, upper - x)
-            if distance <= 1e4:
-                bound = eps * (distance**2 + 100.0 * distance * (1.0 / s + 1.0 / width))
-            else:
-                bound = min(width, 1.0 / distance) ** 2 + 1e3 * eps
+            bound = eps * (distance**2 + 100.0 * distance * (1.0 / s + 1.0 / width))
             assert float(abs(got - expected) / expected) <= bound, (lower, upper, x)
-
-    @pytest.mark.parametrize(
-        "mu, var, lower, upper, x, expected",
-        [
-            (0.0, 1.0, 1e160, 2e160, 1.5e160, 1.0),
-            (1e300, 1.0, -1e300, 1e300, 0.0, 0.0),
-            (0.0, 1e-310, 0.0, 1.0, 0.5, 1.0),
-            (-1e300, 1.0, 0.0, 1.0, 0.5, 1.0),
-            (0.0, 1.0, 0.0, 1e-17, 2.5e-18, 0.25),
-        ],
-    )
-    def test_extreme_inputs_give_the_limit(self, mu, var, lower, upper, x, expected):
-        # the mean, the bounds and x lie so far apart in sd, or the window is
-        # so narrow, that the law collapses onto one edge or is flat in it
-        spec = TruncatedNormalSpec(mu=mu, var=var, lower=lower, upper=upper)
-        assert tn_cdf(spec, x) == pytest.approx(expected, abs=1e-15)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -197,30 +175,29 @@ class TestTnCdf:
         var=st.builds(lambda p: 10.0**p, st.floats(-300.0, 300.0)),
         inside=st.floats(0.0, 1.0),
     )
-    @example(mu=0.0, a=1e160, b=2e160, x1=1e160, x2=2e160, var=1.0, inside=0.5)
     @example(mu=1e300, a=-1e300, b=1e300, x1=-1e300, x2=1e300, var=1.0, inside=0.5)
     @example(mu=0.0, a=0.0, b=1.0, x1=0.0, x2=1.0, var=1e-310, inside=0.5)
     def test_any_valid_input_gives_a_monotone_probability(self, mu, a, b, x1, x2, var, inside):
-        # magnitudes log-uniform up to 1e300, plus a point inside the window
+        # magnitudes log-uniform up to 1e300, plus a point inside the window;
+        # the points inside the window, on windows in the kernel's domain
         lower, upper = min(a, b), max(a, b)
         assume(lower < upper)
-        spec = TruncatedNormalSpec(mu=mu, var=var, lower=lower, upper=upper)
-        points = sorted((x1, x2, lower * (1.0 - inside) + upper * inside))
-        values = [tn_cdf(spec, x) for x in points]
-        assert 0.0 <= values[0] <= values[1] <= values[2] <= 1.0
+        sd = math.sqrt(var)
+        assume((upper - lower) / sd >= 1e-4 and max(lower - mu, mu - upper, 0.0) / sd <= 1e4)
+        points = sorted(x for x in (x1, x2, lower * (1.0 - inside) + upper * inside)
+                        if lower <= x <= upper)
+        values = [kernel_cdf(x, mu, sd, lower, upper) for x in points]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert values == sorted(values)
 
     def test_nondecreasing_in_x(self):
-        spec = TruncatedNormalSpec(mu=0.3, var=2.0, lower=-1.0, upper=2.5)
-        xs = np.linspace(-1.5, 3.0, 201)
-        vals = [tn_cdf(spec, float(x)) for x in xs]
+        xs = [x for x in np.linspace(-1.5, 3.0, 201) if -1.0 < x < 2.5]
+        vals = [kernel_cdf(float(x), 0.3, math.sqrt(2.0), -1.0, 2.5) for x in xs]
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_strictly_decreasing_in_mu(self):
         mus = np.linspace(-3.0, 3.0, 61)
-        vals = [
-            tn_cdf(TruncatedNormalSpec(mu=float(m), var=1.5, lower=-1.0, upper=2.0), 0.7)
-            for m in mus
-        ]
+        vals = [kernel_cdf(0.7, float(m), math.sqrt(1.5), -1.0, 2.0) for m in mus]
         assert np.all(np.diff(vals) < 0)
 
     @pytest.mark.parametrize(
@@ -231,26 +208,14 @@ class TestTnCdf:
             (30.0, INF, 30.01),  # deep right tail, one-sided
             (35.0, 35.5, 35.1),  # deep right tail, bounded
             (-1.0, 1.0, 0.3),  # body
-            (2.0, 2.0 + 1e-6, 2.0 + 3e-7),  # narrow window
         ],
     )
     def test_matches_scipy_truncnorm_in_both_tails(self, zlo, zhi, zx):
         # window and evaluation point in standard units about the mean
         for mu, sd in ((0.0, 1.0), (-2.5, 0.7), (3.0, 2.0)):
             lower, upper, x = (mu + z * sd for z in (zlo, zhi, zx))
-            spec = TruncatedNormalSpec(mu=mu, var=sd * sd, lower=lower, upper=upper)
             expected = truncnorm_cdf(x, mu, sd, lower, upper)
-            assert tn_cdf(spec, x) == pytest.approx(expected, rel=1e-8, abs=1e-12)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mu=0.0, var=0.0)
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mu=0.0, var=1.0, lower=1.0, upper=1.0)
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mu=0.0, var=1.0, lower=2.0, upper=-2.0)
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mu=math.nan, var=1.0)
+            assert kernel_cdf(x, mu, sd, lower, upper) == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 class TestCdfKernel:
@@ -312,8 +277,7 @@ class TestSolveTnMean:
 
     def test_round_trip_at_half(self):
         mu = float(solve_tn_quantiles(0.5, 1.0, 0.0, 2.0, (0.5,))[0])
-        spec = TruncatedNormalSpec(mu=mu, var=1.0, lower=0.0, upper=2.0)
-        assert tn_cdf(spec, 0.5) == pytest.approx(0.5, abs=1e-8)
+        assert float(mp_cdf(-mu, 2.0 - mu, 0.5 - mu)) == pytest.approx(0.5, abs=1e-8)
 
     def test_quantile_endpoints_are_ordered(self):
         hi_target, lo_target = solve_tn_quantiles(0.5, 1.0, 0.0, 2.0, (0.975, 0.025))
@@ -517,8 +481,7 @@ class TestSolveTnMean:
             lo_ref = mu - a * sd if math.isinf(lower) else lower
             hi_ref = mu + b * sd if math.isinf(upper) else upper
             x = lo_ref + t * (hi_ref - lo_ref)
-        spec = TruncatedNormalSpec(mu=mu, var=sd * sd, lower=lower, upper=upper)
-        target = tn_cdf(spec, x)
+        target = float(mp_cdf((lower - mu) / sd, (upper - mu) / sd, (x - mu) / sd))
         if not (1e-12 < target < 1.0 - 1e-12):
             return
         recovered = quantile_unbiased_estimate(scalar_law(x, sd, lower, upper), target)

@@ -7,13 +7,14 @@ that ``golden/versions.json`` records: table and report bytes follow numpy's
 random streams and scipy's ``log_ndtr``/``ndtri``, help and usage text
 follows Python's ``argparse``.
 
-On the recorded versions every byte must match.  On others the comparison
-is by token: all text that is not a number (keys, column names, ``inf``,
-``nan``, ``null``, statuses, words) and every integer must match exactly,
-whitespace runs aside, and each decimal number must agree within
-``RTOL``/``ATOL``; a figure printed on stdout or stderr may also differ by
-one unit in its last printed digit.  The tolerance is a first guess, not
-yet measured against the oldest numpy and scipy that pyproject.toml allows.
+On the recorded versions, on which CI runs one leg, every byte must match.
+On others the comparison is by token: all text that is not a number (keys,
+column names, ``inf``, ``nan``, ``null``, statuses, words) and every integer
+must match exactly, whitespace runs aside, and each decimal number must
+agree within ``RTOL``/``ATOL``; a figure printed on stdout or stderr may also
+differ by one unit in its last printed digit.  The tolerance is a first
+guess, not yet measured against the oldest numpy and scipy that
+pyproject.toml allows.
 
 A change that moves an output byte on purpose regenerates the files with
 
@@ -176,6 +177,16 @@ def test_token_comparison_keeps_structure_and_statuses():
                                    ("accept=0.9477  k=3", "accept=0.9475  k=3", True)):
         with pytest.raises(AssertionError):
             assert_tokens_close(got, expected, rounded)
+
+
+def test_ci_runs_a_leg_on_the_recorded_versions():
+    # the byte comparison runs only on the recorded versions, so regenerating
+    # the golden files on others must move the CI leg along with them
+    recorded = json.loads((GOLDEN / "versions.json").read_text(encoding="utf-8"))
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    leg = (f'- python-version: "{recorded["python"]}"\n'
+           f"            pins: \"'numpy=={recorded['numpy']}' 'scipy=={recorded['scipy']}'\"\n")
+    assert leg in workflow
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -43,7 +43,8 @@ def test_removed_names_are_gone():
     names = removed_names()
     assert {"gaussian.solve_tn_mean", "errors.NoBracketError", "simulation.rows_to_csv",
             "simulation.rows_to_json", "simulation.json_number", "pretest.ns_rows",
-            "estimators.ConditionalLaw.spec", "estimators.ConditionalLaw.window"} <= set(names)
+            "estimators.ConditionalLaw.spec", "estimators.ConditionalLaw.window",
+            "gaussian.tn_cdf", "gaussian.TruncatedNormalSpec"} <= set(names)
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)

@@ -205,6 +205,32 @@ class TestDeterminism:
         multi = SimConfig(reps=4_000, seed=11, workers=3)
         assert_records_identical(simulate_cell(base, 2, "trend"), simulate_cell(multi, 2, "trend"))
 
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # a fork pool starts all its workers at its first submit; the stub
+        # records the pool size and maps in this process, so nothing starts
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(simulation, "CHUNK_REPS", 500)
+        serial = simulate_cell(SimConfig(reps=1_200, seed=3), 1, "null")
+        for workers in (100_000, 2):
+            pooled = simulate_cell(SimConfig(reps=1_200, seed=3, workers=workers), 1, "null")
+            assert_records_identical(serial, pooled)
+        assert sizes == [3, 2]
+
     def test_different_seeds_differ(self):
         a = simulate_cell(SimConfig(reps=1_000, seed=1), 1, "null")
         b = simulate_cell(SimConfig(reps=1_000, seed=2), 1, "null")
