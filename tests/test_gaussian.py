@@ -352,12 +352,14 @@ class TestSolveTnMean:
         assert seen == {-1, 0, 1}
 
     def test_warm_start_needs_few_cdf_evaluations(self, monkeypatch):
-        # every solve of 450 simulated replications in six cells, about
-        # 10 000 (window, target) elements; a cold +-1 bracket needs 10.6
-        # CDF evaluations per element on these, Chandrupatla's method from
-        # a warm bracket about 8.1, the Halley steps about 3.4.  The count
-        # goes through the kernel the solve calls, so at least one
-        # evaluation per element shows that it counted anything at all
+        # every solve of 450 simulated replications in six cells, 10 386
+        # (window, target) elements; a cold +-1 bracket needs 10.6 CDF
+        # evaluations per element on these, Chandrupatla's method from a
+        # warm bracket about 8.1, the Halley steps 3.39 when each solve
+        # ends on an evaluation that confirms its last step, and 2.66 with
+        # the early acceptance of a Halley point.  The count goes through
+        # the kernel the solve calls, so at least one evaluation per element
+        # shows that it counted anything at all
         from condid.simulation import SimConfig, simulate_cell
 
         counts = {"evaluations": 0, "elements": 0}
@@ -378,7 +380,46 @@ class TestSolveTnMean:
             for k in (1, 4, 8):
                 simulate_cell(SimConfig(reps=450, seed=20), k, dgp)
         assert 9_000 <= counts["elements"] <= 11_000
-        assert counts["elements"] <= counts["evaluations"] <= 5 * counts["elements"]
+        assert counts["elements"] <= counts["evaluations"] <= 2.75 * counts["elements"]
+
+    def test_early_acceptance_moves_no_status_and_meets_the_target(self, monkeypatch):
+        # 6 000 windows in three width bands, 1e-10 to 1e-4, 1e-4 to 1e-2
+        # and 1e-2 to 10 sd wide, with the observed value uniform inside or
+        # 1e-12 to 1e-2 widths from an edge; an infinite width floor turns
+        # the early acceptance off on these finite windows
+        rng = np.random.default_rng(19)
+        width = np.concatenate(
+            [10.0 ** rng.uniform(lo, hi, 2000) for lo, hi in ((-10, -4), (-4, -2), (-2, 1))]
+        )
+        m = width.size
+        lower = rng.normal(0.0, 3.0, m)
+        upper = lower + width
+        gap = 10.0 ** rng.uniform(-12.0, -2.0, m)
+        near_edge = np.where(rng.random(m) < 0.5, gap, 1.0 - gap)
+        observed = np.clip(lower + np.where(rng.random(m) < 0.5, rng.random(m), near_edge) * width,
+                           lower, upper)
+        targets = (0.5, 0.975, 0.025)
+        column = np.reshape(targets, (3, 1))
+        mu, status = solve_tn_mean_bulk(observed, 1.0, lower, upper, column)
+        monkeypatch.setattr(gaussian, "_EARLY_WIDTH", INF)
+        mu_off, status_off = solve_tn_mean_bulk(observed, 1.0, lower, upper, column)
+        np.testing.assert_array_equal(status, status_off)
+        ok = status == 0
+        assert np.any(mu[ok] != mu_off[ok])
+        assert np.all(np.abs(mu[ok] - mu_off[ok]) <= 1e-9)
+        # below the width floor the step test alone decides, bit for bit
+        narrow = upper - lower < 0.05
+        np.testing.assert_array_equal(mu[:, narrow].view(np.int64),
+                                      mu_off[:, narrow].view(np.int64))
+        # the 80-digit CDF at each converged mean on the wider windows, with
+        # the window standardized about it exactly
+        mp.mp.dps = 80
+        for row, target in enumerate(targets):
+            for j in np.flatnonzero(ok[row] & ~narrow):
+                mean = mp.mpf(mu[row, j])
+                cdf = mp_cdf(mp.mpf(lower[j]) - mean, mp.mpf(upper[j]) - mean,
+                             mp.mpf(observed[j]) - mean)
+                assert abs(float(cdf) - target) <= 0.5e-8
 
     @pytest.mark.parametrize("side", [-1, 1])
     def test_observed_on_window_edge_is_unbounded(self, side):
