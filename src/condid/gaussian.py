@@ -185,6 +185,7 @@ def _cdf_excess(u, zlo, zhi, target):
         scale = -_INV_SQRT_2PI / neg_mass
         ga, gx, gb = (_density(p, lb, scale) for p in (a, x, b))
         G, H, aga = gb - ga, gx - ga, a * ga
+        # the docstring's F' and F'', in the same order of operations, in place
         slope = cdf * G
         slope -= H
         curvature = b * gb
@@ -344,7 +345,7 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
         state[6] = step * (outward + 1.0)
         state[7], state[8] = abs_f, abs_delta * inside
         if ended.any():
-            # below, above and exhausted are disjoint; done has status 0
+            # status 2, +1 or -1 where exhausted, above or below (disjoint), else 0
             end = np.flatnonzero(ended)
             root[act[end]] = np.where(settled[end], halley[end], nxt[end])
             status[act[end]] = (2 * exhausted[end].view(np.int8) + above[end].view(np.int8)
@@ -356,7 +357,7 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
     mu = observed + root * sd
     mu[status == -1] = -math.inf
     mu[status == 1] = math.inf
-    mu[status == 2] = math.nan
+    mu[status == 2] = math.nan  # root holds the last point of every ended element
     return mu.reshape(shape), status.reshape(shape)
 
 
