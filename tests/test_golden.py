@@ -89,6 +89,12 @@ CASES = {
     "help-eta": ["eta", "--help"],
     # one input of each error class, in the order cli.main catches them
     "error-usage": ["simulate", "--table", "5", "--output", "out.csv"],
+    # the parser's dispatch: no command, an unknown one, a missing required
+    # option, and an unknown option after a command, which the top level reports
+    "error-no-command": [],
+    "error-unknown-command": ["frobnicate"],
+    "error-missing-input": ["analyze", "--output", "r.json"],
+    "error-extra-argument": ["eta", "--k", "4", "--p", "1", "--frob"],
     "error-parse": ["analyze", "--input", "malformed.csv", "--output", "r.json"],
     "error-validation": ["analyze", "--input", "thin.csv", "--output", "r.json"],
     "error-numerical": ["eta", "--k", "12", "--p", "12"],
@@ -107,7 +113,7 @@ def run_case(name: str, workdir: Path) -> tuple[dict, str | None]:
     """``({"exit", "stdout", "stderr"}, output file text or None)`` of one case,
     run with ``workdir`` as the working directory and 80 terminal columns."""
     argv = list(CASES[name])
-    writes = argv[-1] == "--output"
+    writes = argv[-1:] == ["--output"]
     if writes:
         argv.append(name)
     for file_name, text in BAD_INPUTS.items():
