@@ -169,7 +169,16 @@ def cmd_eta(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands, in the order ``condid --help`` lists them
+COMMANDS = ("analyze", "simulate", "eta")
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one command line.  Where ``argv`` starts with a
+    subcommand, it holds only that subcommand's parser, which is all argparse
+    needs to parse it; for anything else (``--help``, ``--version``, no or an
+    unknown subcommand) it holds every subcommand's parser."""
+    named = argv[0] if argv and argv[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="condid",
         description=(
@@ -178,53 +187,60 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"condid {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a usage line printed for one subcommand's parser still lists them all
+    metavar = None if named is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog="condid")
 
     # flags for SimConfig fields and library keywords state no default
     quiet = argparse.SUPPRESS
-    p_an = sub.add_parser("analyze", help="analyze a panel CSV", argument_default=quiet)
-    p_an.add_argument("--input", required=True, help="panel CSV (unit,period,treatment,outcome)")
-    p_an.add_argument("--output", required=True, help="report path")
-    p_an.add_argument("--format", choices=("json", "csv"), default="json")
-    p_an.add_argument("--alpha-pretest", type=float)
-    p_an.add_argument("--alpha-ci", type=float)
-    p_an.add_argument("--trend-order", type=int)
-    p_an.set_defaults(func=cmd_analyze)
+    if named in (None, "analyze"):
+        p_an = sub.add_parser("analyze", help="analyze a panel CSV", argument_default=quiet)
+        p_an.add_argument("--input", required=True,
+                          help="panel CSV (unit,period,treatment,outcome)")
+        p_an.add_argument("--output", required=True, help="report path")
+        p_an.add_argument("--format", choices=("json", "csv"), default="json")
+        p_an.add_argument("--alpha-pretest", type=float)
+        p_an.add_argument("--alpha-ci", type=float)
+        p_an.add_argument("--trend-order", type=int)
+        p_an.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser(
-        "simulate", help="reproduce one of the published tables", argument_default=quiet
-    )
-    p_sim.add_argument("--table", type=int, required=True, choices=TABLE_SPECS)
-    p_sim.add_argument("--output", required=True)
-    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--reps", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--dgp", choices=("null", "trend"), help="restrict output rows to one DGP")
-    p_sim.add_argument("--k-max", type=int)
-    p_sim.add_argument("--n", type=int, dest="n_per_cell", metavar="N",
-                       help="observations per (group, period) cell")
-    p_sim.add_argument("--sigma", type=float, dest="sigma_noise", metavar="SIGMA",
-                       help="outcome noise sd")
-    p_sim.add_argument("--slope", type=float, dest="trend_slope", metavar="SLOPE",
-                       help="trend DGP slope")
-    p_sim.add_argument("--alpha-pretest", type=float)
-    p_sim.add_argument("--alpha-ci", type=float)
-    p_sim.add_argument("--workers", type=int)
-    p_sim.set_defaults(func=cmd_simulate)
+    if named in (None, "simulate"):
+        p_sim = sub.add_parser(
+            "simulate", help="reproduce one of the published tables", argument_default=quiet
+        )
+        p_sim.add_argument("--table", type=int, required=True, choices=TABLE_SPECS)
+        p_sim.add_argument("--output", required=True)
+        p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_sim.add_argument("--reps", type=int)
+        p_sim.add_argument("--seed", type=int)
+        p_sim.add_argument("--dgp", choices=("null", "trend"), help="restrict output rows to one DGP")
+        p_sim.add_argument("--k-max", type=int)
+        p_sim.add_argument("--n", type=int, dest="n_per_cell", metavar="N",
+                           help="observations per (group, period) cell")
+        p_sim.add_argument("--sigma", type=float, dest="sigma_noise", metavar="SIGMA",
+                           help="outcome noise sd")
+        p_sim.add_argument("--slope", type=float, dest="trend_slope", metavar="SLOPE",
+                           help="trend DGP slope")
+        p_sim.add_argument("--alpha-pretest", type=float)
+        p_sim.add_argument("--alpha-ci", type=float)
+        p_sim.add_argument("--workers", type=int)
+        p_sim.set_defaults(func=cmd_simulate)
 
-    p_eta = sub.add_parser(
-        "eta", help="print a trend-adjustment contrast vector", argument_default=quiet
-    )
-    p_eta.add_argument("--k", type=int, required=True)
-    p_eta.add_argument("--p", type=int, required=True)
-    p_eta.add_argument("--m", type=int)
-    p_eta.set_defaults(func=cmd_eta)
+    if named in (None, "eta"):
+        p_eta = sub.add_parser(
+            "eta", help="print a trend-adjustment contrast vector", argument_default=quiet
+        )
+        p_eta.add_argument("--k", type=int, required=True)
+        p_eta.add_argument("--p", type=int, required=True)
+        p_eta.add_argument("--m", type=int)
+        p_eta.set_defaults(func=cmd_eta)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except PanelParseError as exc:

@@ -14,7 +14,7 @@ after an earlier Halley step is at most 1e-10, on windows at least 0.05 sd
 wide; below that width the first test alone applies.  That takes 2.7 CDF
 evaluations per element on average and at most 10 on the 1.4 million solves
 of ``simulate --table 3 --reps 25000``, each three ``log_ndtr`` and three
-``exp`` calls.  :func:`solve_tn_quantiles` is the one entry into the solve
+``exp`` values.  :func:`solve_tn_quantiles` is the one entry into the solve
 for every estimate and interval: it returns unbounded roots as infinities
 and raises :class:`~condid.errors.NoConvergenceError` for a solve that did
 not converge.
@@ -56,10 +56,9 @@ _STEP_TOL = 1e-8
 _MAX_RADIUS = 40.0
 _MAX_ITER = 200
 # early acceptance of a Halley point: its largest predicted error, and the
-# narrowest window in sd it applies to (0.05, written as a quotient because
-# the literal is kept for the pretest's significance level)
+# narrowest window in sd it applies to
 _EARLY_ERROR = 1e-10
-_EARLY_WIDTH = 1 / 20
+_EARLY_WIDTH = 0.05
 
 # Most (element, target) pairs per solve_tn_mean_bulk call in
 # solve_tn_quantiles: the bulk solve's temporaries grow with its batch, while
@@ -142,9 +141,10 @@ def _cdf_excess(u, zlo, zhi, target):
     F = (Phi(x) - Phi(a)) / (Phi(b) - Phi(a)).  Where ``a + b > 0`` the
     window's bulk lies right of zero, where Phi is close to 1 and loses
     digits, so the points are reflected to ``a', x', b' = -b, -x, -a`` and
-    F = (Phi(b') - Phi(x')) / (Phi(b') - Phi(a')).  Three ``log_ndtr`` calls
-    give either form; both are exactly 0 (1) at the lower (upper) edge and
-    keep full relative accuracy for small CDF values.
+    F = (Phi(b') - Phi(x')) / (Phi(b') - Phi(a')).  Three ``log_ndtr``
+    values, from one call on the stacked points, give either form; both are
+    exactly 0 (1) at the lower (upper) edge and keep full relative accuracy
+    for small CDF values.
 
     With Z = Phi(b) - Phi(a), ``g_p = phi(p) / Z``, G = g_b - g_a and
     H = g_x - g_a, the derivatives are
@@ -152,9 +152,9 @@ def _cdf_excess(u, zlo, zhi, target):
         F'  = -H + F*G
         F'' = -(x*g_x - a*g_a) - H*G + F'*G + F*(b*g_b - a*g_a + G**2),
 
-    three ``exp`` calls more.  Bounds are clamped at +/-1e150, where phi is
+    three ``exp`` values more.  Bounds are clamped at +/-1e150, where phi is
     exactly 0 and so is ``p*g_p``, as it is at an infinite bound.  Requires
-    ``zlo <= 0 <= zhi``.
+    ``zlo <= 0 <= zhi``; floating-point warnings are the caller's to set.
 
     With ``d`` the larger of 1 and the window's distance from the mean ``u``,
     ``w`` its width and ``s`` the distance of 0 from its nearer edge: on
@@ -164,52 +164,44 @@ def _cdf_excess(u, zlo, zhi, target):
     0 uniform inside, the worst relative error measured was 2e-9 at 38 out,
     3e-7 at 200, 2e-8 at 1e3 and 6e-8 at 1e4.
     """
-    a = np.maximum(zlo, -_Z_CAP) - u
-    b = np.minimum(zhi, _Z_CAP) - u
-    x = -u
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the reflected points without a select: min(a, -b) is -b where
-        # flip holds and a elsewhere, -max(a, -b) is -a or b, and x is
-        # negated by a factor -1 where flip holds
-        flip = a + b > 0
-        la = log_ndtr(np.minimum(a, -b))
-        lx = log_ndtr(x * (1.0 - 2.0 * flip))
-        lb = log_ndtr(-np.maximum(a, -b))
-        q = lx - lb
-        # -Z / Phi(b'), with b' = b or -a; the signs cancel in each quotient
-        neg_mass = np.expm1(la - lb)
-        t = np.expm1(la - lx)
-        t *= np.exp(q)
-        cdf = np.where(flip, np.expm1(q), t)
-        cdf /= neg_mass
-        scale = -_INV_SQRT_2PI / neg_mass
-        ga, gx, gb = (_density(p, lb, scale) for p in (a, x, b))
-        G, H, aga = gb - ga, gx - ga, a * ga
-        # the docstring's F' and F'', in the same order of operations, in place
-        slope = cdf * G
-        slope -= H
-        curvature = b * gb
-        curvature -= aga
-        curvature += G * G
-        curvature *= cdf
-        x *= gx
-        x -= aga
-        curvature -= x
-        H -= slope
-        H *= G
-        curvature -= H
-        cdf -= target
+    # a, x and b as the rows of one array
+    p = np.empty((3,) + u.shape)
+    a, x, b = p[0, ...], p[1, ...], p[2, ...]
+    np.maximum(zlo, -_Z_CAP, out=a)
+    a -= u
+    np.negative(u, out=x)
+    np.minimum(zhi, _Z_CAP, out=b)
+    b -= u
+    flip = a + b > 0
+    # log Phi at a, x and b, or at the reflected -b, -x and -a where flip holds
+    la, lx, lb = logs = log_ndtr(np.where(flip, -p[::-1], p))
+    q = lx - lb
+    # -Z / Phi(b'), with b' = b or -a; the signs cancel in each quotient
+    t, neg_mass = np.expm1(la - logs[1:])
+    t *= np.exp(q)
+    cdf = np.where(flip, np.expm1(q), t)
+    cdf /= neg_mass
+    # g_a, g_x and g_b as exp(-p*p/2 - lb) * scale
+    g = -0.5 * p
+    g *= p
+    g -= lb
+    np.exp(g, out=g)
+    g *= -_INV_SQRT_2PI / neg_mass
+    H, G = g[1:] - g[0]
+    # x*g_x - a*g_a and b*g_b - a*g_a
+    pg = p * g
+    xga, bga = pg[1:] - pg[0]
+    # the docstring's F' and F'', in the same order of operations
+    slope = cdf * G
+    slope -= H
+    curvature = bga + G * G
+    curvature *= cdf
+    curvature -= xga
+    H -= slope
+    H *= G
+    curvature -= H
+    cdf -= target
     return cdf, slope, curvature
-
-
-def _density(p, lb, scale):
-    """``phi(p) / Z`` as ``exp(-p*p/2 - lb) * scale``."""
-    t = -0.5 * p
-    t *= p
-    t -= lb
-    t = np.exp(t)
-    t *= scale
-    return t
 
 
 def solve_tn_mean_bulk(observed, sd, lower, upper, target):
@@ -271,52 +263,45 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
         CDF is NaN or an outward step cannot move (``mu`` is NaN).  Every
         pass counts: one CDF evaluation and one step of any kind.
     """
-    observed, sd, lower, upper, target = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (observed, sd, lower, upper, target))
-    )
-    shape = observed.shape
-    observed, sd, lower, upper, target = (
-        a.ravel() for a in (observed, sd, lower, upper, target)
-    )
+    shape = np.broadcast(observed, sd, lower, upper, target).shape
+    columns = np.empty((5,) + shape)
+    for i, a in enumerate((observed, sd, lower, upper, target)):
+        columns[i] = a
+    observed, sd, lower, upper, target = columns.reshape(5, -1)
     n = observed.size
 
     # absorb float dust: the observed value is inside its window by
     # construction whenever the conditioning event held
     observed = np.minimum(np.maximum(observed, lower), upper)
-    zlo = (lower - observed) / sd
-    zhi = (upper - observed) / sd
 
     # one column per unfinished element ``act``: the rows of ``state`` are
     # its window, target, point, bracket ends (-inf / +inf until a point on
-    # that side is evaluated), outward step, and the |f| and Halley step of
-    # its last pass (the step is 0 where that pass took no Halley step)
+    # that side is evaluated), outward step, the |f| and Halley step of its
+    # last pass (the step is 0 where that pass took no Halley step), and the
+    # early test's error bound, -inf on windows where that test does not apply
     root = np.full(n, math.nan)
     status = np.zeros(n, dtype=np.int8)
     act = np.arange(n)
-    state = np.empty((9, n))
-    state[0], state[1], state[2] = zlo, zhi, target
-    state[3] = np.clip(-ndtri(target), -_MAX_RADIUS, _MAX_RADIUS)
+    state = np.empty((10, n))
+    state[0] = (lower - observed) / sd
+    state[1] = (upper - observed) / sd
+    state[2] = target
+    state[3] = np.minimum(np.maximum(-ndtri(target), -_MAX_RADIUS), _MAX_RADIUS)
     state[4], state[5], state[6], state[7], state[8] = -math.inf, math.inf, 0.5, 0.0, 0.0
-    for _ in range(_MAX_ITER):
-        if not act.size:
-            break
-        zlo, zhi, target, u, lo, hi, step, f_prev, d_prev = state
-        f, slope, curvature = _cdf_excess(u, zlo, zhi, target)
-        up = f > 0  # F decreases in u: the root lies above u
-        lo, hi = np.where(up, u, lo), np.where(up, hi, u)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    state[9] = np.where(state[1] - state[0] >= _EARLY_WIDTH, _EARLY_ERROR, -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_ITER):
+            if not act.size:
+                break
+            zlo, zhi, target, u, lo, hi, step, f_prev, d_prev, bound = state
+            f, slope, curvature = _cdf_excess(u, zlo, zhi, target)
+            up = f > 0  # F decreases in u: the root lies above u
+            np.copyto(lo, u, where=up)
+            np.copyto(hi, u, where=~up)
             delta = -f / (slope - f * curvature / (2.0 * slope))
             halley = u + delta
             floor, ceiling = np.maximum(lo, -_MAX_RADIUS), np.minimum(hi, _MAX_RADIUS)
             inside = (floor < halley) & (halley < ceiling)
-            width = hi - lo
-            # the far end of the bracket is unevaluated: width is infinite
-            outward = ~inside & np.isinf(width)
-            # the other steps, on the few points whose Halley step lands outside
-            nxt = halley.copy()
-            off = np.flatnonzero(~inside)
-            toward = np.clip(u[off] + step[off] * (2.0 * up[off] - 1.0), -_MAX_RADIUS, _MAX_RADIUS)
-            nxt[off] = np.where(outward[off], toward, 0.5 * (lo[off] + hi[off]))
             # a converging step may round to u itself, an end of the bracket, so
             # it need only land in the closed bracket (at an exact root it is 0);
             # where the CDF is flat in floating point (slope 0), the step is no
@@ -327,31 +312,48 @@ def solve_tn_mean_bulk(observed, sd, lower, upper, target):
             # which fails its error test
             early = (
                 inside
-                & (np.square(abs_delta * abs_delta) <= _EARLY_ERROR * d_prev * d_prev * d_prev)
+                & (np.square(abs_delta * abs_delta) <= bound * d_prev * d_prev * d_prev)
                 & (abs_f * d_prev <= 2.0 * f_prev * abs_delta)
-                & (zhi - zlo >= _EARLY_WIDTH)
             )
-        done = settled | early | (width <= _STEP_TOL)
-        # status -1 (+1): the CDF at the lower (upper) search edge is still
-        # below (above) the target, so the root lies beyond it
-        below = (u == -_MAX_RADIUS) & (f < 0)
-        above = (u == _MAX_RADIUS) & (f > 0)
-        finished = done | below | above
-        # these never finish: a NaN CDF (a window of zero width), and a point
-        # whose outward step is clipped back onto it, as every later pass repeats it
-        exhausted = np.isnan(f) | (outward & (nxt == u) & ~finished)
-        ended = finished | exhausted
-        state[3], state[4], state[5] = nxt, lo, hi
-        state[6] = step * (outward + 1.0)
-        state[7], state[8] = abs_f, abs_delta * inside
-        if ended.any():
-            # status 2, +1 or -1 where exhausted, above or below (disjoint), else 0
-            end = np.flatnonzero(ended)
-            root[act[end]] = np.where(settled[end], halley[end], nxt[end])
-            status[act[end]] = (2 * exhausted[end].view(np.int8) + above[end].view(np.int8)
-                                - below[end].view(np.int8))
-            keep = np.flatnonzero(~ended)
-            state, act = state.take(keep, axis=1), act[keep]
+            done = settled | early | (hi - lo <= _STEP_TOL)
+            # status -1 (+1): the CDF at the lower (upper) search edge is still
+            # below (above) the target, so the root lies beyond it
+            below = (u == -_MAX_RADIUS) & (f < 0)
+            above = (u == _MAX_RADIUS) & up
+            finished = done | below | above
+            # a NaN CDF (a window of zero width) never finishes
+            exhausted = np.isnan(f)
+            nxt = halley
+            off = (~inside).nonzero()[0]
+            if off.size:
+                # the other steps, for the few points whose Halley step lands
+                # outside the bracket: a doubling step towards the root while the
+                # bracket's far end is unevaluated, where the midpoint is
+                # infinite on the root's side, and bisection once it is closed
+                u_off, lo_off, hi_off, step_off = state[3:7].take(off, axis=1)
+                mid = 0.5 * (lo_off + hi_off)
+                outward = np.isinf(mid)
+                toward = np.minimum(np.maximum(u_off + np.copysign(step_off, mid), -_MAX_RADIUS),
+                                    _MAX_RADIUS)
+                nxt = halley.copy()
+                nxt[off] = np.where(outward, toward, mid)
+                np.multiply(step_off, 2.0, out=step_off, where=outward)
+                step[off] = step_off
+                # nor does a point whose outward step is clipped back onto it,
+                # as every later pass repeats it
+                exhausted[off] |= outward & (toward == u_off) & ~finished[off]
+            ended = finished | exhausted
+            u[...] = nxt
+            f_prev[...] = abs_f
+            np.multiply(abs_delta, inside, out=d_prev)
+            end = ended.nonzero()[0]
+            if end.size:
+                # status 2, +1 or -1 where exhausted, above or below (disjoint), else 0
+                ended_at = act[end]
+                root[ended_at] = np.where(settled[end], halley[end], nxt[end])
+                status[ended_at] = 2 * exhausted[end] + above[end] - below[end]
+                keep = (~ended).nonzero()[0]
+                state, act = state.take(keep, axis=1), act[keep]
     status[act] = 2  # still unfinished after the last pass
 
     mu = observed + root * sd
@@ -381,20 +383,22 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
         Some solve used up its iteration budget; no NaN is ever returned.
     """
     targets = np.asarray(targets, dtype=float)
-    if not np.all((targets > 0.0) & (targets < 1.0)):
+    if not ((targets > 0.0) & (targets < 1.0)).all():
         raise InvalidArgumentError(f"targets must lie strictly inside (0, 1), got {targets.tolist()}")
     columns = [np.asarray(a, dtype=float) for a in (observed, sd, lower, upper)]
     shapes = [c.shape for c in columns]
     if len(set(shapes)) > 1:
         raise InvalidArgumentError(f"observed, sd, lower and upper differ in shape: {shapes}")
     shape = shapes[0] + targets.shape
-    # row i holds element i against every target: a call takes whole rows
-    columns = np.broadcast_arrays(*(c.reshape(-1, 1) for c in columns), targets.ravel())
-    mu = np.empty(columns[0].shape)
+    # row i holds element i against every target, as the bulk solve
+    # broadcasts a column against the targets: a call takes whole rows
+    columns = [c.reshape(-1, 1) for c in columns]
+    targets = targets.ravel()
+    mu = np.empty((len(columns[0]), targets.size))
     step = max(1, BULK_BLOCK // max(targets.size, 1))
     for start in range(0, len(mu), step):
         rows = slice(start, start + step)
-        mu[rows], status = solve_tn_mean_bulk(*(c[rows] for c in columns))
+        mu[rows], status = solve_tn_mean_bulk(*(c[rows] for c in columns), targets)
         unconverged = np.count_nonzero(status == 2)
         if unconverged:
             raise NoConvergenceError(

@@ -307,6 +307,32 @@ class TestSimulate:
         assert cells == [("null", 1), ("null", 2)]
 
 
+class TestDispatch:
+    @staticmethod
+    def record(monkeypatch):
+        # perfbench's cli.* spans replace these module attributes: main must
+        # reach the commands through them, whichever parser it builds
+        calls = []
+        for name in ("cmd_analyze", "cmd_simulate"):
+            monkeypatch.setattr(cli, name, lambda args, name=name: calls.append(
+                (name, args.command, args.output)) or EXIT_OK)
+        return calls
+
+    def test_main_calls_the_patched_commands(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        assert main(["analyze", "--input", "in.csv", "--output", "a.json"]) == EXIT_OK
+        assert main(["simulate", "--table", "1", "--output", "s.csv"]) == EXIT_OK
+        assert calls == [("cmd_analyze", "analyze", "a.json"),
+                         ("cmd_simulate", "simulate", "s.csv")]
+
+    def test_main_without_argv_reads_the_command_line(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["condid", "analyze", "--input", "in.csv",
+                                          "--output", "a.json"])
+        assert main() == EXIT_OK
+        assert calls == [("cmd_analyze", "analyze", "a.json")]
+
+
 class TestConsoleEntrypoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

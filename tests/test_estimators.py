@@ -409,7 +409,8 @@ class TestAnalyze:
         sizes = []
 
         def counting_bulk(*args, **kwargs):
-            sizes.append(np.size(args[0]))
+            # the (element, target) pairs of the call: it broadcasts its arguments
+            sizes.append(np.broadcast(*args).size)
             return bulk(*args, **kwargs)
 
         monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", counting_bulk)

@@ -659,7 +659,8 @@ class TestSolveTnQuantiles:
         sizes = []
 
         def counting_bulk(*args, **kwargs):
-            sizes.append(np.size(args[0]))
+            # the (element, target) pairs of the call: it broadcasts its arguments
+            sizes.append(np.broadcast(*args).size)
             return bulk(*args, **kwargs)
 
         monkeypatch.setattr(gaussian, "BULK_BLOCK", 7)
@@ -699,7 +700,8 @@ class TestSolveTnQuantiles:
         calls = []
 
         def recording_bulk(*args, **kwargs):
-            calls.append(args[4].tolist())
+            # the targets of each (element, target) pair the call solves
+            calls.append(np.broadcast_to(args[4], np.broadcast(*args).shape).tolist())
             return bulk(*args, **kwargs)
 
         monkeypatch.setattr(gaussian, "BULK_BLOCK", block)

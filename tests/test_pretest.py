@@ -1,10 +1,10 @@
 """Tests for pre-trends acceptance and its polyhedral form."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
-import tokenize
 
 import numpy as np
 import pytest
@@ -148,17 +148,54 @@ class TestAcceptanceProbability:
         assert accept.mean() == pytest.approx(published, abs=0.01)
 
 
+def _is_alpha(name) -> bool:
+    return isinstance(name, str) and "alpha" in name.lower()
+
+
+def _significance_literals(tree, signatures) -> list[int]:
+    """Lines where ``tree`` writes 0.05 as a significance level: an
+    alpha-named default, keyword or assignment target, or a positional
+    argument that an alpha-named parameter of a condid function takes
+    (``signatures`` maps each function's name to its parameter names)."""
+    def is_level(node):
+        return isinstance(node, ast.Constant) and node.value == 0.05
+
+    lines = []
+    for node in ast.walk(tree):
+        pairs = []  # (name, value) of each place a value meets a name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs += zip((a.arg for a in positional[len(positional) - len(args.defaults):]),
+                         args.defaults)
+            pairs += zip((a.arg for a in args.kwonlyargs), args.kw_defaults)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            pairs += ((getattr(t, "id", getattr(t, "attr", None)), node.value) for t in targets)
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            pairs += zip(signatures.get(callee, ()), node.args)
+            pairs += ((k.arg, k.value) for k in node.keywords)
+        lines += [value.lineno for name, value in pairs if _is_alpha(name) and is_level(value)]
+    return lines
+
+
 def test_every_significance_default_is_the_pretest_constant():
-    # identity, not equality: a literal 0.05 elsewhere is another object,
-    # except in pretest's own module code, so the code (not docstrings or
-    # comments) may write the number only as ALPHA's value
+    # identity, not equality: a literal 0.05 elsewhere is another object.
+    # Only pretest's ALPHA may write 0.05 as a significance level in the
+    # code; the number may stand for other things, such as a width
+    modules = [importlib.import_module(f"condid.{info.name}")
+               for info in pkgutil.iter_modules(condid.__path__)]
+    signatures = {name: list(inspect.signature(obj).parameters)
+                  for module in modules for name, obj in vars(module).items()
+                  if inspect.isfunction(obj) and obj.__module__.startswith("condid.")}
+    assert _is_alpha(signatures["critical_value"][0])
     defaults = {}
-    for info in pkgutil.iter_modules(condid.__path__):
-        module = importlib.import_module(f"condid.{info.name}")
+    for module in modules:
+        short = module.__name__.removeprefix("condid.")
         with open(module.__file__, encoding="utf-8") as fh:
-            numbers = [t.string for t in tokenize.generate_tokens(fh.readline)
-                       if t.type == tokenize.NUMBER and float(t.string.replace("_", "")) == 0.05]
-        assert len(numbers) == (module is pretest), (info.name, numbers)
+            lines = _significance_literals(ast.parse(fh.read()), signatures)
+        assert len(lines) == (module is pretest), (short, lines)
         for name, obj in vars(module).items():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
@@ -170,7 +207,7 @@ def test_every_significance_default_is_the_pretest_constant():
                 continue
             for param, default in params.items():
                 if param.startswith("alpha") and isinstance(default, float):
-                    defaults[f"{info.name}.{name}({param})"] = default
+                    defaults[f"{short}.{name}({param})"] = default
     assert sorted(defaults) == [
         "estimators.analyze(alpha_ci)", "estimators.analyze(alpha_pretest)",
         "estimators.conditional_ci(alpha)", "pretest.build_ns_polyhedron(alpha)",
