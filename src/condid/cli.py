@@ -187,9 +187,10 @@ def build_parser(argv) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"condid {__version__}")
-    # a usage line printed for one subcommand's parser still lists them all
+    # a usage line printed for one subcommand's parser still lists them all;
+    # the subcommands' prog is given, so argparse formats no usage to find it
     metavar = None if named is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog="condid")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog=parser.prog)
 
     # flags for SimConfig fields and library keywords state no default
     quiet = argparse.SUPPRESS

@@ -164,7 +164,7 @@ def _cdf_excess(u, zlo, zhi, target):
     0 uniform inside, the worst relative error measured was 2e-9 at 38 out,
     3e-7 at 200, 2e-8 at 1e3 and 6e-8 at 1e4.
     """
-    # a, x and b as the rows of one array
+    # a, x and b as the rows of one array (views, also where u is 0-d)
     p = np.empty((3,) + u.shape)
     a, x, b = p[0, ...], p[1, ...], p[2, ...]
     np.maximum(zlo, -_Z_CAP, out=a)

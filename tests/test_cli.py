@@ -313,9 +313,15 @@ class TestDispatch:
         # perfbench's cli.* spans replace these module attributes: main must
         # reach the commands through them, whichever parser it builds
         calls = []
+
+        def recorder(name):
+            def record(args):
+                calls.append((name, args.command, args.output))
+                return EXIT_OK
+            return record
+
         for name in ("cmd_analyze", "cmd_simulate"):
-            monkeypatch.setattr(cli, name, lambda args, name=name: calls.append(
-                (name, args.command, args.output)) or EXIT_OK)
+            monkeypatch.setattr(cli, name, recorder(name))
         return calls
 
     def test_main_calls_the_patched_commands(self, monkeypatch):
