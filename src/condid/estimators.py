@@ -135,22 +135,30 @@ def polyhedral_window(
     return observed, var, lower, upper
 
 
+def _contrast_windows(bundle: EstimateBundle, eta: np.ndarray, constraint: PolyhedralConstraint):
+    """``(observed, sd, lower, upper)`` of the contrasts ``eta`` (m, d) on one
+    bundle, each (m,): one :func:`polyhedral_window` call over the bundle's
+    dense covariance."""
+    sigma_eta = (bundle.sigma.entries * eta[:, None, :]).sum(axis=-1)
+    observed, var, lower, upper = polyhedral_window(
+        bundle.beta[None], sigma_eta[None], eta, constraint.a_matrix, constraint.b_vector[None],
+    )
+    return observed[0], np.sqrt(var[0]), lower[0], upper[0]
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalLaw:
     """Truncated-normal law of one contrast, conditional on the event.
 
     The observed contrast ``observed`` follows TN(mean, ``sd``^2, [``lower``,
-    ``upper``]); the mean is the free parameter of every solve.  ``z_vector``
-    and ``c_vector`` satisfy ``beta_hat = z_vector + c_vector * observed``.
+    ``upper``]); the mean is the free parameter of every solve.  Any known
+    window makes a law: :func:`condition_contrast` builds one from a bundle.
     """
 
     observed: float
     sd: float
     lower: float
     upper: float
-    z_vector: np.ndarray
-    c_vector: np.ndarray
-    eta: np.ndarray
 
     def __post_init__(self):
         observed, lower, upper = self.observed, self.lower, self.upper
@@ -169,13 +177,10 @@ def condition_contrast(
 ) -> ConditionalLaw:
     """Conditional law of ``eta' beta_hat`` given ``A beta_hat <= b`` and Z.
 
-    Preconditions: ``eta`` nonzero, the observed coefficients satisfy the
-    constraint, and ``eta' Sigma eta > 0``.
-
     Raises
     ------
     ZeroContrastError
-        ``eta`` is zero (or has zero variance under a singular covariance).
+        ``eta' Sigma eta`` is zero, as it is for ``eta = 0``.
     ConstraintViolatedError
         The observed coefficient vector is outside the polyhedron.
     """
@@ -183,8 +188,6 @@ def condition_contrast(
     beta = bundle.beta
     if eta.shape != beta.shape:
         raise InvalidArgumentError(f"eta has shape {eta.shape}, expected {beta.shape}")
-    if not np.any(eta != 0.0):
-        raise ZeroContrastError("contrast vector is zero")
     if constraint.dim != beta.shape[0]:
         raise InvalidArgumentError("constraint dimension does not match bundle")
     if not constraint.holds_at(beta):
@@ -192,18 +195,10 @@ def condition_contrast(
             "observed coefficients violate the conditioning event; "
             "condition_contrast requires a bundle that passed it"
         )
-
-    sigma_eta = (bundle.sigma.entries * eta).sum(axis=-1)
-    window = polyhedral_window(
-        beta[None], sigma_eta[None, None], eta[None], constraint.a_matrix,
-        constraint.b_vector[None],
-    )
-    observed, var, lower, upper = (float(x[0, 0]) for x in window)
-    c = sigma_eta / var
-    z = beta - c * observed
+    window = _contrast_windows(bundle, eta[None], constraint)
+    observed, sd, lower, upper = (float(x[0]) for x in window)
     # float dust can place the observed value epsilon outside its window
-    observed = min(max(observed, lower), upper)
-    return ConditionalLaw(observed, math.sqrt(var), lower, upper, z_vector=z, c_vector=c, eta=eta)
+    return ConditionalLaw(min(max(observed, lower), upper), sd, lower, upper)
 
 
 def quantile_unbiased_estimate(law: ConditionalLaw, target: float = 0.5) -> float:
@@ -353,20 +348,15 @@ def analyze(
     if passed:
         constraint = build_ns_polyhedron(bundle.sigma, alpha_pretest)
         eta = np.stack([np.eye(k + 1)[0], eta_gamma(k, trend_order)])
-        sigma_eta = (bundle.sigma.entries * eta[:, None, :]).sum(axis=-1)
-        observed, var, lower, upper = polyhedral_window(
-            bundle.beta[None], sigma_eta[None], eta, constraint.a_matrix,
-            constraint.b_vector[None],
-        )
-        targets = quantile_targets(alpha_ci)
-        mu = solve_tn_quantiles(observed, np.sqrt(var), lower, upper, targets)[0]
+        observed, sd, lower, upper = _contrast_windows(bundle, eta, constraint)
+        mu = solve_tn_quantiles(observed, sd, lower, upper, quantile_targets(alpha_ci))
         beta_block, gamma_block = (
             ConditionalBlock(
                 estimate=float(mu[j, 0]),
                 ci_lower=float(mu[j, 1]),
                 ci_upper=float(mu[j, 2]),
-                window_lower=float(lower[0, j]),
-                window_upper=float(upper[0, j]),
+                window_lower=float(lower[j]),
+                window_upper=float(upper[j]),
                 trend_order=order,
             )
             for j, order in enumerate((None, trend_order))

@@ -86,10 +86,14 @@ class SimConfig:
             raise InvalidArgumentError("n_per_cell must be >= 2")
         if self.k_max < 1:
             raise InvalidArgumentError("k_max must be >= 1")
-        if not 0.0 < self.sigma_noise < math.inf:
-            raise InvalidArgumentError(
-                f"sigma_noise must be positive and finite, got {self.sigma_noise}"
-            )
+        # sigma * sigma overflows to inf, or underflows to 0, instead of raising
+        cell_var = 2.0 * (self.sigma_noise * self.sigma_noise) / self.n_per_cell
+        if not (self.sigma_noise > 0.0 and 0.0 < cell_var < math.inf):
+            raise InvalidArgumentError(f"sigma_noise must be positive and finite, with "
+                                       f"2*sigma^2/n_per_cell a positive finite double, "
+                                       f"got {self.sigma_noise}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.trend_slope):
             raise InvalidArgumentError(f"trend_slope must be finite, got {self.trend_slope}")
         for name in ("alpha_pretest", "alpha_ci"):

@@ -12,6 +12,8 @@ package reads.
   covariance structure of repeated cross-sections.
 * :func:`conditional_moment_oracle` gives rejection-sampled conditional
   moments.
+* :func:`contrast_decomposition` splits a coefficient vector into the part a
+  contrast moves and the part it leaves fixed.
 * :func:`write_panel` writes a panel back to CSV.
 """
 
@@ -150,6 +152,20 @@ def conditional_moment_oracle(
     mean = accepted.mean(axis=0)
     cov = np.cov(accepted, rowvar=False, ddof=1)
     return mean, np.atleast_2d(cov), accepted.shape[0] / reps
+
+
+def contrast_decomposition(bundle: EstimateBundle, eta) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, z)`` with ``c = Sigma eta / (eta' Sigma eta)`` and
+    ``z = beta - c eta' beta``, so ``beta = z + c x`` at ``x = eta' beta``.
+
+    Moving ``x`` along ``z + c x`` traces the line on which the conditional
+    law of ``eta' beta_hat`` lives; the window is where that line meets the
+    polyhedron.
+    """
+    eta = np.asarray(eta, dtype=float)
+    sigma_eta = bundle.sigma.entries @ eta
+    c = sigma_eta / (eta @ sigma_eta)
+    return c, bundle.beta - c * (eta @ bundle.beta)
 
 
 # --- panel files ----------------------------------------------------------------

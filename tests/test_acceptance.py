@@ -24,7 +24,9 @@ from condid import simulation
 from condid.pretest import build_ns_polyhedron
 from condid.simulation import SimConfig, run_table, simulate_cell
 
-from _oracles import EquicorrelatedSpec, conditional_moment_oracle, equicorrelated_matrix
+from _oracles import (
+    EquicorrelatedSpec, conditional_moment_oracle, contrast_decomposition, equicorrelated_matrix,
+)
 
 DESK_REPS = 100_000
 SEED = 20_250_809
@@ -307,7 +309,8 @@ class TestCriterion5Properties:
                 law = condition_contrast(bundle, eta, constraint)
                 sd = law.sd
                 grid = law.observed + np.arange(-12.0, 12.0 + step, step) * sd
-                vals = law.z_vector[None, :] + grid[:, None] * law.c_vector[None, :]
+                c, z = contrast_decomposition(bundle, eta)
+                vals = z[None, :] + grid[:, None] * c[None, :]
                 feasible = np.all(
                     vals @ constraint.a_matrix.T <= constraint.b_vector + 1e-12, axis=1
                 )

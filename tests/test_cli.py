@@ -172,11 +172,16 @@ class TestAnalyze:
         (["simulate", "--table", "2", "--slope", "nan"], "trend_slope must be finite"),
         (["simulate", "--table", "2", "--slope", "inf"], "trend_slope must be finite"),
         (["simulate", "--table", "1", "--sigma", "inf"], "sigma_noise must be positive and finite"),
+        # 2 * sigma^2 / n_per_cell overflows to inf or underflows to 0
+        *((["simulate", "--table", "1", "--sigma", sigma], "2*sigma^2/n_per_cell a positive finite")
+          for sigma in ("1e200", "1.3e154", "1e-200")),
+        (["simulate", "--table", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["simulate", "--table", "1", "--alpha-ci", "0"], "alpha_ci must lie strictly inside"),
         (["simulate", "--table", "1", "--alpha-pretest", "1"], "alpha_pretest must lie strictly"),
     ],
     ids=["alpha-pretest", "alpha-ci", "trend-order", "reps", "dgp", "slope-nan", "slope-inf",
-         "sigma-inf", "simulate-alpha-ci", "simulate-alpha-pretest"],
+         "sigma-inf", "sigma-1e200", "sigma-1.3e154", "sigma-1e-200", "seed-negative",
+         "simulate-alpha-ci", "simulate-alpha-pretest"],
 )
 def test_invalid_argument_exit_code(argv, message, tmp_path, capsys):
     rc = main(argv + ["--output", str(tmp_path / "out")])

@@ -28,6 +28,7 @@ from _oracles import (
     DegenerateAcceptanceError,
     EquicorrelatedSpec,
     conditional_moment_oracle,
+    contrast_decomposition,
     equicorrelated_matrix,
 )
 
@@ -138,27 +139,14 @@ class TestConditionContrast:
         constraint = build_ns_polyhedron(sigma, 0.05)
         eta = np.array([1.0, 0.0])
         law = condition_contrast(bundle, eta, constraint)
+        c, _ = contrast_decomposition(bundle, eta)
         # c = (1, 1/2); Z_pre = beta_pre - beta_post / 2; the two rows
         # rearrange to (-b - Z)/0.5 <= x <= (b - Z)/0.5
         b = critical_value(0.05) * math.sqrt(2 * v)
         z1 = 0.05 - 0.5 * 0.03
-        assert law.c_vector[1] == pytest.approx(0.5, abs=1e-14)
+        assert c[1] == pytest.approx(0.5, abs=1e-14)
         assert law.lower == pytest.approx((-b - z1) / 0.5, rel=1e-12)
         assert law.upper == pytest.approx((b - z1) / 0.5, rel=1e-12)
-
-    def test_z_reconstructs_beta(self):
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            k = int(rng.integers(1, 4))
-            sigma = random_pd_sigma(rng, k + 1, scale=0.1)
-            constraint = build_ns_polyhedron(sigma, 0.05)
-            bundle = _accepted_bundle(rng, np.zeros(k + 1), sigma, constraint)
-            eta = rng.standard_normal(k + 1)
-            law = condition_contrast(bundle, eta, constraint)
-            np.testing.assert_allclose(
-                law.z_vector + law.c_vector * law.observed, bundle.beta, atol=1e-12
-            )
-            assert law.lower <= law.observed <= law.upper
 
     def test_grid_scan_oracle(self):
         rng = np.random.default_rng(11)
@@ -176,7 +164,8 @@ class TestConditionContrast:
             sd = law.sd
             grid = law.observed + np.arange(-12.0, 12.0 + step, step) * sd
             a, b = constraint.a_matrix, constraint.b_vector
-            vals = law.z_vector[None, :] + grid[:, None] * law.c_vector[None, :]
+            c, z = contrast_decomposition(bundle, eta)
+            vals = z[None, :] + grid[:, None] * c[None, :]
             feasible = np.all(vals @ a.T <= b + 1e-12, axis=1)
             assert feasible.any()
             lo_grid = grid[feasible][0]
@@ -208,7 +197,8 @@ class TestConditionContrast:
             assert law.lower <= law.observed <= law.upper
             sd = law.sd
             grid = law.observed + np.arange(-15.0, 15.0 + step, step) * sd
-            vals = law.z_vector[None, :] + grid[:, None] * law.c_vector[None, :]
+            c, z = contrast_decomposition(bundle, eta)
+            vals = z[None, :] + grid[:, None] * c[None, :]
             feasible = np.all(vals @ a.T <= constraint.b_vector + 1e-10, axis=1)
             assert feasible.any()
             lo_grid, hi_grid = grid[feasible][0], grid[feasible][-1]
@@ -305,9 +295,6 @@ class TestQuantileSolves:
             sd=math.sqrt(0.012),
             lower=0.0,
             upper=0.4,
-            z_vector=np.zeros(2),
-            c_vector=np.array([1.0, 0.5]),
-            eta=np.array([1.0, 0.0]),
         )
         assert quantile_unbiased_estimate(law, 0.025) == -INF
         # the interval reports the same root as an infinite endpoint

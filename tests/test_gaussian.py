@@ -44,9 +44,7 @@ def truncnorm_cdf(x, mu, sd, lower, upper):
 
 def scalar_law(observed, sd, lower, upper):
     """The conditional law of a one-coefficient contrast with this window."""
-    return ConditionalLaw(
-        observed, sd, lower, upper, z_vector=np.zeros(1), c_vector=np.ones(1), eta=np.ones(1)
-    )
+    return ConditionalLaw(observed, sd, lower, upper)
 
 
 # --- CovarianceMatrix --------------------------------------------------------
@@ -570,11 +568,9 @@ class TestTermination:
 
     def test_quantile_estimate_on_a_narrow_window_raises_within_its_budget(self):
         code = "\n".join([
-            "import numpy as np",
             "from condid.errors import NoConvergenceError",
             "from condid.estimators import ConditionalLaw, quantile_unbiased_estimate",
-            "law = ConditionalLaw(9e-13, 1.0, 0.0, 1e-12, z_vector=np.zeros(1),",
-            "                     c_vector=np.ones(1), eta=np.ones(1))",
+            "law = ConditionalLaw(9e-13, 1.0, 0.0, 1e-12)",
             "try:",
             "    quantile_unbiased_estimate(law, 0.9005681818199736)",
             "except NoConvergenceError:",

@@ -100,6 +100,8 @@ CASES = {
     "error-numerical": ["eta", "--k", "12", "--p", "12"],
     "error-argument": ["analyze", "--input", str(REPO_ROOT / "data" / "trend_panel.csv"),
                        "--alpha-ci", "1e-17", "--output", "r.json"],
+    "error-argument-simulate": ["simulate", "--table", "1", "--reps", "200", "--k-max", "1",
+                                "--seed", "-1", "--output", "out.csv"],
     "error-io": ["analyze", "--input", "missing.csv", "--output", "r.json"],
 }
 

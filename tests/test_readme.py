@@ -44,7 +44,9 @@ def test_removed_names_are_gone():
     assert {"gaussian.solve_tn_mean", "errors.NoBracketError", "simulation.rows_to_csv",
             "simulation.rows_to_json", "simulation.json_number", "pretest.ns_rows",
             "estimators.ConditionalLaw.spec", "estimators.ConditionalLaw.window",
-            "gaussian.tn_cdf", "gaussian.TruncatedNormalSpec"} <= set(names)
+            "gaussian.tn_cdf", "gaussian.TruncatedNormalSpec",
+            "estimators.ConditionalLaw.z_vector", "estimators.ConditionalLaw.c_vector",
+            "estimators.ConditionalLaw.eta"} <= set(names)
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)

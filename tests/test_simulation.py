@@ -392,7 +392,9 @@ class TestRunTable:
         ("trend_slope", math.nan), ("trend_slope", INF), ("trend_slope", -INF),
         ("sigma_noise", math.nan), ("sigma_noise", INF), ("sigma_noise", 0.0),
         ("alpha_ci", 0.0), ("alpha_ci", 1.0), ("alpha_pretest", 0.0), ("alpha_pretest", 1.5),
-        ("alpha_ci", 1e-17), ("alpha_pretest", 1e-17),
+        ("alpha_ci", 1e-17), ("alpha_pretest", 1e-17), ("seed", -1),
+        # 2 * sigma^2 / n_per_cell overflows to inf or underflows to 0
+        ("sigma_noise", 1e200), ("sigma_noise", 1.3e154), ("sigma_noise", 1e-200),
     ])
     def test_invalid_setting_rejected_before_simulating(self, field, value):
         with pytest.raises(ValueError, match=field):
