@@ -35,6 +35,7 @@ __all__ = [
     "PanelData",
     "EstimateBundle",
     "estimate_event_study",
+    "coefficients",
     "load_panel",
     "PANEL_HEADER",
 ]
@@ -184,13 +185,22 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     # per period: the treated-minus-control mean and its variance
     delta = means[1::2] - means[0::2]
     v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
-    # periods in coefficient order (1, -1, ..., -K); period 0 sits at index k
-    order = np.concatenate(([k + 1], np.arange(k - 1, -1, -1)))
-    beta = delta[order] - delta[k]
-    cov = np.full((k + 1, k + 1), v[k])
-    cov[np.diag_indices(k + 1)] += v[order]
-    sigma = CovarianceMatrix(cov, allow_singular=True)
+    beta, v0, v_coef = coefficients(delta, v)
+    sigma = CovarianceMatrix(np.diag(v_coef) + v0, allow_singular=True)
     return EstimateBundle(beta_post=float(beta[0]), beta_pre=beta[1:], sigma=sigma)
+
+
+def coefficients(delta: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients in (post, -1, ..., -K) order from per-period
+    treated-minus-control means ``delta`` and their variances ``v``, with the
+    periods -K, ..., 0, 1 on the last axis of any stack.  Returns ``(beta,
+    v0, v_coef)``: ``beta_t = delta_t - delta_0`` and, for independent
+    periods, Cov(beta) = ``v0`` + diag(``v_coef``).  The estimator and the
+    simulator both build their coefficients here.
+    """
+    k = delta.shape[-1] - 2
+    order = np.concatenate(([k + 1], np.arange(k - 1, -1, -1)))
+    return delta[..., order] - delta[..., k, None], v[..., k], v[..., order]
 
 
 def _first_duplicate(unit: np.ndarray, period: np.ndarray) -> tuple:

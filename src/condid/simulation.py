@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NoConvergenceError
 from .estimators import eta_gamma, polyhedral_window, quantile_targets
+from .event_study import coefficients
 from .gaussian import solve_tn_quantiles
 from .pretest import ALPHA, critical_value, ns_event
 
@@ -86,12 +87,25 @@ class SimConfig:
             raise InvalidArgumentError("n_per_cell must be >= 2")
         if self.k_max < 1:
             raise InvalidArgumentError("k_max must be >= 1")
-        # sigma * sigma overflows to inf, or underflows to 0, instead of raising
+        # The tables scale exactly with sigma_noise while every intermediate
+        # stays a normal double.  Floor: the pre-period adjustment's
+        # 1 / (1/v0 + sum 1/v) is at least min(v) / (k_max + 1), and an
+        # estimated variance falls below cell_var * 2**(-64/df) / e with
+        # probability under 2**-64 (a chi-square Chernoff bound).  Ceiling:
+        # np.std sums the squared deviations of beta_post, 2 * cell_var times
+        # a chi-square on fewer than reps degrees of freedom, which exceeds
+        # reps + 2 sqrt(reps x) + 2x at x = 64 ln 2 with probability under
+        # 2**-64 (Laurent and Massart 2000).  sigma * sigma overflows to inf,
+        # or underflows to 0, instead of raising.
         cell_var = 2.0 * (self.sigma_noise * self.sigma_noise) / self.n_per_cell
-        if not (self.sigma_noise > 0.0 and 0.0 < cell_var < math.inf):
+        df, x = self.n_per_cell - 1, 64.0 * math.log(2.0)
+        floor = (self.k_max + 1) * math.e * 2.0 ** (64.0 / df) * np.finfo(float).tiny
+        ceiling = np.finfo(float).max / (2.0 * (self.reps + 2.0 * math.sqrt(self.reps * x) + 2.0 * x))
+        if not (self.sigma_noise > 0.0 and floor <= cell_var <= ceiling):
             raise InvalidArgumentError(f"sigma_noise must be positive and finite, with "
-                                       f"2*sigma^2/n_per_cell a positive finite double, "
-                                       f"got {self.sigma_noise}")
+                                       f"2*sigma^2/n_per_cell a positive finite double in "
+                                       f"[{floor:.3g}, {ceiling:.3g}] at this n_per_cell, "
+                                       f"k_max and reps, got {self.sigma_noise}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.trend_slope):
@@ -235,10 +249,8 @@ def _records_from_draws(
     Uses only elementwise operations and per-axis reductions so that results
     do not depend on chunk boundaries.
     """
-    beta = delta - delta[:, [1]]
-    beta = np.delete(beta, 1, axis=1)  # coefficient order (post, -1, ..., -K)
-    v0 = v[:, 1]
-    v_coef = np.delete(v, 1, axis=1)
+    # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending
+    beta, v0, v_coef = coefficients(delta[:, ::-1], v[:, ::-1])
     # the pretest event A beta <= b; its +/-1 and 0 rows make A beta exact
     a, b = ns_event(v0[:, None] + v_coef[:, 1:], config.alpha_pretest)
     accepted = np.all(beta @ a.T <= b, axis=1)

@@ -13,11 +13,12 @@ from condid.errors import (
 )
 from condid.event_study import (
     PanelData,
+    coefficients,
     estimate_event_study,
     load_panel,
 )
 
-from _oracles import write_panel
+from _oracles import CellDraws, write_panel
 
 
 def make_panel(k, n_per_cell, outcome_fn, jitter=None, rng=None):
@@ -291,6 +292,29 @@ class TestCovariance:
             sigma = estimate_event_study(panel).sigma
             np.testing.assert_allclose(sigma.entries, sigma.entries.T)
             assert np.all(np.linalg.eigvalsh(sigma.entries) > 0)
+
+
+class TestCoefficients:
+    """``coefficients`` is the one place that differences per-period means
+    against period 0, for the estimator and the simulator alike."""
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_stack_matches_rows_and_the_draws_oracle(self, k):
+        rng = np.random.default_rng(30 + k)
+        n = 40
+        delta = rng.standard_normal((n, k + 2))  # periods -K, ..., 0, 1
+        v = rng.chisquare(5, (n, k + 2)) / 125.0
+        beta, v0, v_coef = coefficients(delta, v)
+        assert (beta.shape, v0.shape, v_coef.shape) == ((n, k + 1), (n,), (n, k + 1))
+        # CellDraws orders periods (1, 0, -1, ..., -K) and differences by hand
+        t_values = np.concatenate(([1, 0], -np.arange(1, k + 1)))
+        for i in range(n):
+            row = coefficients(delta[i], v[i])
+            for got, stacked in zip(row, (beta[i], v0[i], v_coef[i])):
+                assert np.asarray(got).tobytes() == np.asarray(stacked).tobytes()
+            bundle = CellDraws(k, 250, t_values, delta[i, ::-1], v[i, ::-1]).to_bundle()
+            assert beta[i].tobytes() == bundle.beta.tobytes()
+            assert (np.diag(v_coef[i]) + v0[i]).tobytes() == bundle.sigma.entries.tobytes()
 
 
 class TestLoadPanel:

@@ -416,6 +416,53 @@ class TestRunTable:
         assert rec.se_trad.mean() == pytest.approx(0.1265, abs=0.002)
 
 
+class TestNoiseScale:
+    """The tables scale exactly with ``sigma_noise`` (and ``trend_slope``)
+    over the whole range ``SimConfig`` admits, and it admits nothing else.
+
+    At 3000 replications, K <= 3 and 250 observations per cell the admitted
+    powers of two run from 2**-505 to 2**509.  Without the rule, 2**-507
+    already gives a table that differs (the pre-period adjustment's
+    shrinkage turns subnormal), lower scales overflow ``1 / v``, and from
+    2**510 ``np.std``'s sum of squares overflows to an infinite
+    ``actual_sd_*``.
+    """
+
+    LOW, HIGH = -505, 509
+    # columns in the outcome's units; every other column is scale-free
+    LOCATION = ("bias_", "mean_se_", "actual_sd_", "median_")
+
+    @staticmethod
+    def rows(exponent, monkeypatch):
+        scale = 2.0**exponent
+        config = SimConfig(reps=3_000, k_max=3, seed=7, sigma_noise=scale,
+                           trend_slope=0.065 * scale)
+        # chunk streams are keyed by the slope's bits: key them by the seed,
+        # K and chunk alone so that every scale draws the same normals
+        monkeypatch.setattr(simulation, "_chunk_seed", lambda config, slope, k, chunk:
+                            np.random.SeedSequence([config.seed, k, chunk]))
+        # tables 1 and 2 hold every (DGP, K) cell, K = 0 included
+        return [row for table in (1, 2) for row in run_table(config, table)], scale
+
+    @pytest.mark.parametrize("exponent", [LOW, -300, -40, 1, 40, 300, HIGH])
+    def test_tables_scale_exactly(self, exponent, monkeypatch):
+        reference, _ = self.rows(0, monkeypatch)
+        scaled, scale = self.rows(exponent, monkeypatch)
+        for ref, row in zip(reference, scaled):
+            for f in dataclasses.fields(SimTableRow):
+                want, got = getattr(ref, f.name), getattr(row, f.name)
+                if f.name.startswith(self.LOCATION):
+                    want *= scale
+                assert got == want or (math.isnan(got) and math.isnan(want)), (
+                    f"{row.dgp} K={row.k} {f.name} at 2**{exponent}: {got!r} != {want!r}"
+                )
+
+    @pytest.mark.parametrize("exponent", [LOW - 1, HIGH + 1])
+    def test_scales_outside_the_range_are_refused(self, exponent):
+        with pytest.raises(InvalidArgumentError, match="sigma_noise must be positive"):
+            SimConfig(reps=3_000, k_max=3, seed=7, sigma_noise=2.0**exponent)
+
+
 class TestSerialization:
     def test_csv_and_json_round_trip_values(self):
         import csv as _csv
