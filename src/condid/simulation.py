@@ -13,13 +13,12 @@ within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
 vectorized and elementwise across replications, so results are invariant to
 how replications are split into chunks or across workers.  Conditional
-inference runs on the kernel that :func:`condid.estimators.analyze` uses:
-each chunk's accepted replications go through
-:func:`~condid.estimators.polyhedral_window` (with ``Sigma eta`` formed from
-the rank-one-plus-diagonal covariance, never as a dense matrix) and one
-stacked :func:`~condid.gaussian.solve_tn_quantiles` call, whose
-:class:`~condid.errors.NoConvergenceError` for a solve that does not converge
-gains the DGP and K in its message.  Chunk RNG streams are derived
+inference is the step :func:`condid.estimators.analyze` runs: each chunk's
+accepted replications go through one
+:func:`~condid.estimators.conditional_quantiles` call (with ``Sigma eta``
+formed from the rank-one-plus-diagonal covariance, never as a dense matrix),
+whose :class:`~condid.errors.NoConvergenceError` for a solve that does not
+converge gains the DGP and K in its message.  Chunk RNG streams are derived
 from the root seed with a splittable seed sequence keyed by (seed, DGP slope,
 K, chunk index), and aggregation is a deterministic fold over chunk order.
 """
@@ -33,9 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgumentError, NoConvergenceError
-from .estimators import eta_gamma, polyhedral_window, quantile_targets
+from .estimators import conditional_quantiles, eta_gamma
 from .event_study import coefficients
-from .gaussian import solve_tn_quantiles
 from .pretest import ALPHA, critical_value, ns_event
 
 __all__ = [
@@ -108,8 +106,14 @@ class SimConfig:
                                        f"k_max and reps, got {self.sigma_noise}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.trend_slope):
-            raise InvalidArgumentError(f"trend_slope must be finite, got {self.trend_slope}")
+        # A draw adds slope * t (|t| <= k_max + 1, the span the trend-adjusted
+        # contrast extrapolates over) to noise of sd sqrt(cell_var); rounding moves
+        # it by up to 2**-53 |slope| (k_max + 1).  Within 2**-27 noise sd, half the
+        # significand's bits survive and the error stays below the solve's 1e-8 sd step.
+        slope_max = 2.0**26 * math.sqrt(cell_var) / (self.k_max + 1)
+        if not abs(self.trend_slope) <= slope_max:
+            raise InvalidArgumentError(f"trend_slope must be finite, with |trend_slope| <= "
+                                       f"{slope_max!r} at these settings, got {self.trend_slope}")
         for name in ("alpha_pretest", "alpha_ci"):
             critical_value(getattr(self, name), name)
         if self.workers < 1:
@@ -271,17 +275,11 @@ def _records_from_draws(
 
     mu = np.full((beta.shape[0], 2, 3), math.nan)  # K = 0: nothing to condition on
     if k >= 1 and mu.size:
-        # one window call per contrast keeps the (n, 2K) temporaries at one
-        # contrast's size; Sigma eta for Sigma = v0 11' + diag(v_coef)
-        windows = [
-            polyhedral_window(
-                beta, (v0[:, None] * eta.sum() + v_coef * eta)[:, None], eta[None], a, b
-            )
-            for eta in (np.eye(k + 1)[0], eta_gamma(k, 1))
-        ]
-        obs, var, lo, hi = (np.concatenate(parts, axis=1) for parts in zip(*windows))
+        etas = (np.eye(k + 1)[0], eta_gamma(k, 1))
+        # Sigma eta for Sigma = v0 11' + diag(v_coef)
+        sigma_etas = [v0[:, None] * eta.sum() + v_coef * eta for eta in etas]
         try:
-            mu = solve_tn_quantiles(obs, np.sqrt(var), lo, hi, quantile_targets(config.alpha_ci))
+            _, _, mu = conditional_quantiles(beta, sigma_etas, etas, a, b, config.alpha_ci)
         except NoConvergenceError as exc:
             raise NoConvergenceError(f"{exc} ({dgp} DGP, K={k})") from None
 

@@ -5,7 +5,8 @@ Uniform(0, 1), the polyhedral lemma of Lee, Sun, Sun and Taylor (2016).
 Every estimate and interval the package reports rests on this law, and
 coverage checks test it only through the root solve.  Here the observed
 values, sds and windows are the ones the simulator and ``analyze`` hand to
-``solve_tn_quantiles``, recorded at that call; the solve itself is replaced,
+``solve_tn_quantiles`` through ``estimators.conditional_quantiles``, recorded
+at that call; the solve itself is replaced,
 since the pivot needs no root.  Each pivot is the CDF at 0 of
 TN(u, 1, window) at u = (true mean - observed) / sd, from
 ``gaussian._cdf_excess``; a subsample is checked against scipy.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, truncnorm
 
-from condid import estimators, simulation
+from condid import estimators
 from condid.estimators import analyze
 from condid.gaussian import _cdf_excess
 from condid.simulation import SimConfig, _fast_cell_draws, simulate_cell
@@ -32,16 +33,17 @@ ANALYZE_DRAWS = 2_000
 LEVEL = 0.01 / (len(CONTRASTS) * (len(SIM_CELLS) + len(ANALYZE_CELLS)))
 
 
-def record_laws(monkeypatch, module) -> list:
-    """Replace ``module.solve_tn_quantiles`` by a recorder of the laws it is
-    asked to solve; every call returns NaN means."""
+def record_laws(monkeypatch) -> list:
+    """Replace ``estimators.solve_tn_quantiles``, which the conditional step
+    of the simulator and of ``analyze`` calls, by a recorder of the (n, m)
+    laws it is asked to solve; every call returns NaN means."""
     laws = []
 
     def record(observed, sd, lower, upper, targets):
         laws.append(np.stack((observed, sd, lower, upper)))
         return np.full(np.shape(observed) + (len(targets),), np.nan)
 
-    monkeypatch.setattr(module, "solve_tn_quantiles", record)
+    monkeypatch.setattr(estimators, "solve_tn_quantiles", record)
     return laws
 
 
@@ -77,7 +79,7 @@ def assert_uniform(pivot: np.ndarray, laws: np.ndarray, truth: np.ndarray, label
 
 @pytest.mark.parametrize("dgp, k", SIM_CELLS)
 def test_simulator_windows_give_uniform_pivots(dgp, k, monkeypatch):
-    laws = record_laws(monkeypatch, simulation)
+    laws = record_laws(monkeypatch)
     config = SimConfig(reps=SIM_REPS, k_max=k, seed=2024, trend_slope=SLOPE,
                        use_estimated_sigma=False)
     simulate_cell(config, k, dgp)
@@ -90,7 +92,7 @@ def test_simulator_windows_give_uniform_pivots(dgp, k, monkeypatch):
 
 @pytest.mark.parametrize("dgp, k", ANALYZE_CELLS)
 def test_analyze_windows_give_uniform_pivots(dgp, k, monkeypatch):
-    laws = record_laws(monkeypatch, estimators)
+    laws = record_laws(monkeypatch)
     slope = SLOPE if dgp == "trend" else 0.0
     config = SimConfig(reps=1, k_max=k, use_estimated_sigma=False)
     rng = np.random.default_rng(2025 + k)
@@ -98,6 +100,6 @@ def test_analyze_windows_give_uniform_pivots(dgp, k, monkeypatch):
     t_values = np.concatenate(([1, 0], -np.arange(1, k + 1)))
     for i in range(ANALYZE_DRAWS):
         analyze(CellDraws(k, config.n_per_cell, t_values, delta[i], v[i]).to_bundle())
-    laws = np.stack(laws, axis=1)  # (4, accepted, contrast)
+    laws = np.concatenate(laws, axis=1)  # (4, accepted, contrast)
     truth = np.array([slope, 0.0])
     assert_uniform(pivots(laws, truth), laws, truth, f"analyze {dgp} K={k}")

@@ -463,6 +463,50 @@ class TestNoiseScale:
             SimConfig(reps=3_000, k_max=3, seed=7, sigma_noise=2.0**exponent)
 
 
+class TestTrendSlopeRange:
+    """``SimConfig`` admits ``|trend_slope|`` up to 2**26 noise sd over
+    ``k_max + 1``, the point where rounding ``slope * t`` would take more than
+    2**-27 noise sd from a draw, and nothing beyond it.
+
+    Without the rule, the K = 0 row of table 2 at 300 replications and
+    ``k_max = 1`` came out wrong with exit 0: a bias quantized to
+    0.00867462158203125 at slope 1e10, 0.0 at 1e14, an ``actual_sd`` of 0.0
+    at 1e16 and of inf at 1e200.
+    """
+
+    SETTINGS = [(1.0, 250, 1), (3.0, 2, 8)]  # (sigma_noise, n_per_cell, k_max)
+
+    @staticmethod
+    def edge(sigma, n, k_max):
+        return 2.0**26 * math.sqrt(2.0 * sigma * sigma / n) / (k_max + 1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("sigma, n, k_max", SETTINGS)
+    def test_slope_at_the_edge_leaves_the_unconditional_row_intact(
+        self, sigma, n, k_max, sign, monkeypatch
+    ):
+        # key chunk streams by seed, K and chunk alone: every slope draws the
+        # same normals, so the K = 0 row can only move by rounding
+        monkeypatch.setattr(simulation, "_chunk_seed", lambda config, slope, k, chunk:
+                            np.random.SeedSequence([config.seed, k, chunk]))
+        rows = [
+            run_table(SimConfig(reps=3_000, k_max=k_max, seed=3, sigma_noise=sigma,
+                                n_per_cell=n, trend_slope=slope), 2)[0]
+            for slope in (0.0, sign * self.edge(sigma, n, k_max))
+        ]
+        noise_sd = math.sqrt(2.0 * sigma * sigma / n)
+        for name in ("bias_traditional", "actual_sd_traditional", "mean_se_traditional"):
+            assert abs(getattr(rows[1], name) - getattr(rows[0], name)) <= 1e-7 * noise_sd, name
+        assert rows[1].size_traditional == rows[0].size_traditional
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("sigma, n, k_max", SETTINGS)
+    def test_slope_beyond_the_edge_is_refused(self, sigma, n, k_max, sign):
+        slope = math.nextafter(sign * self.edge(sigma, n, k_max), sign * INF)
+        with pytest.raises(InvalidArgumentError, match="trend_slope must be finite, with"):
+            SimConfig(k_max=k_max, sigma_noise=sigma, n_per_cell=n, trend_slope=slope)
+
+
 class TestSerialization:
     def test_csv_and_json_round_trip_values(self):
         import csv as _csv
