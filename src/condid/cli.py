@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 
@@ -34,6 +35,11 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 REPORT_SCHEMA_VERSION = 1
+
+# argparse reads a separate argument that starts with "-" and is not a plain
+# decimal, such as "-1e-3", as an option; this matcher also takes the exponent
+# form, and no condid option looks like a number
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # (label, field, format) of each figure a summary line shows unless it is NaN
 SUMMARY_FIELDS = (("accept", "accept_prob", ".4f"), ("bias", "bias_traditional", "+.4f"),
@@ -164,7 +170,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    vec = eta_gamma(args.k, args.p, **_given(args, ("m",)))
+    vec = eta_gamma(args.k, args.p)
     print(" ".join(repr(float(x)) for x in vec))
     return EXIT_OK
 
@@ -196,6 +202,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     quiet = argparse.SUPPRESS
     if named in (None, "analyze"):
         p_an = sub.add_parser("analyze", help="analyze a panel CSV", argument_default=quiet)
+        p_an._negative_number_matcher = NEGATIVE_NUMBER
         p_an.add_argument("--input", required=True,
                           help="panel CSV (unit,period,treatment,outcome)")
         p_an.add_argument("--output", required=True, help="report path")
@@ -209,6 +216,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         p_sim = sub.add_parser(
             "simulate", help="reproduce one of the published tables", argument_default=quiet
         )
+        p_sim._negative_number_matcher = NEGATIVE_NUMBER
         p_sim.add_argument("--table", type=int, required=True, choices=TABLE_SPECS)
         p_sim.add_argument("--output", required=True)
         p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -218,8 +226,6 @@ def build_parser(argv) -> argparse.ArgumentParser:
         p_sim.add_argument("--k-max", type=int)
         p_sim.add_argument("--n", type=int, dest="n_per_cell", metavar="N",
                            help="observations per (group, period) cell")
-        p_sim.add_argument("--sigma", type=float, dest="sigma_noise", metavar="SIGMA",
-                           help="outcome noise sd")
         p_sim.add_argument("--slope", type=float, dest="trend_slope", metavar="SLOPE",
                            help="trend DGP slope")
         p_sim.add_argument("--alpha-pretest", type=float)
@@ -233,7 +239,6 @@ def build_parser(argv) -> argparse.ArgumentParser:
         )
         p_eta.add_argument("--k", type=int, required=True)
         p_eta.add_argument("--p", type=int, required=True)
-        p_eta.add_argument("--m", type=int)
         p_eta.set_defaults(func=cmd_eta)
     return parser
 

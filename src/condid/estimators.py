@@ -236,18 +236,18 @@ def conditional_ci(law: ConditionalLaw, alpha: float = ALPHA) -> tuple[float, fl
     return float(lower), float(upper)
 
 
-def eta_gamma(k: int, p: int = 1, m: int = 1) -> np.ndarray:
+def eta_gamma(k: int, p: int = 1) -> np.ndarray:
     """Contrast whose value equals the trend-adjusted post coefficient.
 
     Fitting a degree-``p`` polynomial through the points
-    ``(0, 0), (-1, beta_-1), ..., (-K, beta_-K)`` and extrapolating it to
-    period ``m`` gives the adjustment; the returned vector eta (length K+1,
+    ``(0, 0), (-1, beta_-1), ..., (-K, beta_-K)`` and extrapolating it to the
+    post period, 1, gives the adjustment; the returned vector eta (length K+1,
     ordered post-first) satisfies
 
-        eta' beta = beta_m - [extrapolated trend at m].
+        eta' beta = beta_1 - [extrapolated trend at 1].
 
     A pure trend b_t = t^q, 1 <= q <= p <= k <= 11, maps to zero up to rounding:
-    |eta' b| <= 1e-7 sum_i |eta_i b_i| at m = 1 (worst 9.5e-8, at k = p = 11, q = 1).
+    |eta' b| <= 1e-7 sum_i |eta_i b_i| (worst 9.5e-8, at k = p = 11, q = 1).
 
     Raises
     ------
@@ -260,16 +260,13 @@ def eta_gamma(k: int, p: int = 1, m: int = 1) -> np.ndarray:
         raise InvalidArgumentError("k must be >= 1")
     if not (1 <= p <= k):
         raise InvalidArgumentError(f"trend order p={p} must satisfy 1 <= p <= k={k}")
-    if m < 1:
-        raise InvalidArgumentError("m must be >= 1")
     t = -np.arange(k + 1, dtype=float)  # 0, -1, ..., -K
     x = np.vander(t, p + 1, increasing=True)  # rows (t^0, ..., t^p)
     pinv, _, rank, _ = np.linalg.lstsq(x, np.eye(k + 1), rcond=None)
     if rank < p + 1:
         raise RankDeficientError(f"trend basis rank {rank} < {p + 1}")
-    m_powers = float(m) ** np.arange(p + 1)
-    # drop the t=0 column: beta_0 is identically zero
-    weights = m_powers @ pinv[:, 1:]
+    # the basis at t = 1 is all ones; drop the t=0 column: beta_0 is identically zero
+    weights = np.ones(p + 1) @ pinv[:, 1:]
     return np.concatenate(([1.0], -weights))
 
 

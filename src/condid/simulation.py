@@ -1,14 +1,14 @@
 """Monte Carlo engine: data-generating processes, replicated experiments and
 table aggregation.
 
-Two DGPs are supported, both with iid N(0, sigma^2) noise on top of group
-means: a flat one (no trend, no effect) and a linear differential trend of
-slope ``trend_slope`` for the treated group that continues into the post
-period.  Under the trend DGP the population post coefficient equals the
-slope and the trend-adjusted contrast equals zero.
+Two DGPs are supported, both with iid N(0, 1) noise on top of group means
+(the noise sd is the outcome's unit): a flat one (no trend, no effect) and a
+linear differential trend of slope ``trend_slope`` for the treated group that
+continues into the post period.  Under the trend DGP the population post
+coefficient equals the slope and the trend-adjusted contrast equals zero.
 
 Each replication draws the sufficient statistics directly -- per-period
-difference-in-means ~ N(slope * t, 2 sigma^2 / N) plus independent chi-square
+difference-in-means ~ N(slope * t, 2 / N) plus independent chi-square
 within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
 vectorized and elementwise across replications, so results are invariant to
@@ -69,7 +69,6 @@ class SimConfig:
 
     k_max: int = 8
     n_per_cell: int = 250
-    sigma_noise: float = 1.0
     trend_slope: float = 0.065
     reps: int = 100_000
     seed: int = 0
@@ -79,38 +78,26 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise InvalidArgumentError("reps must be >= 1")
-        if self.n_per_cell < 2:
-            raise InvalidArgumentError("n_per_cell must be >= 2")
-        if self.k_max < 1:
-            raise InvalidArgumentError("k_max must be >= 1")
-        # The tables scale exactly with sigma_noise while every intermediate
-        # stays a normal double.  Floor: the pre-period adjustment's
-        # 1 / (1/v0 + sum 1/v) is at least min(v) / (k_max + 1), and an
-        # estimated variance falls below cell_var * 2**(-64/df) / e with
-        # probability under 2**-64 (a chi-square Chernoff bound).  Ceiling:
-        # np.std sums the squared deviations of beta_post, 2 * cell_var times
-        # a chi-square on fewer than reps degrees of freedom, which exceeds
-        # reps + 2 sqrt(reps x) + 2x at x = 64 ln 2 with probability under
-        # 2**-64 (Laurent and Massart 2000).  sigma * sigma overflows to inf,
-        # or underflows to 0, instead of raising.
-        cell_var = 2.0 * (self.sigma_noise * self.sigma_noise) / self.n_per_cell
-        df, x = self.n_per_cell - 1, 64.0 * math.log(2.0)
-        floor = (self.k_max + 1) * math.e * 2.0 ** (64.0 / df) * np.finfo(float).tiny
-        ceiling = np.finfo(float).max / (2.0 * (self.reps + 2.0 * math.sqrt(self.reps * x) + 2.0 * x))
-        if not (self.sigma_noise > 0.0 and floor <= cell_var <= ceiling):
-            raise InvalidArgumentError(f"sigma_noise must be positive and finite, with "
-                                       f"2*sigma^2/n_per_cell a positive finite double in "
-                                       f"[{floor:.3g}, {ceiling:.3g}] at this n_per_cell, "
-                                       f"k_max and reps, got {self.sigma_noise}")
+        # Counts must lie below 2**63, which numpy needs to index them anyway.
+        # With unit noise, no intermediate then leaves the normal doubles except
+        # with probability under 2**-64.  Floor: an estimated variance falls below
+        # (2 / n_per_cell) 2**(-64/df) / e >= 2**-64 / e with probability under
+        # 2**-64 (a chi-square Chernoff bound), and the pre-period adjustment's
+        # shrinkage 1 / (1/v0 + sum 1/v) is at least min(v) / (k_max + 1) > 2**-129.
+        # Ceiling: np.std sums the squared deviations of beta_post, 4 / n_per_cell
+        # <= 2 times a chi-square on fewer than reps degrees of freedom, which
+        # exceeds reps + 2 sqrt(reps x) + 2x < 2**64 at x = 64 ln 2 with
+        # probability under 2**-64 (Laurent and Massart 2000).
+        for name, low in (("reps", 1), ("n_per_cell", 2), ("k_max", 1)):
+            if not low <= getattr(self, name) < 2**63:
+                raise InvalidArgumentError(f"{name} must be >= {low} and below 2**63")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         # A draw adds slope * t (|t| <= k_max + 1, the span the trend-adjusted
-        # contrast extrapolates over) to noise of sd sqrt(cell_var); rounding moves
-        # it by up to 2**-53 |slope| (k_max + 1).  Within 2**-27 noise sd, half the
-        # significand's bits survive and the error stays below the solve's 1e-8 sd step.
-        slope_max = 2.0**26 * math.sqrt(cell_var) / (self.k_max + 1)
+        # contrast extrapolates over) to noise of sd sqrt(2 / n_per_cell); rounding
+        # moves it by up to 2**-53 |slope| (k_max + 1).  Within 2**-27 noise sd, half
+        # the significand's bits survive and the error stays below the solve's 1e-8 sd step.
+        slope_max = 2.0**26 * math.sqrt(2.0 / self.n_per_cell) / (self.k_max + 1)
         if not abs(self.trend_slope) <= slope_max:
             raise InvalidArgumentError(f"trend_slope must be finite, with |trend_slope| <= "
                                        f"{slope_max!r} at these settings, got {self.trend_slope}")
@@ -225,13 +212,13 @@ def _fast_cell_draws(
     """Draw n replications of (difference-in-means, estimated variances)."""
     t = np.concatenate(([1.0, 0.0], -np.arange(1.0, k + 1)))  # periods (1, 0, -1, ..., -K)
     n_cell = config.n_per_cell
-    sig2 = config.sigma_noise**2
-    cell_var = 2.0 * sig2 / n_cell
+    cell_var = 2.0 / n_cell
     delta = rng.standard_normal((n, k + 2)) * math.sqrt(cell_var) + slope * t
     if config.use_estimated_sigma:
         df = n_cell - 1
-        s2_t = rng.chisquare(df, (n, k + 2)) * (sig2 / df)
-        s2_c = rng.chisquare(df, (n, k + 2)) * (sig2 / df)
+        # times 1/df, not divided by df: the rounding every table's bytes were made with
+        s2_t = rng.chisquare(df, (n, k + 2)) * (1.0 / df)
+        s2_c = rng.chisquare(df, (n, k + 2)) * (1.0 / df)
         v = (s2_t + s2_c) / n_cell
     else:
         v = np.full((n, k + 2), cell_var)

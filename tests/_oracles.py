@@ -46,7 +46,7 @@ def full_panel(
         dtype=object,
     )
     mean = slope * periods * treatment
-    outcome = mean + rng.standard_normal(periods.shape[0]) * config.sigma_noise
+    outcome = mean + rng.standard_normal(periods.shape[0])  # unit noise
     return PanelData(unit=unit, period=periods, treatment=treatment, outcome=outcome)
 
 

@@ -354,7 +354,7 @@ class TestCriterion5Properties:
             for p in (1, 2, 3):
                 for k in range(p, 7):
                     t_pre = -np.arange(1.0, k + 1)
-                    eta = eta_gamma(k, p, 1)
+                    eta = eta_gamma(k, p)
                     for q in range(1, p + 1):
                         # beta_t = t^q (so the post value at t=1 is 1)
                         beta = np.concatenate(([1.0], t_pre**q))

@@ -319,17 +319,17 @@ class TestQuantileSolves:
 
 class TestEtaGamma:
     def test_k1_p1_is_one_one(self):
-        np.testing.assert_allclose(eta_gamma(1, 1, 1), [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(eta_gamma(1, 1), [1.0, 1.0], atol=1e-12)
 
     def test_linear_trend_cancels(self):
-        eta = eta_gamma(1, 1, 1)
+        eta = eta_gamma(1, 1)
         delta = 0.065
         beta = np.array([delta, -delta])  # (post, -1) under a pure linear trend
         assert eta @ beta == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_pre_coefficients_leave_post_alone(self):
         for k, p in [(1, 1), (3, 2), (5, 3)]:
-            eta = eta_gamma(k, p, 1)
+            eta = eta_gamma(k, p)
             beta = np.concatenate(([0.42], np.zeros(k)))
             assert eta @ beta == pytest.approx(0.42, abs=1e-14)
 
@@ -343,7 +343,7 @@ class TestEtaGamma:
             y_points = np.concatenate(([0.0], beta_pre))
             coeffs = np.polynomial.polynomial.polyfit(t_points, y_points, p)
             prediction = np.polynomial.polynomial.polyval(1.0, coeffs)
-            eta = eta_gamma(k, p, 1)
+            eta = eta_gamma(k, p)
             beta = np.concatenate(([0.0], beta_pre))
             assert eta @ beta == pytest.approx(-prediction, abs=1e-9)
 
@@ -353,7 +353,7 @@ class TestEtaGamma:
         # least-squares rounding that test_polynomial_trends_vanish_to_the_bound states
         k = max(p, 3)
         beta = np.concatenate(([1.0], (-np.arange(1.0, k + 1)) ** p))
-        eta = eta_gamma(k, p, 1)
+        eta = eta_gamma(k, p)
         assert abs(eta @ beta) < 1e-10
 
     @pytest.mark.parametrize("k, p", [(k, p) for k in range(1, 12) for p in range(1, k + 1)])
@@ -367,7 +367,7 @@ class TestEtaGamma:
 
     def test_quadratic_example(self):
         beta = np.array([1.0, 1.0, 4.0, 9.0])  # t^2 at t = 1, -1, -2, -3
-        eta = eta_gamma(3, 2, 1)
+        eta = eta_gamma(3, 2)
         assert abs(eta @ beta) < 1e-10
 
     def test_validation(self):
@@ -377,8 +377,6 @@ class TestEtaGamma:
             eta_gamma(2, 0)
         with pytest.raises(ValueError):
             eta_gamma(0, 1)
-        with pytest.raises(ValueError):
-            eta_gamma(2, 1, 0)
 
     def test_high_order_basis_loses_rank(self):
         # full rank in exact arithmetic, not in floating point: the check is live

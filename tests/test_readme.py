@@ -46,7 +46,7 @@ def test_removed_names_are_gone():
             "estimators.ConditionalLaw.spec", "estimators.ConditionalLaw.window",
             "gaussian.tn_cdf", "gaussian.TruncatedNormalSpec",
             "estimators.ConditionalLaw.z_vector", "estimators.ConditionalLaw.c_vector",
-            "estimators.ConditionalLaw.eta"} <= set(names)
+            "estimators.ConditionalLaw.eta", "simulation.SimConfig.sigma_noise"} <= set(names)
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)
@@ -72,7 +72,7 @@ def test_removed_keywords_are_gone():
     removed = {(kw, owner) for kws, owner in bullets for kw in re.findall(r"`(\w+)`", kws)}
     assert {("max_radius", "gaussian.solve_tn_mean_bulk"),
             ("max_iter", "gaussian.solve_tn_mean_bulk"),
-            ("cdf_tol", "gaussian.solve_tn_mean_bulk")} <= removed
+            ("cdf_tol", "gaussian.solve_tn_mean_bulk"), ("m", "estimators.eta_gamma")} <= removed
     for keyword, owner in removed:
         function = condid
         for part in owner.split("."):

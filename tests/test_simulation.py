@@ -390,11 +390,8 @@ class TestRunTable:
 
     @pytest.mark.parametrize("field, value", [
         ("trend_slope", math.nan), ("trend_slope", INF), ("trend_slope", -INF),
-        ("sigma_noise", math.nan), ("sigma_noise", INF), ("sigma_noise", 0.0),
         ("alpha_ci", 0.0), ("alpha_ci", 1.0), ("alpha_pretest", 0.0), ("alpha_pretest", 1.5),
         ("alpha_ci", 1e-17), ("alpha_pretest", 1e-17), ("seed", -1),
-        # 2 * sigma^2 / n_per_cell overflows to inf or underflows to 0
-        ("sigma_noise", 1e200), ("sigma_noise", 1.3e154), ("sigma_noise", 1e-200),
     ])
     def test_invalid_setting_rejected_before_simulating(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -416,51 +413,25 @@ class TestRunTable:
         assert rec.se_trad.mean() == pytest.approx(0.1265, abs=0.002)
 
 
-class TestNoiseScale:
-    """The tables scale exactly with ``sigma_noise`` (and ``trend_slope``)
-    over the whole range ``SimConfig`` admits, and it admits nothing else.
+class TestCountRange:
+    """``SimConfig`` refuses a count numpy could not index, 2**63 or more,
+    before any arithmetic on it.  Without the bound, ``10**400`` died in a
+    float conversion with an ``OverflowError``.  An admitted huge count is
+    never run here: it would draw that many chunks or columns."""
 
-    At 3000 replications, K <= 3 and 250 observations per cell the admitted
-    powers of two run from 2**-505 to 2**509.  Without the rule, 2**-507
-    already gives a table that differs (the pre-period adjustment's
-    shrinkage turns subnormal), lower scales overflow ``1 / v``, and from
-    2**510 ``np.std``'s sum of squares overflows to an infinite
-    ``actual_sd_*``.
-    """
+    FIELDS = ["reps", "n_per_cell", "k_max"]
 
-    LOW, HIGH = -505, 509
-    # columns in the outcome's units; every other column is scale-free
-    LOCATION = ("bias_", "mean_se_", "actual_sd_", "median_")
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [2**63, 10**400, math.nan], ids=["2**63", "10**400", "nan"])
+    def test_count_at_or_above_2_63_is_refused(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=rf"^{field} must be >= \d and below 2\*\*63$"):
+            SimConfig(**{field: value})
 
-    @staticmethod
-    def rows(exponent, monkeypatch):
-        scale = 2.0**exponent
-        config = SimConfig(reps=3_000, k_max=3, seed=7, sigma_noise=scale,
-                           trend_slope=0.065 * scale)
-        # chunk streams are keyed by the slope's bits: key them by the seed,
-        # K and chunk alone so that every scale draws the same normals
-        monkeypatch.setattr(simulation, "_chunk_seed", lambda config, slope, k, chunk:
-                            np.random.SeedSequence([config.seed, k, chunk]))
-        # tables 1 and 2 hold every (DGP, K) cell, K = 0 included
-        return [row for table in (1, 2) for row in run_table(config, table)], scale
-
-    @pytest.mark.parametrize("exponent", [LOW, -300, -40, 1, 40, 300, HIGH])
-    def test_tables_scale_exactly(self, exponent, monkeypatch):
-        reference, _ = self.rows(0, monkeypatch)
-        scaled, scale = self.rows(exponent, monkeypatch)
-        for ref, row in zip(reference, scaled):
-            for f in dataclasses.fields(SimTableRow):
-                want, got = getattr(ref, f.name), getattr(row, f.name)
-                if f.name.startswith(self.LOCATION):
-                    want *= scale
-                assert got == want or (math.isnan(got) and math.isnan(want)), (
-                    f"{row.dgp} K={row.k} {f.name} at 2**{exponent}: {got!r} != {want!r}"
-                )
-
-    @pytest.mark.parametrize("exponent", [LOW - 1, HIGH + 1])
-    def test_scales_outside_the_range_are_refused(self, exponent):
-        with pytest.raises(InvalidArgumentError, match="sigma_noise must be positive"):
-            SimConfig(reps=3_000, k_max=3, seed=7, sigma_noise=2.0**exponent)
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_count_just_below_2_63_is_admitted(self, field):
+        # slope 0: the slope rule's edge shrinks with n_per_cell and k_max
+        config = SimConfig(trend_slope=0.0, **{field: 2**63 - 1})
+        assert getattr(config, field) == 2**63 - 1
 
 
 class TestTrendSlopeRange:
@@ -474,37 +445,37 @@ class TestTrendSlopeRange:
     at 1e16 and of inf at 1e200.
     """
 
-    SETTINGS = [(1.0, 250, 1), (3.0, 2, 8)]  # (sigma_noise, n_per_cell, k_max)
+    SETTINGS = [(250, 1), (2, 8)]  # (n_per_cell, k_max)
 
     @staticmethod
-    def edge(sigma, n, k_max):
-        return 2.0**26 * math.sqrt(2.0 * sigma * sigma / n) / (k_max + 1)
+    def edge(n, k_max):
+        return 2.0**26 * math.sqrt(2.0 / n) / (k_max + 1)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("sigma, n, k_max", SETTINGS)
+    @pytest.mark.parametrize("n, k_max", SETTINGS)
     def test_slope_at_the_edge_leaves_the_unconditional_row_intact(
-        self, sigma, n, k_max, sign, monkeypatch
+        self, n, k_max, sign, monkeypatch
     ):
         # key chunk streams by seed, K and chunk alone: every slope draws the
         # same normals, so the K = 0 row can only move by rounding
         monkeypatch.setattr(simulation, "_chunk_seed", lambda config, slope, k, chunk:
                             np.random.SeedSequence([config.seed, k, chunk]))
         rows = [
-            run_table(SimConfig(reps=3_000, k_max=k_max, seed=3, sigma_noise=sigma,
-                                n_per_cell=n, trend_slope=slope), 2)[0]
-            for slope in (0.0, sign * self.edge(sigma, n, k_max))
+            run_table(SimConfig(reps=3_000, k_max=k_max, seed=3, n_per_cell=n,
+                                trend_slope=slope), 2)[0]
+            for slope in (0.0, sign * self.edge(n, k_max))
         ]
-        noise_sd = math.sqrt(2.0 * sigma * sigma / n)
+        noise_sd = math.sqrt(2.0 / n)
         for name in ("bias_traditional", "actual_sd_traditional", "mean_se_traditional"):
             assert abs(getattr(rows[1], name) - getattr(rows[0], name)) <= 1e-7 * noise_sd, name
         assert rows[1].size_traditional == rows[0].size_traditional
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("sigma, n, k_max", SETTINGS)
-    def test_slope_beyond_the_edge_is_refused(self, sigma, n, k_max, sign):
-        slope = math.nextafter(sign * self.edge(sigma, n, k_max), sign * INF)
+    @pytest.mark.parametrize("n, k_max", SETTINGS)
+    def test_slope_beyond_the_edge_is_refused(self, n, k_max, sign):
+        slope = math.nextafter(sign * self.edge(n, k_max), sign * INF)
         with pytest.raises(InvalidArgumentError, match="trend_slope must be finite, with"):
-            SimConfig(k_max=k_max, sigma_noise=sigma, n_per_cell=n, trend_slope=slope)
+            SimConfig(k_max=k_max, n_per_cell=n, trend_slope=slope)
 
 
 class TestSerialization:
