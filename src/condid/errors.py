@@ -7,6 +7,8 @@ distinct exit codes.
 
 from __future__ import annotations
 
+import operator
+
 
 class CondidError(Exception):
     """Base class for all condid-specific errors."""
@@ -49,6 +51,18 @@ class RankDeficientError(NumericalError):
 
 class InvalidArgumentError(CondidError, ValueError):
     """An argument is out of range (exit code 3 in the CLI); a ValueError."""
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an ``int``, the one rule for counts and orders: Python and
+    numpy integers pass; a ``bool`` or any other type, integral float
+    included, raises :class:`InvalidArgumentError` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 # --- data ------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
     ZeroContrastError,
+    as_integer,
 )
 from .event_study import EstimateBundle
 from .gaussian import CovarianceMatrix, solve_tn_quantiles
@@ -256,6 +257,7 @@ def eta_gamma(k: int, p: int = 1) -> np.ndarray:
         least-squares solve loses rank in floating point at high orders,
         first at ``k = p = 12``.
     """
+    k, p = as_integer(k, "k"), as_integer(p, "p")
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     if not (1 <= p <= k):
@@ -339,6 +341,7 @@ def analyze(
     raises :class:`NoConvergenceError`.
     """
     k = bundle.k
+    trend_order = as_integer(trend_order, "trend_order")
     if not 1 <= trend_order <= k:
         raise InvalidArgumentError(f"trend_order must satisfy 1 <= p <= K={k}, got {trend_order}")
     traditional = _wald_block(bundle.beta_post, bundle.sigma.sigma11, alpha_ci)

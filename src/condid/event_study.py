@@ -215,8 +215,8 @@ def _first_duplicate(unit: np.ndarray, period: np.ndarray) -> tuple:
 def load_panel(path) -> PanelData:
     r"""Read and validate a panel CSV.
 
-    The file is UTF-8 text with the header ``unit,period,treatment,outcome``.
-    Its grammar:
+    The file is UTF-8 text with the header ``unit,period,treatment,outcome``,
+    optionally preceded by a byte-order mark (U+FEFF).  Its grammar:
 
     * fields are separated by commas; a field that starts with ``"`` is
       quoted and may hold commas, line breaks and doubled quotes ``""``
@@ -256,6 +256,8 @@ def _read_header(reader) -> None:
         raise PanelParseError("empty file", line=1) from None
     except csv.Error as exc:
         raise PanelParseError(str(exc), line=1) from None
+    if header:  # a byte-order mark, as spreadsheets write one
+        header[0] = header[0].removeprefix("\ufeff")
     _check_decoded(header, 1)
     if tuple(h.strip() for h in header) != PANEL_HEADER:
         raise PanelParseError(

@@ -12,9 +12,9 @@ difference-in-means ~ N(slope * t, 2 / N) plus independent chi-square
 within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
 vectorized and elementwise across replications, so results are invariant to
-how replications are split into chunks or across workers.  Conditional
-inference is the step :func:`condid.estimators.analyze` runs: each chunk's
-accepted replications go through one
+how replications are split into chunks; workers each simulate whole cells.
+Conditional inference is the step :func:`condid.estimators.analyze` runs: each
+chunk's accepted replications go through one
 :func:`~condid.estimators.conditional_quantiles` call (with ``Sigma eta``
 formed from the rank-one-plus-diagonal covariance, never as a dense matrix),
 whose :class:`~condid.errors.NoConvergenceError` for a solve that does not
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NoConvergenceError
+from .errors import InvalidArgumentError, NoConvergenceError, as_integer
 from .estimators import conditional_quantiles, eta_gamma
 from .event_study import coefficients
 from .pretest import ALPHA, critical_value, ns_event
@@ -62,8 +62,9 @@ class SimConfig:
     ``trend_slope`` applies to the trend DGP only; the null DGP always uses
     slope zero.  ``use_estimated_sigma`` mirrors what a practitioner can do
     (per-replication estimated covariance); switching it off isolates the
-    known-covariance behaviour.  Replications run in chunks of
-    :data:`CHUNK_REPS` whatever ``workers`` is, which is what makes output
+    known-covariance behaviour.  ``workers`` is how many of a table's cells
+    :func:`run_table` simulates at once; each cell runs its chunks of
+    :data:`CHUNK_REPS` in one process, which is what makes output
     byte-identical under any worker count.
     """
 
@@ -93,6 +94,11 @@ class SimConfig:
                 raise InvalidArgumentError(f"{name} must be >= {low} and below 2**63")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise InvalidArgumentError("workers must be >= 1")
+        # after the ranges, which name the bound for a nan count
+        for name in ("reps", "n_per_cell", "k_max", "seed", "workers"):
+            as_integer(getattr(self, name), name)
         # A draw adds slope * t (|t| <= k_max + 1, the span the trend-adjusted
         # contrast extrapolates over) to noise of sd sqrt(2 / n_per_cell); rounding
         # moves it by up to 2**-53 |slope| (k_max + 1).  Within 2**-27 noise sd, half
@@ -103,8 +109,6 @@ class SimConfig:
                                        f"{slope_max!r} at these settings, got {self.trend_slope}")
         for name in ("alpha_pretest", "alpha_ci"):
             critical_value(getattr(self, name), name)
-        if self.workers < 1:
-            raise InvalidArgumentError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -284,19 +288,12 @@ def _records_from_draws(
     )
 
 
-# --- chunked, optionally parallel execution -----------------------------------
+# --- chunked execution --------------------------------------------------------
 
 
 def _chunk_seed(config: SimConfig, slope: float, k: int, chunk_index: int):
     slope_bits = int(np.float64(slope).view(np.uint64))
     return np.random.SeedSequence([int(config.seed), slope_bits, k, chunk_index])
-
-
-def _run_chunk(args) -> ReplicationRecords:
-    config, k, dgp, slope, chunk_index, n = args
-    rng = np.random.default_rng(_chunk_seed(config, slope, k, chunk_index))
-    delta, v = _fast_cell_draws(config, k, slope, rng, n)
-    return _records_from_draws(config, k, dgp, delta, v)
 
 
 def _slope(config: SimConfig, dgp: str) -> float:
@@ -308,21 +305,17 @@ def _slope(config: SimConfig, dgp: str) -> float:
 
 
 def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
-    """All replications for one (DGP, K) cell, reduced in chunk order."""
+    """All replications for one (DGP, K) cell, run chunk by chunk in this
+    process and reduced in chunk order; ``config.workers`` is not read."""
     slope = _slope(config, dgp)
+    k = as_integer(k, "k")
     if k < 0:
         raise InvalidArgumentError(f"k must be >= 0, got {k}")
-    args = [
-        (config, k, dgp, slope, i, min(CHUNK_REPS, config.reps - start))
-        for i, start in enumerate(range(0, config.reps, CHUNK_REPS))
-    ]
-    if config.workers <= 1 or len(args) == 1:
-        parts = [_run_chunk(a) for a in args]
-    else:
-        # a fork pool starts every worker at its first submit: no more than
-        # there are chunks
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as pool:
-            parts = list(pool.map(_run_chunk, args))
+    parts = []
+    for i, start in enumerate(range(0, config.reps, CHUNK_REPS)):
+        rng = np.random.default_rng(_chunk_seed(config, slope, k, i))
+        delta, v = _fast_cell_draws(config, k, slope, rng, min(CHUNK_REPS, config.reps - start))
+        parts.append(_records_from_draws(config, k, dgp, delta, v))
     return ReplicationRecords.concatenate(parts)
 
 
@@ -426,7 +419,9 @@ def run_table(config: SimConfig, table_id: int, dgp: str | None = None) -> list[
 
     Tables 1 and 2 include the unconditional K = 0 row; tables 3 and 4 run
     both DGPs, or only ``dgp`` when it is given.  Cells with too few accepted
-    replications are flagged degenerate rather than failing the run.
+    replications are flagged degenerate rather than failing the run.  With
+    ``config.workers`` above 1 and more than one cell, one process pool of up
+    to that many workers simulates the cells; rows come back in cell order.
     """
     if table_id not in TABLE_SPECS:
         raise InvalidArgumentError(f"table_id must be one of {sorted(TABLE_SPECS)}")
@@ -435,8 +430,15 @@ def run_table(config: SimConfig, table_id: int, dgp: str | None = None) -> list[
         if dgp not in dgps:
             raise InvalidArgumentError(f"table {table_id} has only {'/'.join(dgps)} rows")
         dgps = (dgp,)
-    return [
-        summarize_row(simulate_cell(config, k, dgp), _slope(config, dgp))
-        for dgp in dgps
-        for k in range(k_lo, config.k_max + 1)
-    ]
+    cells = [(config, dgp, k) for dgp in dgps for k in range(k_lo, config.k_max + 1)]
+    if config.workers <= 1 or len(cells) == 1:
+        return [_table_row(cell) for cell in cells]
+    # a fork pool starts every worker at its first submit: no more than there
+    # are cells
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(cells))) as pool:
+        return list(pool.map(_table_row, cells))
+
+
+def _table_row(cell) -> SimTableRow:
+    config, dgp, k = cell
+    return summarize_row(simulate_cell(config, k, dgp), _slope(config, dgp))

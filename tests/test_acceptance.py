@@ -378,9 +378,9 @@ class TestCriterion5Properties:
 
 class TestCriterion6Determinism:
     def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
-        # 20 chunks of 150 replications per cell, so that 4 and 16 workers
-        # both run the cell on a process pool; a one-chunk cell runs serially
-        # whatever the worker count
+        # table 2 at k_max 2 is three cells, which 4 and 16 workers both run
+        # on one process pool of three; each cell runs its 20 chunks of 150
+        # replications in order inside its worker
         monkeypatch.setattr(simulation, "CHUNK_REPS", 150)
         with _report("6 simulate output byte-identical under 1, 4, 16 workers"):
             from condid.cli import main

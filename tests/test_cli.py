@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,17 @@ class TestAnalyze:
         assert payload["median_unbiased_beta"] is None
         assert payload["median_unbiased_gamma"] is None
         assert payload["traditional"]["estimate"] is not None
+
+    def test_byte_order_mark_leaves_the_report_unchanged(self, tmp_path):
+        # as spreadsheets save "CSV UTF-8"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + EXAMPLE_PANEL.read_bytes())
+        reports = []
+        for src in (EXAMPLE_PANEL, marked):
+            out = tmp_path / f"{src.stem}.json"
+            assert main(["analyze", "--input", str(src), "--output", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_malformed_csv_exit_code_and_line(self, tmp_path, capsys):
         src = tmp_path / "broken.csv"
@@ -303,6 +315,21 @@ class TestSimulate:
         assert rc == EXIT_NUMERICAL
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched iteration budget only when forked")
+    def test_unconverged_solve_in_a_worker_exits_as_in_the_parent(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(gaussian, "_MAX_ITER", 1)
+        errors = []
+        for workers in ("1", "2"):
+            rc = main(["simulate", "--table", "4", "--reps", "2000", "--k-max", "8",
+                       "--workers", workers, "--output", str(tmp_path / "t.csv")])
+            assert rc == EXIT_NUMERICAL
+            errors.append(capsys.readouterr().err)
+        assert errors[0].endswith("did not converge (null DGP, K=1)\n")
+        assert errors[1] == errors[0]
+        assert not (tmp_path / "t.csv").exists()
 
     def test_left_out_options_take_simconfig_defaults(self, tmp_path, monkeypatch):
         configs = []

@@ -378,6 +378,14 @@ class TestEtaGamma:
         with pytest.raises(ValueError):
             eta_gamma(0, 1)
 
+    @pytest.mark.parametrize("k, p, name, value", [
+        (3, 1.5, "p", 1.5), (3.5, 1, "k", 3.5), (3, 1.0, "p", 1.0),
+        (True, 1, "k", True), (3, True, "p", True),
+    ])
+    def test_non_integer_k_or_p_is_refused(self, k, p, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer, got {value}$"):
+            eta_gamma(k, p)
+
     def test_high_order_basis_loses_rank(self):
         # full rank in exact arithmetic, not in floating point: the check is live
         assert eta_gamma(11, 11).shape == (12,)
@@ -454,6 +462,20 @@ class TestAnalyze:
         bundle = make_bundle(0.1, [beta_pre_0 * sd, 0.0], sigma)
         with pytest.raises(InvalidArgumentError, match=f"K=2, got {trend_order}"):
             analyze(bundle, trend_order=trend_order)
+
+    @pytest.mark.parametrize("trend_order", [1.5, 1.0, True])
+    def test_non_integer_trend_order_is_refused(self, trend_order):
+        # a passing bundle; True once reached the report as "trend_order": true
+        bundle = make_bundle(0.1, [0.0, 0.0], repeated_cross_section_sigma(2))
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^trend_order must be an integer, got {trend_order}$"):
+            analyze(bundle, trend_order=trend_order)
+
+    def test_numpy_trend_order_reaches_the_report_as_an_int(self):
+        bundle = make_bundle(0.1, [0.0, 0.0], repeated_cross_section_sigma(2))
+        report = analyze(bundle, trend_order=np.int64(2))
+        assert type(report.median_unbiased_gamma.trend_order) is int
+        assert report == analyze(bundle, trend_order=2)
 
     def test_wald_blocks(self):
         sigma = repeated_cross_section_sigma(1)

@@ -253,6 +253,12 @@ class TestLoaderEdges:
         with pytest.raises(PanelParseError, match="line 1: field larger than field limit"):
             load_panel(path)
 
+    def test_bad_row_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"\xef\xbb\xbfunit,period,treatment,outcome\na,x,0,1.0\n")
+        with pytest.raises(PanelParseError, match="^line 2: period 'x'"):
+            load_panel(path)
+
     def test_blank_lines_count_towards_line_numbers(self, tmp_path):
         body = b"\n\r\na,-1,0,1.0\n\nb,zero,0,1.0\n"
         with pytest.raises(PanelParseError, match="line 6: period 'zero'"):

@@ -200,14 +200,16 @@ class TestDeterminism:
         assert_records_identical(simulate_cell(cfg, 2, "trend"), simulate_cell(cfg, 2, "trend"))
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
+        # four cells of eight chunks each, on a pool of three workers
         monkeypatch.setattr(simulation, "CHUNK_REPS", 512)
-        base = SimConfig(reps=4_000, seed=11, workers=1)
-        multi = SimConfig(reps=4_000, seed=11, workers=3)
-        assert_records_identical(simulate_cell(base, 2, "trend"), simulate_cell(multi, 2, "trend"))
+        base = SimConfig(reps=4_000, seed=11, k_max=2, workers=1)
+        multi = SimConfig(reps=4_000, seed=11, k_max=2, workers=3)
+        assert rows_to_csv(run_table(base, 3)) == rows_to_csv(run_table(multi, 3))
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        # a fork pool starts all its workers at its first submit; the stub
-        # records the pool size and maps in this process, so nothing starts
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of every pool built; the stub maps in this process, so no
+        worker starts.  Cells of 1 200 replications span three chunks."""
         sizes = []
 
         class InlineExecutor:
@@ -225,11 +227,22 @@ class TestDeterminism:
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(simulation, "CHUNK_REPS", 500)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_cells(self, pool_sizes):
+        # one pool per table; a fork pool starts all its workers at its
+        # first submit, so table 2's three cells need no more than three
+        serial = rows_to_csv(run_table(SimConfig(reps=1_200, seed=3, k_max=2), 2))
+        for workers in (2, 100_000):
+            pooled = run_table(SimConfig(reps=1_200, seed=3, k_max=2, workers=workers), 2)
+            assert rows_to_csv(pooled) == serial
+        assert pool_sizes == [2, 3]
+
+    def test_cell_runs_its_chunks_without_a_pool(self, pool_sizes):
         serial = simulate_cell(SimConfig(reps=1_200, seed=3), 1, "null")
-        for workers in (100_000, 2):
-            pooled = simulate_cell(SimConfig(reps=1_200, seed=3, workers=workers), 1, "null")
-            assert_records_identical(serial, pooled)
-        assert sizes == [3, 2]
+        pooled = simulate_cell(SimConfig(reps=1_200, seed=3, workers=2), 1, "null")
+        assert_records_identical(serial, pooled)
+        assert pool_sizes == []
 
     def test_different_seeds_differ(self):
         a = simulate_cell(SimConfig(reps=1_000, seed=1), 1, "null")
@@ -432,6 +445,33 @@ class TestCountRange:
         # slope 0: the slope rule's edge shrinks with n_per_cell and k_max
         config = SimConfig(trend_slope=0.0, **{field: 2**63 - 1})
         assert getattr(config, field) == 2**63 - 1
+
+
+class TestIntegerRule:
+    """Counts, the seed and K take integers, numpy's included, and nothing
+    else: a bool or a float, integral or not, is refused by name.  Without
+    the rule, ``n_per_cell=2.5`` wrote a table, ``seed=1.9`` gave seed 1's,
+    and ``reps=1.5`` died in a ``TypeError``."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("reps", 1.5), ("reps", True), ("n_per_cell", 2.5), ("n_per_cell", 250.0),
+        ("k_max", 1.5), ("k_max", True), ("seed", 1.9), ("seed", False),
+        ("workers", 1.5), ("workers", True),
+    ])
+    def test_sim_config_refuses_non_integers(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be an integer, got {value}$"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True])
+    def test_simulate_cell_refuses_a_non_integer_k(self, k):
+        with pytest.raises(InvalidArgumentError, match=f"^k must be an integer, got {k}$"):
+            simulate_cell(SimConfig(reps=100), k, "null")
+
+    def test_numpy_integers_are_admitted(self):
+        config = SimConfig(reps=np.int64(300), k_max=np.int32(1), seed=np.uint8(3))
+        records = simulate_cell(config, np.int64(1), "null")
+        assert type(records.k) is int
+        assert_records_identical(records, simulate_cell(SimConfig(reps=300, seed=3), 1, "null"))
 
 
 class TestTrendSlopeRange:
