@@ -14,10 +14,10 @@ and equal-tailed intervals then come from solving the truncated-normal mean.
 One step serves every caller.  :func:`polyhedral_window` computes the
 observed value, variance and window of one contrast over a stack of ``n``
 datasets, and :func:`conditional_quantiles` runs it once per contrast and
-solves every (dataset, contrast, target) triple in one stacked
-:func:`~condid.gaussian.solve_tn_quantiles` call.  :func:`analyze` calls it on
-one dataset and two contrasts, and the simulator on each chunk of
-replications; :func:`condition_contrast` is a window on a stack of one, and
+solves every (dataset, contrast, target) triple, one block of datasets at a
+time, each block in one :func:`~condid.gaussian.solve_tn_quantiles` call.
+:func:`analyze` calls it on one dataset and two contrasts, and the simulator
+on each chunk of replications; :func:`condition_contrast` is a window on a stack of one, and
 :func:`quantile_unbiased_estimate` and :func:`conditional_ci` solve its law
 through the same solve.
 """
@@ -38,8 +38,14 @@ from .errors import (
     as_integer,
 )
 from .event_study import EstimateBundle
-from .gaussian import CovarianceMatrix, solve_tn_quantiles
-from .pretest import ALPHA, PolyhedralConstraint, build_ns_polyhedron, critical_value
+from .gaussian import BULK_BLOCK, CovarianceMatrix, solve_tn_quantiles
+from .pretest import (
+    ALPHA,
+    PolyhedralConstraint,
+    build_ns_polyhedron,
+    critical_value,
+    event_product,
+)
 
 __all__ = [
     "ConditionalLaw",
@@ -108,7 +114,10 @@ def polyhedral_window(
     (n,): ``eta' beta_i``, ``eta' Sigma_i eta`` and ``[V-, V+]``.
     ``observed`` is not clamped into its window; the mean solve absorbs that
     float dust.  Rows with ``|(Ac)_j|`` below :data:`AC_ZERO_RTOL` times
-    ``max_j ||A_j||_1 * max|c|`` do not constrain the window.
+    ``max_j ||A_j||_1 * max|c|`` do not constrain the window.  Both products
+    with ``a`` go through :func:`~condid.pretest.event_product`: the pretest
+    event's +/-e_j rows gather columns, exactly and with no BLAS call, and
+    any other polyhedron takes the matrix product.
 
     Raises
     ------
@@ -120,13 +129,13 @@ def polyhedral_window(
     if not np.all(var > 0.0):
         raise ZeroContrastError("contrast has zero variance under sigma")
     # c = Sigma eta / var is never formed: one (n, d) array fewer
-    ac = sigma_eta @ a.T
+    ac = event_product(a, sigma_eta)
     ac /= var[:, None]
     max_c = np.abs(sigma_eta).max(axis=-1, keepdims=True) / var[:, None]
     tol = AC_ZERO_RTOL * float(np.abs(a).sum(axis=1).max(initial=0.0)) * max_c
     # (b - A z) / (A c) with A z = A beta - (A c) observed, built in place
     ratio = ac * observed[:, None]
-    np.subtract(beta @ a.T, ratio, out=ratio)
+    np.subtract(event_product(a, beta), ratio, out=ratio)
     np.subtract(b, ratio, out=ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio /= ac
@@ -137,16 +146,25 @@ def polyhedral_window(
 
 def conditional_quantiles(beta, sigma_etas, etas, a, b, alpha):
     """The conditional step after the pretest, for ``m`` contrasts ``etas``
-    (m, d) over ``n`` datasets: one :func:`polyhedral_window` call per contrast
-    (its (n, r) temporaries stay at one contrast's size), with ``sigma_etas``
-    (m, n, d) holding ``Sigma_i eta_j``, then one stacked
+    (m, d) over ``n`` datasets, with ``sigma_etas`` (m, n, d) holding
+    ``Sigma_i eta_j``.  It runs block by block, ``BULK_BLOCK // (3 m)`` datasets
+    at a time: one :func:`polyhedral_window` call per contrast, then one
     :func:`~condid.gaussian.solve_tn_quantiles` call at :func:`quantile_targets`
-    of ``alpha``.  Returns the windows ``lower`` and ``upper``, each (n, m), and
+    of ``alpha``, which is a single bulk solve.  So no (n, r) temporary spans
+    the stack, and since every step is elementwise over datasets, the blocking
+    moves no bit.  Returns the windows ``lower`` and ``upper``, each (n, m), and
     ``mu`` (n, m, 3): the median and the 1-alpha interval's lower and upper
     endpoints.  Raises what those two raise."""
-    windows = [polyhedral_window(beta, s_eta, eta, a, b) for s_eta, eta in zip(sigma_etas, etas)]
-    observed, var, lower, upper = (np.stack(parts, axis=1) for parts in zip(*windows))
-    mu = solve_tn_quantiles(observed, np.sqrt(var), lower, upper, quantile_targets(alpha))
+    targets = quantile_targets(alpha)
+    n, m = len(beta), len(etas)
+    lower, upper, mu = np.empty((n, m)), np.empty((n, m)), np.empty((n, m, len(targets)))
+    step = max(1, BULK_BLOCK // (len(targets) * m))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        windows = [polyhedral_window(beta[rows], s_eta[rows], eta, a, b[rows])
+                   for s_eta, eta in zip(sigma_etas, etas)]
+        observed, var, lower[rows], upper[rows] = (np.stack(x, axis=1) for x in zip(*windows))
+        mu[rows] = solve_tn_quantiles(observed, np.sqrt(var), lower[rows], upper[rows], targets)
     return lower, upper, mu
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "ALPHA",
     "PolyhedralConstraint",
     "build_ns_polyhedron",
+    "event_product",
     "ns_event",
     "passes_pretest",
     "critical_value",
@@ -49,9 +50,10 @@ class PolyhedralConstraint:
         return self.a_matrix.shape[1]
 
     def holds_at(self, beta: np.ndarray, rtol: float = 1e-12) -> bool:
-        """Weak elementwise check of A beta <= b (tiny slack for float noise)."""
+        """Weak elementwise check of A beta <= b (tiny slack for float noise),
+        with A beta from :func:`event_product`."""
         slack = rtol * max(1.0, float(np.abs(self.b_vector).max(initial=0.0)))
-        return bool(np.all(self.a_matrix @ beta <= self.b_vector + slack))
+        return bool(np.all(event_product(self.a_matrix, beta) <= self.b_vector + slack))
 
 
 def critical_value(alpha: float, name: str = "alpha") -> float:
@@ -79,13 +81,37 @@ def ns_event(pre_var: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]
     event ``+beta_pre_j <= c * sd_j``), then the block of rows ``-e_j``; the
     post coordinate gets zero weight.  ``b`` has shape (..., 2K), each
     variance's bound ``c * sd_j`` once per sign, with ``c`` the two-sided
-    critical value.
+    critical value.  Its rows are +/-e_j, so :func:`event_product` forms
+    ``a beta`` by gathering columns, exactly and with no BLAS call.
     """
     k = np.shape(pre_var)[-1]
     a = np.zeros((2 * k, k + 1))
     a[:k, 1:] = np.eye(k)
     a[k:, 1:] = -np.eye(k)
     return a, np.tile(critical_value(alpha) * np.sqrt(pre_var), 2)
+
+
+def event_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x @ a.T``: every row of an event matrix ``a`` (r, d) against every
+    vector of a stack ``x`` (..., d), shape (..., r).
+
+    Where each row of ``a`` has a single nonzero entry, +1 or -1, as each row
+    of :func:`ns_event` has, and ``x`` is finite, it gathers the columns of
+    ``x`` and negates the ones under -1, calling no BLAS routine.
+    Multiplying by +/-1 and adding zeros are exact, so this equals the
+    product elementwise, the sign of a zero aside.  Any other matrix, and any
+    stack holding an infinity or a NaN (which the product spreads to every
+    row, as ``inf * 0`` is NaN), takes ``x @ a.T``.
+    """
+    # every row sums to +/-1 and there are as many nonzeros as rows: each row
+    # has one nonzero entry, its sum
+    sign = a.sum(axis=1)
+    if not (np.count_nonzero(a) == len(a) == np.count_nonzero(np.abs(sign) == 1.0)
+            and np.isfinite(x).all()):
+        return x @ a.T
+    out = np.asarray(x, dtype=float)[..., a.nonzero()[1]]
+    out *= sign
+    return out
 
 
 def passes_pretest(bundle: EstimateBundle, alpha: float = ALPHA) -> bool:

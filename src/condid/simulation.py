@@ -18,9 +18,14 @@ chunk's accepted replications go through one
 :func:`~condid.estimators.conditional_quantiles` call (with ``Sigma eta``
 formed from the rank-one-plus-diagonal covariance, never as a dense matrix),
 whose :class:`~condid.errors.NoConvergenceError` for a solve that does not
-converge gains the DGP and K in its message.  Chunk RNG streams are derived
-from the root seed with a splittable seed sequence keyed by (seed, DGP slope,
-K, chunk index), and aggregation is a deterministic fold over chunk order.
+converge gains the DGP and K in its message.  No product over a chunk calls
+BLAS: the pretest event's rows are +/-e_j, so
+:func:`~condid.pretest.event_product` forms them by gathering columns, and no
+BLAS thread wakes to take the core another worker needs.  A chunk's draws and
+whole-chunk coefficients are dropped before its conditional step, which runs
+block by block.  Chunk RNG streams are derived from the root seed with a
+splittable seed sequence keyed by (seed, DGP slope, K, chunk index), and
+aggregation is a deterministic fold over chunk order.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NoConvergenceError, as_integer
 from .estimators import conditional_quantiles, eta_gamma
 from .event_study import coefficients
-from .pretest import ALPHA, critical_value, ns_event
+from .pretest import ALPHA, critical_value, event_product, ns_event
 
 __all__ = [
     "SimConfig",
@@ -232,37 +237,34 @@ def _fast_cell_draws(
 # --- vectorized replication kernel -------------------------------------------
 
 
-def _records_from_draws(
+def _chunk_records(
     config: SimConfig,
     k: int,
     dgp: str,
-    delta: np.ndarray,
-    v: np.ndarray,
+    rng: np.random.Generator,
+    n: int,
 ) -> ReplicationRecords:
-    """Everything the tables need, computed elementwise across replications.
+    """Everything the tables need from ``n`` replications drawn from ``rng``,
+    computed elementwise across replications.
 
     Uses only elementwise operations and per-axis reductions so that results
-    do not depend on chunk boundaries.
+    do not depend on chunk boundaries.  The draws are dropped once the
+    coefficients are formed, and the whole chunk's coefficients once the
+    pretest has selected the accepted replications, so the conditional step
+    holds no array of the whole chunk.
     """
-    # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending
+    delta, v = _fast_cell_draws(config, k, _slope(config, dgp), rng, n)
+    # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending;
+    # v0 is a view of v until the selection below copies it
     beta, v0, v_coef = coefficients(delta[:, ::-1], v[:, ::-1])
-    # the pretest event A beta <= b; its +/-1 and 0 rows make A beta exact
+    del delta, v
+    # the pretest event A beta <= b, formed without a BLAS call (event_product)
     a, b = ns_event(v0[:, None] + v_coef[:, 1:], config.alpha_pretest)
-    accepted = np.all(beta @ a.T <= b, axis=1)
+    accepted = np.all(event_product(a, beta) <= b, axis=1)
 
     # the tables read the accepted replications only; at K = 0 that is every
     # replication, and the adjusted estimator is the traditional one
     beta, v0, v_coef, b = beta[accepted], v0[accepted], v_coef[accepted], b[accepted]
-    var_trad = v0 + v_coef[:, 0]
-
-    # pre-period adjustment: the estimated covariance is always a rank-one
-    # update of a diagonal, so the solve has a closed form
-    inv_lam = 1.0 / v_coef[:, 1:]
-    s = inv_lam.sum(axis=1)
-    shrink = v0 / (1.0 + v0 * s)
-    w = shrink[:, None] * inv_lam
-    beta_tilde = beta[:, 0] - (w * beta[:, 1:]).sum(axis=1)
-    var_eff = var_trad - v0 * w.sum(axis=1)
 
     mu = np.full((beta.shape[0], 2, 3), math.nan)  # K = 0: nothing to condition on
     if k >= 1 and mu.size:
@@ -273,6 +275,17 @@ def _records_from_draws(
             _, _, mu = conditional_quantiles(beta, sigma_etas, etas, a, b, config.alpha_ci)
         except NoConvergenceError as exc:
             raise NoConvergenceError(f"{exc} ({dgp} DGP, K={k})") from None
+
+    # pre-period adjustment: the estimated covariance is always a rank-one
+    # update of a diagonal, so the solve has a closed form.  It runs after the
+    # conditional step, which then holds none of its (n, K) temporaries
+    var_trad = v0 + v_coef[:, 0]
+    inv_lam = 1.0 / v_coef[:, 1:]
+    s = inv_lam.sum(axis=1)
+    shrink = v0 / (1.0 + v0 * s)
+    w = shrink[:, None] * inv_lam
+    beta_tilde = beta[:, 0] - (w * beta[:, 1:]).sum(axis=1)
+    var_eff = var_trad - v0 * w.sum(axis=1)
 
     return ReplicationRecords(
         dgp=dgp,
@@ -311,12 +324,11 @@ def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
     k = as_integer(k, "k")
     if k < 0:
         raise InvalidArgumentError(f"k must be >= 0, got {k}")
-    parts = []
-    for i, start in enumerate(range(0, config.reps, CHUNK_REPS)):
-        rng = np.random.default_rng(_chunk_seed(config, slope, k, i))
-        delta, v = _fast_cell_draws(config, k, slope, rng, min(CHUNK_REPS, config.reps - start))
-        parts.append(_records_from_draws(config, k, dgp, delta, v))
-    return ReplicationRecords.concatenate(parts)
+    return ReplicationRecords.concatenate([
+        _chunk_records(config, k, dgp, np.random.default_rng(_chunk_seed(config, slope, k, i)),
+                       min(CHUNK_REPS, config.reps - start))
+        for i, start in enumerate(range(0, config.reps, CHUNK_REPS))
+    ])
 
 
 # --- aggregation --------------------------------------------------------------

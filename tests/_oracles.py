@@ -15,6 +15,7 @@ package reads.
 * :func:`contrast_decomposition` splits a coefficient vector into the part a
   contrast moves and the part it leaves fixed.
 * :func:`write_panel` writes a panel back to CSV.
+* :class:`NoMatmul` is an array that fails any matrix product it enters.
 """
 
 from __future__ import annotations
@@ -186,3 +187,17 @@ def write_panel(path, data: PanelData) -> None:
         writer.writerow(PANEL_HEADER)
         for u, t, d, y in zip(data.unit, data.period, data.treatment, data.outcome):
             writer.writerow([u, int(t), int(d), repr(float(y))])
+
+
+# --- call guards -----------------------------------------------------------------
+
+
+class NoMatmul(np.ndarray):
+    """An array that raises ``AssertionError`` when it enters ``np.matmul``
+    (the ``@`` operator); every other ufunc sees a plain array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("np.matmul reached")
+        inputs = [x.view(np.ndarray) if isinstance(x, NoMatmul) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)

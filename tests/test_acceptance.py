@@ -325,9 +325,7 @@ class TestCriterion5Properties:
 
     def test_conditional_coverage_known_sigma(self):
         with _report("5f conditional coverage 0.95 +/- 0.01 for both contrasts (known sigma)"):
-            cfg = SimConfig(
-                reps=DESK_REPS, seed=SEED + 1, use_estimated_sigma=False, workers=2
-            )
+            cfg = SimConfig(reps=DESK_REPS, seed=SEED + 1, use_estimated_sigma=False)
             for dgp in ("null", "trend"):
                 truth_beta = 0.0 if dgp == "null" else cfg.trend_slope
                 acc = simulate_cell(cfg, 3, dgp)  # records of accepted replications
@@ -342,8 +340,7 @@ class TestCriterion5Properties:
         with _report("5g quantile bound: P(b_0.05 <= truth | pass) = 0.05 +/- 0.01"):
             # alpha_ci = 0.1 makes the upper interval endpoint the 0.05-quantile bound
             cfg = SimConfig(
-                reps=DESK_REPS, seed=SEED + 2, alpha_ci=0.10,
-                use_estimated_sigma=False, workers=2,
+                reps=DESK_REPS, seed=SEED + 2, alpha_ci=0.10, use_estimated_sigma=False
             )
             acc = simulate_cell(cfg, 3, "trend")  # records of accepted replications
             p = np.mean(acc.tn_beta_hi <= 0.065)

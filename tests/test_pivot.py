@@ -10,6 +10,10 @@ at that call; the solve itself is replaced,
 since the pivot needs no root.  Each pivot is the CDF at 0 of
 TN(u, 1, window) at u = (true mean - observed) / sd, from
 ``gaussian._cdf_excess``; a subsample is checked against scipy.
+
+The last test runs the solve: replication by replication, each interval of
+``conditional_quantiles`` must exclude the truth exactly where the pivot,
+from ``scipy.stats.truncnorm``, lies outside [alpha/2, 1 - alpha/2].
 """
 
 import numpy as np
@@ -17,8 +21,10 @@ import pytest
 from scipy.stats import kstest, truncnorm
 
 from condid import estimators
-from condid.estimators import analyze
+from condid.estimators import analyze, conditional_quantiles, eta_gamma
+from condid.event_study import coefficients
 from condid.gaussian import _cdf_excess
+from condid.pretest import ALPHA, ns_event
 from condid.simulation import SimConfig, _fast_cell_draws, simulate_cell
 
 from _oracles import CellDraws
@@ -103,3 +109,52 @@ def test_analyze_windows_give_uniform_pivots(dgp, k, monkeypatch):
     laws = np.concatenate(laws, axis=1)  # (4, accepted, contrast)
     truth = np.array([slope, 0.0])
     assert_uniform(pivots(laws, truth), laws, truth, f"analyze {dgp} K={k}")
+
+
+IDENTITY_REPS = 3_000
+IDENTITY_ALPHA = 0.05
+# the solve stops within 1e-8 sd of its root, which moves the CDF by less
+# than 1e-8: nearer a threshold than this, its tolerance decides
+IDENTITY_MARGIN = 1e-6
+
+
+@pytest.mark.parametrize("dgp", ["null", "trend"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_intervals_exclude_the_truth_exactly_where_its_pivot_is_outside(dgp, k, monkeypatch):
+    # F(observed; mean) falls in the mean, so the 1-alpha interval holds the
+    # truth exactly when alpha/2 <= F(observed; truth) <= 1 - alpha/2; here
+    # that is checked replication by replication on drawn coefficients under
+    # estimated covariances, with F from scipy's truncnorm on each window
+    slope = SLOPE if dgp == "trend" else 0.0
+    config = SimConfig(reps=1, k_max=k, seed=7)
+    delta, v = _fast_cell_draws(config, k, slope, np.random.default_rng(100 + k), IDENTITY_REPS)
+    beta, v0, v_coef = coefficients(delta[:, ::-1], v[:, ::-1])
+    a, b = ns_event(v0[:, None] + v_coef[:, 1:], ALPHA)
+    accepted = np.all(np.abs(beta[:, 1:]) <= b[:, :k], axis=1)
+    beta, v0, v_coef, b = beta[accepted], v0[accepted], v_coef[accepted], b[accepted]
+    etas = np.stack([np.eye(k + 1)[0], eta_gamma(k, 1)])
+    sigma_etas = [v0[:, None] * eta.sum() + v_coef * eta for eta in etas]
+    lower, upper, mu = conditional_quantiles(beta, sigma_etas, etas, a, b, IDENTITY_ALPHA)
+
+    checked = excluded = 0
+    for j, (eta, truth) in enumerate(zip(etas, (slope, 0.0))):
+        sigma = v0[:, None, None] + v_coef[:, :, None] * np.eye(k + 1)  # v0 11' + diag
+        sd = np.sqrt(np.einsum("i,nij,j->n", eta, sigma, eta))
+        observed = np.clip(beta @ eta, lower[:, j], upper[:, j])
+        pivot = truncnorm.cdf(observed, (lower[:, j] - truth) / sd, (upper[:, j] - truth) / sd,
+                              loc=truth, scale=sd)
+        outside = (pivot < IDENTITY_ALPHA / 2) | (pivot > 1 - IDENTITY_ALPHA / 2)
+        excludes = (mu[:, j, 1] > truth) | (mu[:, j, 2] < truth)
+        decided = ((np.abs(pivot - IDENTITY_ALPHA / 2) > IDENTITY_MARGIN)
+                   & (np.abs(pivot - (1 - IDENTITY_ALPHA / 2)) > IDENTITY_MARGIN))
+        disagree = np.flatnonzero(decided & (outside != excludes))
+        assert disagree.size == 0, (j, pivot[disagree[:5]], mu[disagree[:5], j])
+        checked += np.count_nonzero(decided)
+        excluded += np.count_nonzero(excludes)
+    assert checked >= 2 * 0.1 * IDENTITY_REPS and excluded > 0
+
+    # seven datasets per block give the same bits as blocks of BULK_BLOCK // 6
+    monkeypatch.setattr(estimators, "BULK_BLOCK", 7 * 3 * len(etas))
+    blocked = conditional_quantiles(beta, sigma_etas, etas, a, b, IDENTITY_ALPHA)
+    for got, want in zip(blocked, (lower, upper, mu)):
+        assert got.tobytes() == want.tobytes()

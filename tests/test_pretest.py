@@ -8,15 +8,24 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 import condid
 from condid import pretest
 from condid.event_study import EstimateBundle
 from condid.gaussian import CovarianceMatrix
-from condid.pretest import build_ns_polyhedron, critical_value, ns_event, passes_pretest
+from condid.pretest import (
+    build_ns_polyhedron,
+    critical_value,
+    event_product,
+    ns_event,
+    passes_pretest,
+)
 
-from _oracles import EquicorrelatedSpec, equicorrelated_matrix
+from _oracles import EquicorrelatedSpec, NoMatmul, equicorrelated_matrix
 
 
 def bundle_with(beta_post, beta_pre, sigma):
@@ -86,6 +95,57 @@ class TestBuildPolyhedron:
     def test_smallest_usable_alpha_is_accepted(self):
         assert 1.0 - 1.2e-16 / 2.0 < 1.0
         assert 8.0 < critical_value(1.2e-16) < np.inf
+
+
+# finite doubles, with the edges drawn on purpose: signed zeros, subnormals,
+# the smallest normal and magnitudes near 1e300
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308]),
+)
+
+
+class TestEventProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 12), n=st.integers(1, 6))
+    def test_gather_equals_the_product_on_the_pretest_event(self, data, k, n):
+        a, _ = ns_event(np.ones(k), 0.05)
+        x = data.draw(hnp.arrays(np.float64, (n, k + 1), elements=EDGE_FLOATS))
+        got = event_product(a.view(NoMatmul), x)
+        # == treats -0.0 and +0.0 as equal, the one difference allowed
+        assert np.array_equal(got, x @ a.T)
+        assert np.array_equal(event_product(a, x[0]), x[0] @ a.T)
+
+    def test_other_matrices_take_the_product(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((50, 4))
+        single_twos = np.array([[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
+        two_entries = np.array([[0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        zero_row = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        sums_to_one = np.array([[0.0, 2.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        for a in (rng.standard_normal((6, 4)), single_twos, two_entries, zero_row, sums_to_one):
+            assert event_product(a, x).tobytes() == (x @ a.T).tobytes()
+            with pytest.raises(AssertionError, match="np.matmul reached"):
+                event_product(a.view(NoMatmul), x)
+
+    def test_non_finite_stacks_take_the_product(self):
+        # inf * 0 is NaN: a non-finite post coefficient fails the verdict, as
+        # the product makes every row NaN
+        a, _ = ns_event(np.ones(2), 0.05)
+        sigma = CovarianceMatrix(np.eye(3))
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.array([[bad, 0.5, -0.5], [1.0, 0.5, -0.5]])
+            with np.errstate(invalid="ignore"):
+                np.testing.assert_array_equal(event_product(a, x), x @ a.T)
+                assert np.isnan(event_product(a, x)[0]).all()
+                assert not passes_pretest(bundle_with(bad, [0.5, -0.5], sigma))
+
+    def test_integer_stacks_give_doubles(self):
+        a, _ = ns_event(np.ones(2), 0.05)
+        got = event_product(a, np.array([[3, -1, 2]]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [[-1.0, 2.0, 1.0, -2.0]])
 
 
 class TestPassesPretest:

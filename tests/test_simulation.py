@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from condid import gaussian, simulation
+from condid import gaussian, pretest, simulation
 from condid.cli import rows_to_csv, rows_to_json
 from condid.errors import InvalidArgumentError, NoConvergenceError
 from condid.estimators import (
@@ -25,14 +25,14 @@ from condid.simulation import (
     ReplicationRecords,
     SimConfig,
     SimTableRow,
+    _chunk_records,
     _fast_cell_draws,
-    _records_from_draws,
     run_table,
     simulate_cell,
     summarize_row,
 )
 
-from _oracles import CellDraws, full_panel
+from _oracles import CellDraws, NoMatmul, full_panel
 
 INF = math.inf
 
@@ -82,6 +82,25 @@ class TestGenerateDgp:
         assert ks_2samp(fast_se, full_se).statistic < crit_1pct
 
 
+class TestChunkPath:
+    def test_chunk_path_never_reaches_matmul(self, monkeypatch):
+        # the pretest verdict and both products of each window gather the
+        # columns the +/-e_j event rows pick: no BLAS call wakes a BLAS thread
+        config = SimConfig(reps=500, k_max=3)
+        expected = simulate_cell(config, 3, "trend")
+
+        def guarded_event(pre_var, alpha):
+            a, b = pretest.ns_event(pre_var, alpha)
+            return a.view(NoMatmul), b
+
+        monkeypatch.setattr(simulation, "ns_event", guarded_event)
+        records = simulate_cell(config, 3, "trend")
+        assert records.tn_gamma_hi.size > 100
+        for f in dataclasses.fields(records):
+            got, want = getattr(records, f.name), getattr(expected, f.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+
 class TestEngineMatchesScalarPipeline:
     """The vectorized kernel and the public one-bundle API must agree."""
 
@@ -90,7 +109,9 @@ class TestEngineMatchesScalarPipeline:
         k = 2
         rng = np.random.default_rng(88)
         delta, v = _fast_cell_draws(cfg, k, 0.065, rng, 250)
-        records = _records_from_draws(cfg, k, "trend", delta, v)
+        # the chunk draws from its generator first, so a generator seeded
+        # alike hands it these same draws
+        records = _chunk_records(cfg, k, "trend", np.random.default_rng(88), 250)
         # records hold the accepted replications only: the j-th stored entry
         # is the j-th accepted replication
         j = 0
