@@ -38,7 +38,7 @@ from .errors import (
     as_integer,
 )
 from .event_study import EstimateBundle
-from .gaussian import BULK_BLOCK, CovarianceMatrix, solve_tn_quantiles
+from .gaussian import CovarianceMatrix, solve_tn_quantiles
 from .pretest import (
     ALPHA,
     PolyhedralConstraint,
@@ -67,6 +67,11 @@ __all__ = [
 # rows with |(Ac)_j| below this relative threshold are treated as orthogonal
 # to the contrast and excluded from the window competition
 AC_ZERO_RTOL = 1e-10
+
+# Most (dataset, contrast, target) triples per block of conditional_quantiles,
+# each block one solve_tn_mean_bulk call: the bulk solve's temporaries grow with
+# its batch, while its cost per pair stops falling at about this size.
+BULK_BLOCK = 25_000
 
 
 def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
@@ -147,14 +152,15 @@ def polyhedral_window(
 def conditional_quantiles(beta, sigma_etas, etas, a, b, alpha):
     """The conditional step after the pretest, for ``m`` contrasts ``etas``
     (m, d) over ``n`` datasets, with ``sigma_etas`` (m, n, d) holding
-    ``Sigma_i eta_j``.  It runs block by block, ``BULK_BLOCK // (3 m)`` datasets
-    at a time: one :func:`polyhedral_window` call per contrast, then one
-    :func:`~condid.gaussian.solve_tn_quantiles` call at :func:`quantile_targets`
-    of ``alpha``, which is a single bulk solve.  So no (n, r) temporary spans
-    the stack, and since every step is elementwise over datasets, the blocking
-    moves no bit.  Returns the windows ``lower`` and ``upper``, each (n, m), and
-    ``mu`` (n, m, 3): the median and the 1-alpha interval's lower and upper
-    endpoints.  Raises what those two raise."""
+    ``Sigma_i eta_j``.  The conditional path's one block loop, it runs
+    ``BULK_BLOCK // (3 m)`` datasets at a time: one :func:`polyhedral_window`
+    call per contrast, then one :func:`~condid.gaussian.solve_tn_quantiles`
+    call at :func:`quantile_targets` of ``alpha``, which is a single bulk
+    solve.  So no (n, r) temporary spans the stack, and since every step is
+    elementwise over datasets, the blocking moves no bit.  Returns the windows
+    ``lower`` and ``upper``, each (n, m), and ``mu`` (n, m, 3): the median and
+    the 1-alpha interval's lower and upper endpoints.  Raises what those two
+    raise."""
     targets = quantile_targets(alpha)
     n, m = len(beta), len(etas)
     lower, upper, mu = np.empty((n, m)), np.empty((n, m)), np.empty((n, m, len(targets)))

@@ -132,7 +132,7 @@ class PanelData:
 @dataclass(frozen=True, eq=False)
 class EstimateBundle:
     """Estimated coefficients (post first, then pre in -1..-K order) with
-    their covariance; ``k`` is the number of pre coefficients."""
+    their covariance, all finite; ``k`` is the number of pre coefficients."""
 
     beta_post: float
     beta_pre: np.ndarray
@@ -143,6 +143,9 @@ class EstimateBundle:
         object.__setattr__(self, "beta_pre", beta_pre)
         if beta_pre.ndim != 1:
             raise InvalidArgumentError(f"beta_pre must be one-dimensional, got shape {beta_pre.shape}")
+        for name, value in (("beta_post", self.beta_post), ("beta_pre", beta_pre)):
+            if not np.isfinite(value).all():
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
         if self.sigma.dim != self.k + 1:
             raise InvalidArgumentError(
                 f"sigma dimension {self.sigma.dim} does not match k + 1 = {self.k + 1}"

@@ -15,9 +15,9 @@ wide; below that width the first test alone applies.  That takes 2.7 CDF
 evaluations per element on average and at most 10 on the 1.4 million solves
 of ``simulate --table 3 --reps 25000``, each three ``log_ndtr`` and three
 ``exp`` values.  :func:`solve_tn_quantiles` is the one entry into the solve
-for every estimate and interval: it returns unbounded roots as infinities
-and raises :class:`~condid.errors.NoConvergenceError` for a solve that did
-not converge.
+for every estimate and interval, in one bulk call with no batch size of its
+own: it returns unbounded roots as infinities and raises
+:class:`~condid.errors.NoConvergenceError` for a solve that did not converge.
 
 All truncated-normal computations run in log space, on the side of zero
 where the window's bulk lies, so windows many standard deviations out in a
@@ -59,11 +59,6 @@ _MAX_ITER = 200
 # narrowest window in sd it applies to
 _EARLY_ERROR = 1e-10
 _EARLY_WIDTH = 0.05
-
-# Most (element, target) pairs per solve_tn_mean_bulk call in
-# solve_tn_quantiles: the bulk solve's temporaries grow with its batch, while
-# its cost per pair stops falling at about this size.
-BULK_BLOCK = 25_000
 
 
 class CovarianceMatrix:
@@ -369,10 +364,10 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
 
     ``observed``, ``sd``, ``lower`` and ``upper`` share one shape ``S``; the
     result has shape ``S + (len(targets),)``.  Every (element, target) pair
-    goes through :func:`solve_tn_mean_bulk`; each call takes whole elements
-    against every target, ``BULK_BLOCK // len(targets)`` of them (at least
-    one).  The solve is elementwise, so blocking does not change a bit.  A
-    root beyond ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``.
+    goes through one :func:`solve_tn_mean_bulk` call, whose temporaries grow
+    with the stack: a caller with a large stack blocks it, as
+    :func:`~condid.estimators.conditional_quantiles` does.  A root beyond
+    ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``.
 
     Raises
     ------
@@ -389,19 +384,9 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     shapes = [c.shape for c in columns]
     if len(set(shapes)) > 1:
         raise InvalidArgumentError(f"observed, sd, lower and upper differ in shape: {shapes}")
-    shape = shapes[0] + targets.shape
-    # row i holds element i against every target, as the bulk solve
-    # broadcasts a column against the targets: a call takes whole rows
-    columns = [c.reshape(-1, 1) for c in columns]
-    targets = targets.ravel()
-    mu = np.empty((len(columns[0]), targets.size))
-    step = max(1, BULK_BLOCK // max(targets.size, 1))
-    for start in range(0, len(mu), step):
-        rows = slice(start, start + step)
-        mu[rows], status = solve_tn_mean_bulk(*(c[rows] for c in columns), targets)
-        unconverged = np.count_nonzero(status == 2)
-        if unconverged:
-            raise NoConvergenceError(
-                f"{unconverged} truncated-normal mean solve(s) did not converge"
-            )
-    return mu.reshape(shape)
+    # each element against every target, as the bulk solve broadcasts
+    mu, status = solve_tn_mean_bulk(*(c[..., None] for c in columns), targets)
+    unconverged = np.count_nonzero(status == 2)
+    if unconverged:
+        raise NoConvergenceError(f"{unconverged} truncated-normal mean solve(s) did not converge")
+    return mu

@@ -241,11 +241,12 @@ def _chunk_records(
     config: SimConfig,
     k: int,
     dgp: str,
+    etas: tuple[np.ndarray, ...],
     rng: np.random.Generator,
     n: int,
 ) -> ReplicationRecords:
     """Everything the tables need from ``n`` replications drawn from ``rng``,
-    computed elementwise across replications.
+    computed elementwise across replications, for the cell's contrasts ``etas``.
 
     Uses only elementwise operations and per-axis reductions so that results
     do not depend on chunk boundaries.  The draws are dropped once the
@@ -267,8 +268,7 @@ def _chunk_records(
     beta, v0, v_coef, b = beta[accepted], v0[accepted], v_coef[accepted], b[accepted]
 
     mu = np.full((beta.shape[0], 2, 3), math.nan)  # K = 0: nothing to condition on
-    if k >= 1 and mu.size:
-        etas = (np.eye(k + 1)[0], eta_gamma(k, 1))
+    if etas and mu.size:
         # Sigma eta for Sigma = v0 11' + diag(v_coef)
         sigma_etas = [v0[:, None] * eta.sum() + v_coef * eta for eta in etas]
         try:
@@ -324,8 +324,11 @@ def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
     k = as_integer(k, "k")
     if k < 0:
         raise InvalidArgumentError(f"k must be >= 0, got {k}")
+    # the contrasts depend on K alone, so every chunk shares them
+    etas = (np.eye(k + 1)[0], eta_gamma(k, 1)) if k >= 1 else ()
     return ReplicationRecords.concatenate([
-        _chunk_records(config, k, dgp, np.random.default_rng(_chunk_seed(config, slope, k, i)),
+        _chunk_records(config, k, dgp, etas,
+                       np.random.default_rng(_chunk_seed(config, slope, k, i)),
                        min(CHUNK_REPS, config.reps - start))
         for i, start in enumerate(range(0, config.reps, CHUNK_REPS))
     ])

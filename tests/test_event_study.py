@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from condid.errors import (
     InsufficientDataError,
+    InvalidArgumentError,
     NonContiguousPeriodsError,
     PanelParseError,
     PanelValidationError,
 )
 from condid.event_study import (
+    EstimateBundle,
     PanelData,
     coefficients,
     estimate_event_study,
     load_panel,
 )
+from condid.gaussian import CovarianceMatrix
 
 from _oracles import CellDraws, write_panel
 
@@ -315,6 +318,23 @@ class TestCoefficients:
             bundle = CellDraws(k, 250, t_values, delta[i, ::-1], v[i, ::-1]).to_bundle()
             assert beta[i].tobytes() == bundle.beta.tobytes()
             assert (np.diag(v_coef[i]) + v0[i]).tobytes() == bundle.sigma.entries.tobytes()
+
+
+class TestEstimateBundle:
+    SIGMA = CovarianceMatrix(0.004 * (np.ones((3, 3)) + np.eye(3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["beta_post", "beta_pre"])
+    def test_non_finite_coefficients_are_refused(self, field, bad):
+        # a NaN or an infinity would reach the pretest and the estimates
+        # without an error; the bundle names the field instead
+        fields = {"beta_post": 0.01, "beta_pre": np.array([0.01, -0.02])}
+        if field == "beta_post":
+            fields[field] = bad
+        else:
+            fields[field][1] = bad
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+            EstimateBundle(**fields, sigma=self.SIGMA)
 
 
 class TestLoadPanel:

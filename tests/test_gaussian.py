@@ -637,8 +637,7 @@ class TestTermination:
 
 class TestSolveTnQuantiles:
     def test_blocked_stacked_solve_matches_per_element_bulk(self, monkeypatch):
-        import condid.gaussian as gaussian
-
+        # the stack is one bulk call, whatever its size: callers block it
         rng = np.random.default_rng(11)
         n = 9
         observed = rng.uniform(-1.0, 1.0, n)
@@ -659,11 +658,10 @@ class TestSolveTnQuantiles:
             sizes.append(np.broadcast(*args).size)
             return bulk(*args, **kwargs)
 
-        monkeypatch.setattr(gaussian, "BULK_BLOCK", 7)
         monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", counting_bulk)
         mu = gaussian.solve_tn_quantiles(observed, sd, lower, upper, targets)
         assert mu.shape == (n, len(targets))
-        assert sizes == [6, 6, 6, 6, 3]
+        assert sizes == [n * len(targets)]
 
         expected = np.empty_like(mu)
         statuses = set()
@@ -678,35 +676,6 @@ class TestSolveTnQuantiles:
         assert statuses == {-1, 0, 1}
         np.testing.assert_array_equal(mu, expected)
         assert mu[2].tolist() == [-INF] * 3 and mu[3].tolist() == [INF] * 3
-
-    @pytest.mark.parametrize("block, n_targets", [(2, 3), (5, 3), (8, 3), (10, 4), (4, 4)])
-    def test_blocks_hold_whole_elements(self, monkeypatch, block, n_targets):
-        # a block that is not a multiple of the target count, or is smaller
-        # than it, still gives each call whole elements against every target
-        rng = np.random.default_rng(12)
-        n = 7
-        observed = rng.uniform(-1.0, 1.0, n)
-        sd = rng.uniform(0.5, 2.0, n)
-        lower = observed - rng.uniform(0.1, 3.0, n)
-        upper = observed + rng.uniform(0.1, 3.0, n)
-        targets = np.linspace(0.02, 0.98, n_targets)
-        unblocked = solve_tn_quantiles(observed, sd, lower, upper, targets)
-
-        bulk = gaussian.solve_tn_mean_bulk
-        calls = []
-
-        def recording_bulk(*args, **kwargs):
-            # the targets of each (element, target) pair the call solves
-            calls.append(np.broadcast_to(args[4], np.broadcast(*args).shape).tolist())
-            return bulk(*args, **kwargs)
-
-        monkeypatch.setattr(gaussian, "BULK_BLOCK", block)
-        monkeypatch.setattr(gaussian, "solve_tn_mean_bulk", recording_bulk)
-        mu = solve_tn_quantiles(observed, sd, lower, upper, targets)
-        per_call = max(1, block // n_targets)
-        sizes = [min(per_call, n - start) for start in range(0, n, per_call)]
-        assert calls == [[targets.tolist()] * m for m in sizes]
-        np.testing.assert_array_equal(mu, unblocked)
 
     def test_scalar_bound_beside_arrays_rejected(self):
         with pytest.raises(ValueError, match=r"differ in shape: \[\(2,\), \(2,\), \(2,\), \(\)\]"):

@@ -15,6 +15,7 @@ from scipy.stats import norm
 
 import condid
 from condid import pretest
+from condid.errors import InvalidArgumentError
 from condid.event_study import EstimateBundle
 from condid.gaussian import CovarianceMatrix
 from condid.pretest import (
@@ -130,8 +131,9 @@ class TestEventProduct:
                 event_product(a.view(NoMatmul), x)
 
     def test_non_finite_stacks_take_the_product(self):
-        # inf * 0 is NaN: a non-finite post coefficient fails the verdict, as
-        # the product makes every row NaN
+        # inf * 0 is NaN: the product makes every row of a non-finite stack
+        # NaN, so no raw array passes holds_at; a bundle refuses such a
+        # coefficient before any verdict
         a, _ = ns_event(np.ones(2), 0.05)
         sigma = CovarianceMatrix(np.eye(3))
         for bad in (np.inf, -np.inf, np.nan):
@@ -139,7 +141,8 @@ class TestEventProduct:
             with np.errstate(invalid="ignore"):
                 np.testing.assert_array_equal(event_product(a, x), x @ a.T)
                 assert np.isnan(event_product(a, x)[0]).all()
-                assert not passes_pretest(bundle_with(bad, [0.5, -0.5], sigma))
+            with pytest.raises(InvalidArgumentError, match="beta_post must be finite"):
+                bundle_with(bad, [0.5, -0.5], sigma)
 
     def test_integer_stacks_give_doubles(self):
         a, _ = ns_event(np.ones(2), 0.05)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp, kstest
 
 from condid import gaussian, pretest, simulation
 from condid.cli import rows_to_csv, rows_to_json
@@ -81,8 +81,31 @@ class TestGenerateDgp:
         assert ks_2samp(fast_post, full_post).statistic < crit_1pct
         assert ks_2samp(fast_se, full_se).statistic < crit_1pct
 
+    def test_estimated_variances_follow_their_chi_square(self):
+        # v = (s2_t + s2_c) / n with each s2 ~ chi2(n - 1) / (n - 1), so
+        # v n (n - 1) ~ chi2(2 (n - 1)); at n = 3 a chi-square on n degrees
+        # of freedom in place of n - 1 is far out of law
+        n = 3
+        cfg = SimConfig(n_per_cell=n, reps=1, seed=1)
+        _, v = _fast_cell_draws(cfg, 2, 0.0, np.random.default_rng(5), 5000)
+        assert kstest((v * n * (n - 1)).ravel(), chi2(2 * (n - 1)).cdf).pvalue > 1e-3
+
 
 class TestChunkPath:
+    def test_contrasts_formed_once_per_cell(self, monkeypatch):
+        # three chunks share the cell's contrasts: one eta_gamma solve per cell
+        calls = []
+
+        def counting_eta_gamma(*args):
+            calls.append(args)
+            return eta_gamma(*args)
+
+        monkeypatch.setattr(simulation, "CHUNK_REPS", 500)
+        monkeypatch.setattr(simulation, "eta_gamma", counting_eta_gamma)
+        records = simulate_cell(SimConfig(reps=1500, k_max=2), 2, "trend")
+        assert records.accepted.size == 1500
+        assert calls == [(2, 1)]
+
     def test_chunk_path_never_reaches_matmul(self, monkeypatch):
         # the pretest verdict and both products of each window gather the
         # columns the +/-e_j event rows pick: no BLAS call wakes a BLAS thread
@@ -111,7 +134,8 @@ class TestEngineMatchesScalarPipeline:
         delta, v = _fast_cell_draws(cfg, k, 0.065, rng, 250)
         # the chunk draws from its generator first, so a generator seeded
         # alike hands it these same draws
-        records = _chunk_records(cfg, k, "trend", np.random.default_rng(88), 250)
+        etas = (np.eye(k + 1)[0], eta_gamma(k, 1))
+        records = _chunk_records(cfg, k, "trend", etas, np.random.default_rng(88), 250)
         # records hold the accepted replications only: the j-th stored entry
         # is the j-th accepted replication
         j = 0
