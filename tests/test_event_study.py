@@ -122,6 +122,30 @@ class TestPanelValidation:
         assert panel.treatment.dtype == bool
         assert panel.treatment.tolist() == [False, False, True, True] * 3
 
+    @pytest.mark.parametrize(
+        "periods", [[-1.7, 0.0, 1.0], [-1.0, 0.0, 1.0], [True, False, True]],
+    )
+    def test_periods_without_an_integer_dtype_are_refused(self, periods):
+        # int conversion would truncate -1.7 to -1 and build a valid panel
+        with pytest.raises(PanelValidationError, match="period must have an integer dtype"):
+            PanelData(
+                unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
+                period=np.repeat(periods, 4),
+                treatment=np.array([0, 0, 1, 1] * 3),
+                outcome=np.zeros(12),
+            )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    def test_any_integer_dtype_is_a_period(self, dtype):
+        panel = PanelData(
+            unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
+            period=np.repeat([-1, 0, 1], 4).astype(dtype),
+            treatment=np.array([0, 0, 1, 1] * 3),
+            outcome=np.zeros(12),
+        )
+        assert panel.period.dtype == int
+        assert panel.period.tolist() == np.repeat([-1, 0, 1], 4).tolist()
+
     def test_empty_panel(self):
         with pytest.raises(InsufficientDataError):
             PanelData(
@@ -335,6 +359,20 @@ class TestEstimateBundle:
             fields[field][1] = bad
         with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
             EstimateBundle(**fields, sigma=self.SIGMA)
+
+    @pytest.mark.parametrize(
+        "bad", [[0.5, 0.1], np.array([0.5]), "0.5", None, 1 + 2j, True],
+        ids=["list", "1-d", "str", "None", "complex", "bool"],
+    )
+    def test_beta_post_must_be_one_real_number(self, bad):
+        with pytest.raises(InvalidArgumentError, match="beta_post must be one real number"):
+            EstimateBundle(bad, np.array([0.01, -0.02]), self.SIGMA)
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5), np.array(0.25), np.int64(-3)])
+    def test_beta_post_is_stored_as_a_float(self, value):
+        bundle = EstimateBundle(value, np.array([0.01, -0.02]), self.SIGMA)
+        assert type(bundle.beta_post) is float
+        assert bundle.beta_post == float(value)
 
 
 class TestLoadPanel:

@@ -7,7 +7,10 @@ raise the same error class, line number and message.
 """
 
 import csv
+import os
 import re
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -94,7 +97,7 @@ def assert_same_verdict(path):
 
 # --- generated files ------------------------------------------------------------
 
-LABEL_CHARS = st.sampled_from(list('abcXYZ019,"# é\t'))
+LABEL_CHARS = st.sampled_from(list('abcXYZ019,"# é\t\r\n'))
 PAD = st.sampled_from(["", " ", "  ", "\t", "\u3000"])
 TERMINATOR = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -278,6 +281,104 @@ class TestLoaderEdges:
     def test_outcome_grammar_is_ascii_float(self, tmp_path, bad):
         with pytest.raises(PanelParseError, match="line 2: outcome"):
             load_panel(self._write(tmp_path, f"a,-1,0,{bad}\n".encode()))
+
+
+# --- how the body is read ---------------------------------------------------------
+
+
+def write_k1_panel(path, units, header=",".join(PANEL_HEADER)):
+    """A K = 1 panel over periods -1, 0, 1: ``units[:2]`` control and
+    ``units[2:]`` treated, a label quoted where it holds a line break."""
+    lines = [header]
+    for t in (-1, 0, 1):
+        for d, group in ((0, units[:2]), (1, units[2:])):
+            for unit in group:
+                field = f'"{unit}"' if any(c in unit for c in "\r\n") else unit
+                lines.append(f"{field},{t},{d},{t + 0.5 * d}")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
+
+
+class TestBodyRead:
+    UNITS = ["c0", "c1", "t0", "t1"]
+
+    def test_quoted_line_breaks_in_labels_stay_apart(self, tmp_path):
+        # numpy's own open reads a quoted CR or CRLF as LF, which would make
+        # these three one label and the panel a duplicate-row error
+        units = ["a\r\nb", "a\nb", "a\rb", "t1"]
+        panel = load_panel(write_k1_panel(tmp_path / "panel.csv", units))
+        assert panel.unit.tolist() == units * 3
+
+    def test_header_over_two_lines_keeps_the_first_data_row(self, tmp_path):
+        path = write_k1_panel(
+            tmp_path / "panel.csv", self.UNITS, header='"unit\n",period,treatment,outcome'
+        )
+        panel = load_panel(path)
+        assert panel.unit.tolist() == self.UNITS * 3
+        assert panel.period.tolist() == [-1] * 4 + [0] * 4 + [1] * 4
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_loads_like_the_file(self, tmp_path):
+        path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        piped = verdict(load_panel, pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert piped == verdict(load_panel, path)
+
+    @pytest.mark.parametrize("kind", [os.fsencode, str, lambda path: os.open(path, os.O_RDONLY)],
+                             ids=["bytes", "str", "descriptor"])
+    def test_every_kind_of_path_loads(self, tmp_path, kind):
+        path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
+        assert verdict(load_panel, kind(path)) == verdict(load_panel, path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compressed_name(self, tmp_path, suffix):
+        # np.loadtxt would open such a name with a decompressor
+        path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
+        named = tmp_path / f"panel.csv{suffix}"
+        named.write_bytes(path.read_bytes())
+        assert verdict(load_panel, named) == verdict(load_panel, path)
+
+    def test_every_row_of_a_label_holds_one_str(self, tmp_path):
+        # "c0" bare, padded and quoted: one label spelt three ways is one object
+        path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
+        text = path.read_text().replace("c0,-1,", " c0 ,-1,").replace("c0,0,", '"c0",0,')
+        path.write_text(text)
+        panel = load_panel(path)
+        assert panel.unit.tolist() == self.UNITS * 3
+        assert len({id(u) for u in panel.unit}) == len(set(panel.unit))
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # K = 8, 20 (group, period) cells of 10 000 rows, labels unique
+        # within a cell: 110.9 traced bytes per row before labels were shared
+        n_cell, k = 10_000, 8
+        rng = np.random.default_rng(1)
+        text = [",".join(PANEL_HEADER) + "\n"]
+        for t in range(-k, 2):
+            for d, group in ((0, "C"), (1, "T")):
+                y = rng.standard_normal(n_cell).tolist()
+                text += [f"{group}{i},{t},{d},{v!r}\n" for i, v in enumerate(y)]
+        path = tmp_path / "panel.csv"
+        path.write_text("".join(text))
+        del text
+        load_panel(path)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            panel = load_panel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.n_rows == 20 * n_cell
+        assert peak / panel.n_rows < 80
 
 
 # --- estimation invariances and round trip ----------------------------------------
