@@ -14,6 +14,7 @@ normal equations exist only as a test oracle.  Coefficients are ordered
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import re
 import stat
@@ -60,10 +61,11 @@ class PanelData:
     """Long-format observations for one treated and one control group.
 
     Validated at construction: ``treatment`` must be boolean or coded 0/1,
-    ``period`` must have an integer dtype (``-1.7`` is refused, not
-    truncated) and form a contiguous set {-K, ..., 0, 1} with K >= 1, every
-    (group, period) cell needs at least two observations, and (unit, period)
-    pairs must be unique.
+    ``period`` must hold integers (an integer dtype, or objects that are
+    integers and not bools; ``-1.7`` is refused, not truncated) and form a
+    contiguous set {-K, ..., 0, 1} with K >= 1, every (group, period) cell
+    needs at least two observations, and (unit, period) pairs must be
+    unique.
     """
 
     unit: np.ndarray
@@ -74,9 +76,6 @@ class PanelData:
     def __post_init__(self):
         unit = np.asarray(self.unit)
         period = np.asarray(self.period)
-        if not np.issubdtype(period.dtype, np.integer):
-            raise PanelValidationError(f"period must have an integer dtype, got {period.dtype}")
-        period = period.astype(int, copy=False)
         treatment = np.asarray(self.treatment)
         if treatment.dtype != bool:
             if not np.isin(treatment, (0, 1)).all():
@@ -88,6 +87,7 @@ class PanelData:
             raise PanelValidationError("panel columns have unequal lengths")
         if n == 0:
             raise InsufficientDataError("panel contains no observations")
+        period = _integer_periods(period)
         if not np.all(np.isfinite(outcome)):
             raise PanelValidationError("outcome contains non-finite values")
         object.__setattr__(self, "unit", unit)
@@ -220,6 +220,20 @@ def coefficients(delta: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return delta[..., order] - delta[..., k, None], v[..., k], v[..., order]
 
 
+def _integer_periods(period: np.ndarray) -> np.ndarray:
+    """``period`` as ``int``.  An integer dtype passes, and so does an object
+    column of integers that are not bools (``errors.as_integer``'s rule);
+    anything else, such as ``-1.7``, is refused rather than truncated."""
+    if np.issubdtype(period.dtype, np.integer):
+        return period.astype(int, copy=False)
+    if period.dtype == object and not any(isinstance(p, (bool, np.bool_)) for p in period.flat):
+        try:
+            return np.array([operator.index(p) for p in period.flat], dtype=int).reshape(period.shape)
+        except TypeError:
+            pass
+    raise PanelValidationError(f"period must hold integers, got dtype {period.dtype}")
+
+
 def _first_duplicate(unit: np.ndarray, period: np.ndarray) -> tuple:
     """The first (unit, period) pair, in row order, that repeats an earlier row."""
     seen = set()
@@ -251,13 +265,14 @@ def load_panel(path) -> PanelData:
       (these three then fail validation as non-finite).
 
     Each unit label is stripped once, and every row of one label holds the
-    same ``str``.  numpy reads a regular file itself, in blocks, from the
-    line after the header.  Three kinds of file are read through the handle
-    that read the header: a pipe or other special file, a file with a line
-    break inside a unit label (numpy's own open would read a quoted CR or
-    CRLF as LF) and a name numpy would decompress.  Loading and validating a
-    200 000-row K = 8 panel of 20 000 labels peak at about 60 traced bytes
-    per row.
+    same ``str``; the period and outcome columns are views of the parsed
+    body.  numpy reads a regular file itself, in blocks, from the line after
+    the header, under its absolute name.  Three kinds of file are read
+    through the handle that read the header, one line per call: a pipe or
+    other special file, a file with a line break inside a unit label
+    (numpy's own open would read a quoted CR or CRLF as LF) and a name numpy
+    would decompress.  Loading and validating a 200 000-row K = 8 panel of
+    20 000 labels peak at about 60 traced bytes per row.
 
     Raises
     ------
@@ -313,10 +328,11 @@ class _Labels(dict):
 def _name_for_numpy(path, fh) -> str | None:
     """The name under which ``np.loadtxt`` reads the bytes ``fh`` read, or
     None: a file that is not regular (a pipe's second open would miss what
-    the header read buffered), a descriptor, or a name numpy decompresses."""
+    the header read buffered), a descriptor, or a name numpy decompresses.
+    The name is absolute, so numpy never takes it for a URL."""
     if isinstance(path, int) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None
-    name = os.fsdecode(path)
+    name = os.path.abspath(os.fsdecode(path))
     return None if name.endswith(_DECOMPRESSED) else name
 
 
@@ -326,6 +342,8 @@ def _load_body(source, labels: _Labels, skiprows: int = 0) -> np.ndarray:
         # "1.0" as an integer with only a DeprecationWarning
         warnings.simplefilter("ignore", UserWarning)
         warnings.simplefilter("error", DeprecationWarning)
+        # an explicit encoding also keeps numpy 1.x's default, "bytes", from
+        # handing the converter latin-1 bytes
         return np.loadtxt(
             source, dtype=_BODY_DTYPE, delimiter=",", quotechar='"', comments=None,
             ndmin=1, skiprows=skiprows, encoding="utf-8",
@@ -345,6 +363,7 @@ def _parse_columns(path):
             if name is None:
                 body = _load_body(fh, _Labels())
             else:
+                # numpy reads a named file in blocks, a handle line by line
                 labels = _Labels()
                 body = _load_body(name, labels, skiprows=reader.line_num)
                 # numpy's own open reads a quoted CR or CRLF as LF

@@ -123,11 +123,20 @@ class TestPanelValidation:
         assert panel.treatment.tolist() == [False, False, True, True] * 3
 
     @pytest.mark.parametrize(
-        "periods", [[-1.7, 0.0, 1.0], [-1.0, 0.0, 1.0], [True, False, True]],
+        "periods",
+        [
+            np.array([-1.7, 0.0, 1.0]),
+            np.array([-1.0, 0.0, 1.0]),
+            np.array([True, False, True]),
+            np.array([-1.0, 0, 1], dtype=object),
+            np.array([True, 0, 1], dtype=object),
+            np.array(["-1", "0", "1"], dtype=object),
+        ],
+        ids=["fraction", "integral-float", "bool", "object-float", "object-bool", "object-str"],
     )
-    def test_periods_without_an_integer_dtype_are_refused(self, periods):
+    def test_periods_that_are_not_integers_are_refused(self, periods):
         # int conversion would truncate -1.7 to -1 and build a valid panel
-        with pytest.raises(PanelValidationError, match="period must have an integer dtype"):
+        with pytest.raises(PanelValidationError, match="period must hold integers"):
             PanelData(
                 unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
                 period=np.repeat(periods, 4),
@@ -135,16 +144,31 @@ class TestPanelValidation:
                 outcome=np.zeros(12),
             )
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
-    def test_any_integer_dtype_is_a_period(self, dtype):
+    @pytest.mark.parametrize(
+        "periods",
+        [
+            np.array([-1, 0, 1], dtype=np.int8),
+            np.array([-1, 0, 1], dtype=np.int32),
+            np.array([-1, 0, 1], dtype=np.int64),
+            np.array([-1, 0, 1], dtype=object),
+            np.array([np.int16(-1), 0, 1], dtype=object),
+        ],
+        ids=["int8", "int32", "int64", "object-int", "object-numpy-int"],
+    )
+    def test_integer_periods_of_any_kind_are_accepted(self, periods):
         panel = PanelData(
             unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
-            period=np.repeat([-1, 0, 1], 4).astype(dtype),
+            period=np.repeat(periods, 4),
             treatment=np.array([0, 0, 1, 1] * 3),
             outcome=np.zeros(12),
         )
         assert panel.period.dtype == int
         assert panel.period.tolist() == np.repeat([-1, 0, 1], 4).tolist()
+
+    def test_empty_lists_are_an_empty_panel(self):
+        # [] reads as float64; emptiness is reported before the period dtype
+        with pytest.raises(InsufficientDataError, match="no observations"):
+            PanelData(unit=[], period=[], treatment=[], outcome=[])
 
     def test_empty_panel(self):
         with pytest.raises(InsufficientDataError):

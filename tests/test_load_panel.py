@@ -303,8 +303,9 @@ class TestBodyRead:
     UNITS = ["c0", "c1", "t0", "t1"]
 
     def test_quoted_line_breaks_in_labels_stay_apart(self, tmp_path):
-        # numpy's own open reads a quoted CR or CRLF as LF, which would make
-        # these three one label and the panel a duplicate-row error
+        # a text read with universal newlines turns a quoted CR or CRLF into
+        # LF, which would make these three one label and the panel a
+        # duplicate-row error
         units = ["a\r\nb", "a\nb", "a\rb", "t1"]
         panel = load_panel(write_k1_panel(tmp_path / "panel.csv", units))
         assert panel.unit.tolist() == units * 3
@@ -327,12 +328,18 @@ class TestBodyRead:
             with open(pipe, "wb") as fh:
                 fh.write(path.read_bytes())
 
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        piped = verdict(load_panel, pipe)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert piped == verdict(load_panel, path)
+        piped = []
+        threads = [
+            threading.Thread(target=feed, daemon=True),
+            threading.Thread(target=lambda: piped.append(verdict(load_panel, pipe)), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        # a second open of the pipe would wait for a writer that has gone
+        assert not any(thread.is_alive() for thread in threads)
+        assert piped == [verdict(load_panel, path)]
 
     @pytest.mark.parametrize("kind", [os.fsencode, str, lambda path: os.open(path, os.O_RDONLY)],
                              ids=["bytes", "str", "descriptor"])
@@ -347,6 +354,17 @@ class TestBodyRead:
         named = tmp_path / f"panel.csv{suffix}"
         named.write_bytes(path.read_bytes())
         assert verdict(load_panel, named) == verdict(load_panel, path)
+
+    def test_a_relative_name_that_parses_as_a_url_is_a_file(self, tmp_path, monkeypatch):
+        # "http://localhost/panel.csv" names the file http:/localhost/panel.csv;
+        # numpy would fetch such a name, if relative, from the network
+        path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "panel.csv").write_bytes(path.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        with mock.patch("urllib.request.urlopen", side_effect=AssertionError("opened a URL")):
+            assert verdict(load_panel, "http://localhost/panel.csv") == verdict(load_panel, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["http:", "panel.csv"]
 
     def test_every_row_of_a_label_holds_one_str(self, tmp_path):
         # "c0" bare, padded and quoted: one label spelt three ways is one object
