@@ -14,6 +14,7 @@ normal equations exist only as a test oracle.  Coefficients are ordered
 from __future__ import annotations
 
 import csv
+import io
 import operator
 import os
 import re
@@ -45,8 +46,9 @@ __all__ = [
 
 PANEL_HEADER = ("unit", "period", "treatment", "outcome")
 
+# 25 bytes a row
 _BODY_DTYPE = np.dtype(
-    [("unit", object), ("period", np.int64), ("treatment", object), ("outcome", np.float64)]
+    [("unit", object), ("period", np.int64), ("treatment", bool), ("outcome", np.float64)]
 )
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
@@ -54,6 +56,10 @@ _INT64 = np.iinfo(np.int64)
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 # np.loadtxt opens a file name with one of these endings as compressed
 _DECOMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+# bytes per os.pread when counting a file's lines
+_COUNT_BLOCK = 1 << 20
+# rows per step where estimate_event_study gathers cell means
+_ROW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +72,11 @@ class PanelData:
     contiguous set {-K, ..., 0, 1} with K >= 1, every (group, period) cell
     needs at least two observations, and (unit, period) pairs must be
     unique.
+
+    A panel from :func:`load_panel` holds its parsed body, 25 bytes a row
+    with treatment parsed straight to ``bool``, and one ``str`` per distinct
+    label; :func:`estimate_event_study` adds at most 16 bytes a row to it,
+    the cell codes and the residuals.
     """
 
     unit: np.ndarray
@@ -189,7 +200,9 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     """
     k = data.k
     # cell (period + K) * 2 + treated, periods ascending -K, ..., 0, 1
-    code = (data.period + k) * 2 + data.treatment.astype(int)
+    code = data.period + k
+    code *= 2
+    code += data.treatment
     n_cells = 2 * (k + 2)
     counts = np.bincount(code, minlength=n_cells).astype(float)
     # sums of outcomes far from zero lose the low bits that differences of
@@ -197,8 +210,13 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     # to an exact shift of every outcome
     resid = data.outcome - data.outcome[0]
     means = np.bincount(code, weights=resid, minlength=n_cells) / counts
-    resid -= means[code]
-    variances = np.bincount(code, weights=resid * resid, minlength=n_cells) / (counts - 1.0)
+    # elementwise, so gathering the means a block of rows at a time gives the
+    # same bits and holds no third array of the panel's length
+    for start in range(0, resid.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        resid[rows] -= means[code[rows]]
+    resid *= resid
+    variances = np.bincount(code, weights=resid, minlength=n_cells) / (counts - 1.0)
     # per period: the treated-minus-control mean and its variance
     delta = means[1::2] - means[0::2]
     v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
@@ -265,14 +283,21 @@ def load_panel(path) -> PanelData:
       (these three then fail validation as non-finite).
 
     Each unit label is stripped once, and every row of one label holds the
-    same ``str``; the period and outcome columns are views of the parsed
-    body.  numpy reads a regular file itself, in blocks, from the line after
-    the header, under its absolute name.  Three kinds of file are read
-    through the handle that read the header, one line per call: a pipe or
-    other special file, a file with a line break inside a unit label
-    (numpy's own open would read a quoted CR or CRLF as LF) and a name numpy
-    would decompress.  Loading and validating a 200 000-row K = 8 panel of
-    20 000 labels peak at about 60 traced bytes per row.
+    same ``str``; treatment is parsed straight to ``bool``, so the parsed
+    body takes 25 bytes a row, and the period and outcome columns are views
+    of it.  numpy reads a regular file itself, in blocks, from the line after
+    the header, under its absolute name, and allocates the body once: every
+    record starts a line that is not empty, so the file's non-empty lines,
+    less the header's, bound the rows.  Three kinds of file are read through
+    the handle that read the header, one line per call: a pipe or other
+    special file, a file with a line break inside a unit label (numpy's own
+    open would read a quoted CR or CRLF as LF) and a name numpy would
+    decompress.  Loading and validating a 200 000-row K = 8 panel of 20 000
+    labels peak at about 52 traced bytes per row.
+
+    ``path`` may be a descriptor, which stays open.  A source that cannot
+    seek, such as a pipe, is read into memory first, so that a malformed
+    file's error is found in the same bytes.
 
     Raises
     ------
@@ -283,11 +308,25 @@ def load_panel(path) -> PanelData:
     PanelValidationError
         Structural violations (duplicates, missing periods, thin cells).
     """
-    columns = _parse_columns(path)
-    if columns is None:
-        _raise_first_bad_line(path)
+    with _open_text(path) as fh:
+        start = fh.tell()
+        columns = _parse_columns(fh, path)
+        if columns is None:
+            fh.seek(start)
+            fh.reconfigure(errors="surrogateescape")
+            _raise_first_bad_line(fh)
     unit, period, treatment, outcome = columns
     return PanelData(unit=unit, period=period, treatment=treatment, outcome=outcome)
+
+
+def _open_text(path) -> io.TextIOWrapper:
+    """``path`` as seekable UTF-8 text; a source that cannot seek is read
+    into memory, and a descriptor is left open when the handle closes."""
+    raw = open(path, "rb", closefd=not isinstance(path, int))
+    if not raw.seekable():
+        with raw:
+            raw = io.BytesIO(raw.read())
+    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
 
 
 def _read_header(reader) -> None:
@@ -312,10 +351,6 @@ def _check_decoded(row: list[str], lineno: int) -> None:
         raise PanelParseError("not valid UTF-8", line=lineno)
 
 
-def _strip(column: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(str.strip, column), dtype=object, count=column.shape[0])
-
-
 class _Labels(dict):
     """Unit field -> its stripped label, one shared ``str`` per distinct label."""
 
@@ -325,85 +360,113 @@ class _Labels(dict):
         return label
 
 
+class _Treatment(dict):
+    """Treatment field -> ``bool``; the stripped field must be ``0`` or ``1``."""
+
+    def __missing__(self, field: str) -> bool:
+        value = field.strip()
+        if value not in ("0", "1"):
+            raise ValueError(f"treatment {value!r} must be 0 or 1")
+        return value == "1"
+
+
+_TREATMENT = _Treatment({"0": False, "1": True})
+
+
 def _name_for_numpy(path, fh) -> str | None:
     """The name under which ``np.loadtxt`` reads the bytes ``fh`` read, or
-    None: a file that is not regular (a pipe's second open would miss what
-    the header read buffered), a descriptor, or a name numpy decompresses.
-    The name is absolute, so numpy never takes it for a URL."""
-    if isinstance(path, int) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    None: a source read into memory, a file that is not regular, a
+    descriptor, or a name numpy decompresses.  The name is absolute, so
+    numpy never takes it for a URL."""
+    if (
+        isinstance(path, int)
+        or isinstance(fh.buffer, io.BytesIO)
+        or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    ):
         return None
     name = os.path.abspath(os.fsdecode(path))
     return None if name.endswith(_DECOMPRESSED) else name
 
 
-def _load_body(source, labels: _Labels, skiprows: int = 0) -> np.ndarray:
+def _nonempty_lines(fd: int) -> int:
+    """The lines of the file open as ``fd`` that hold a byte other than CR
+    or LF, where LF, a lone CR and CRLF each end a line, as in numpy's
+    universal-newline read.  Counted over ``os.pread`` blocks, so the
+    descriptor's offset does not move."""
+    count, offset, open_line = 0, 0, False
+    while block := os.pread(fd, _COUNT_BLOCK, offset):
+        offset += len(block)
+        byte = np.frombuffer(block, dtype=np.uint8)
+        ends = (byte == 10) | (byte == 13)
+        # a line's content ends where a line break follows a byte that is not one
+        count += np.count_nonzero(ends[1:] > ends[:-1]) + bool(open_line and ends[0])
+        open_line = not ends[-1]
+    return count + open_line
+
+
+def _load_body(source, labels: _Labels, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
     with warnings.catch_warnings():
         # an empty body is reported by the caller; older numpy reads
         # "1.0" as an integer with only a DeprecationWarning
         warnings.simplefilter("ignore", UserWarning)
         warnings.simplefilter("error", DeprecationWarning)
         # an explicit encoding also keeps numpy 1.x's default, "bytes", from
-        # handing the converter latin-1 bytes
+        # handing the converters latin-1 bytes
         return np.loadtxt(
             source, dtype=_BODY_DTYPE, delimiter=",", quotechar='"', comments=None,
-            ndmin=1, skiprows=skiprows, encoding="utf-8",
-            converters={0: labels.__getitem__},
+            ndmin=1, skiprows=skiprows, max_rows=max_rows, encoding="utf-8",
+            converters={0: labels.__getitem__, 2: _TREATMENT.__getitem__},
         )
 
 
-def _parse_columns(path):
-    """The body's columns (unit, period, treatment, outcome), parsed in one
-    C-level pass with ``np.loadtxt``; None when any line is malformed.  The
-    columns other than treatment are views of one structured array."""
+def _parse_columns(fh, path):
+    """The body's columns (unit, period, treatment, outcome) from the UTF-8
+    text handle ``fh`` on ``path``, parsed in one C-level pass with
+    ``np.loadtxt``; None when any line is malformed.  The columns are views
+    of one structured array."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            _read_header(reader)
-            name = _name_for_numpy(path, fh)
-            if name is None:
+        reader = csv.reader(fh)
+        _read_header(reader)
+        name = _name_for_numpy(path, fh)
+        if name is None:
+            body = _load_body(fh, _Labels())
+        else:
+            # numpy reads a named file in blocks, a handle line by line; the
+            # header's first line is not empty
+            labels = _Labels()
+            max_rows = _nonempty_lines(fh.fileno()) - 1
+            body = _load_body(name, labels, skiprows=reader.line_num, max_rows=max_rows)
+            # numpy's own open reads a quoted CR or CRLF as LF
+            if any("\n" in field for field in labels):
+                fh.seek(0)
+                _read_header(csv.reader(fh))
                 body = _load_body(fh, _Labels())
-            else:
-                # numpy reads a named file in blocks, a handle line by line
-                labels = _Labels()
-                body = _load_body(name, labels, skiprows=reader.line_num)
-                # numpy's own open reads a quoted CR or CRLF as LF
-                if any("\n" in field for field in labels):
-                    fh.seek(0)
-                    _read_header(csv.reader(fh))
-                    body = _load_body(fh, _Labels())
     except ValueError:  # also UnicodeDecodeError
         return None
-    treatment = body["treatment"]
-    treated = treatment == "1"
-    if not (treated | (treatment == "0")).all():
-        treatment = _strip(treatment)
-        treated = treatment == "1"
-        if not (treated | (treatment == "0")).all():
-            return None
-    return body["unit"], body["period"], treated, body["outcome"]
+    return body["unit"], body["period"], body["treatment"], body["outcome"]
 
 
-def _raise_first_bad_line(path) -> NoReturn:
-    """Re-read a file the column-wise parse rejected, one record at a time,
-    and raise for its first malformed line.
+def _raise_first_bad_line(fh) -> NoReturn:
+    """Re-read, one record at a time, the text the column-wise parse
+    rejected, from ``fh`` at its start, and raise for its first malformed
+    line.
 
     The checks accept exactly the grammar of :func:`_parse_columns`, so a
     rejected file always gets a line number.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader)
-        lineno = 1
-        limit = csv.field_size_limit(sys.maxsize)  # loadtxt has no field size limit
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if row:
-                    _check_row(row, lineno)
-        except csv.Error as exc:  # a NUL character, before Python 3.11
-            raise PanelParseError(str(exc), line=lineno + 1) from None
-        finally:
-            csv.field_size_limit(limit)
-    raise AssertionError(f"{path}: the column-wise parse rejected a well-formed file")
+    reader = csv.reader(fh)
+    _read_header(reader)
+    lineno = 1
+    limit = csv.field_size_limit(sys.maxsize)  # loadtxt has no field size limit
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                _check_row(row, lineno)
+    except csv.Error as exc:  # a NUL character, before Python 3.11
+        raise PanelParseError(str(exc), line=lineno + 1) from None
+    finally:
+        csv.field_size_limit(limit)
+    raise AssertionError("the column-wise parse rejected a well-formed file")
 
 
 def _check_row(row: list[str], lineno: int) -> None:

@@ -282,6 +282,18 @@ class TestLoaderEdges:
         with pytest.raises(PanelParseError, match="line 2: outcome"):
             load_panel(self._write(tmp_path, f"a,-1,0,{bad}\n".encode()))
 
+    @pytest.mark.parametrize("bad", ["01", "+1", "1.0", "", "yes"])
+    def test_treatment_grammar_is_exactly_0_or_1(self, tmp_path, bad):
+        with pytest.raises(PanelParseError) as err:
+            load_panel(self._write(tmp_path, f"a,-1,{bad},1.0\n".encode()))
+        assert str(err.value) == f"line 2: treatment {bad!r} must be 0 or 1"
+
+    def test_treatment_is_stripped(self, tmp_path):
+        rows = [f"{g}{i},{t}, {d} ,{t}" for t in (-1, 0, 1) for d, g in enumerate("ct") for i in (0, 1)]
+        panel = load_panel(self._write(tmp_path, "\n".join(rows).encode()))
+        assert panel.treatment.dtype == bool
+        assert panel.treatment.tolist() == ([False] * 2 + [True] * 2) * 3
+
 
 # --- how the body is read ---------------------------------------------------------
 
@@ -296,6 +308,23 @@ def write_k1_panel(path, units, header=",".join(PANEL_HEADER)):
                 field = f'"{unit}"' if any(c in unit for c in "\r\n") else unit
                 lines.append(f"{field},{t},{d},{t + 0.5 * d}")
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
+
+
+LARGE_ROWS = 20 * 10_000
+
+
+def write_large_panel(path):
+    """K = 8, 20 (group, period) cells of 10 000 rows, labels unique within
+    a cell: 20 000 labels."""
+    n_cell, k = 10_000, 8
+    rng = np.random.default_rng(1)
+    text = [",".join(PANEL_HEADER) + "\n"]
+    for t in range(-k, 2):
+        for d, group in ((0, "C"), (1, "T")):
+            y = rng.standard_normal(n_cell).tolist()
+            text += [f"{group}{i},{t},{d},{v!r}\n" for i, v in enumerate(y)]
+    path.write_text("".join(text))
     return path
 
 
@@ -341,6 +370,47 @@ class TestBodyRead:
         assert not any(thread.is_alive() for thread in threads)
         assert piped == [verdict(load_panel, path)]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_malformed_panel_through_a_pipe_names_its_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"unit,period,treatment,outcome\na,x,0,1\n")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "wb") as fh:
+                fh.write(bad.read_bytes())
+
+        piped = []
+        threads = [
+            threading.Thread(target=feed, daemon=True),
+            threading.Thread(target=lambda: piped.append(verdict(load_panel, pipe)), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        # the report re-reads the bytes the parse saw, not a second open
+        assert piped == [("PanelParseError", 2, "line 2: period 'x' is not an integer")]
+        assert piped == [verdict(load_panel, bad)]
+
+    @pytest.mark.parametrize("good", [True, False], ids=["valid", "malformed"])
+    def test_descriptor_stays_open(self, tmp_path, good):
+        path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
+        if not good:
+            path.write_bytes(path.read_bytes().replace(b"c0,-1,0,", b"c0,x,0,", 1))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            got = verdict(load_panel, fd)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+        if good:
+            assert got == verdict(load_panel, path)
+        else:
+            assert got == ("PanelParseError", 2, "line 2: period 'x' is not an integer")
+
     @pytest.mark.parametrize("kind", [os.fsencode, str, lambda path: os.open(path, os.O_RDONLY)],
                              ids=["bytes", "str", "descriptor"])
     def test_every_kind_of_path_loads(self, tmp_path, kind):
@@ -376,18 +446,9 @@ class TestBodyRead:
         assert len({id(u) for u in panel.unit}) == len(set(panel.unit))
 
     def test_peak_memory_per_row(self, tmp_path):
-        # K = 8, 20 (group, period) cells of 10 000 rows, labels unique
-        # within a cell: 110.9 traced bytes per row before labels were shared
-        n_cell, k = 10_000, 8
-        rng = np.random.default_rng(1)
-        text = [",".join(PANEL_HEADER) + "\n"]
-        for t in range(-k, 2):
-            for d, group in ((0, "C"), (1, "T")):
-                y = rng.standard_normal(n_cell).tolist()
-                text += [f"{group}{i},{t},{d},{v!r}\n" for i, v in enumerate(y)]
-        path = tmp_path / "panel.csv"
-        path.write_text("".join(text))
-        del text
+        # 110.9 traced bytes per row before labels were shared, 60.3 before
+        # the body was allocated once with treatment as bool; 52.4 since
+        path = write_large_panel(tmp_path / "panel.csv")
         load_panel(path)  # imports and caches outside the measurement
         tracemalloc.start()
         try:
@@ -395,8 +456,113 @@ class TestBodyRead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert panel.n_rows == 20 * n_cell
-        assert peak / panel.n_rows < 80
+        assert panel.n_rows == LARGE_ROWS
+        assert peak / panel.n_rows < 56
+
+    def test_estimation_adds_at_most_16_bytes_per_row(self, tmp_path):
+        # the cell codes and the residuals; the gathered means are one block
+        # of rows at a time (24 bytes per row before)
+        panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
+        expected = estimate_event_study(panel)
+        tracemalloc.start()
+        try:
+            bundle = estimate_event_study(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(bundle.beta, expected.beta)
+        assert peak <= 16 * panel.n_rows + 2**18
+
+
+# --- the bound on the rows numpy allocates -------------------------------------------
+
+BLOCK = event_study._COUNT_BLOCK
+
+
+def nonempty_lines(data: bytes) -> int:
+    return sum(1 for line in re.split(rb"\r\n|\r|\n", data) if line)
+
+
+def render_k1_panel(terminators, pad=0, blank=""):
+    """A K = 1 panel of 12 records after its header, record ``j`` ended by
+    ``terminators[j % len(terminators)]`` and followed by ``blank``; ``pad``
+    blank LF lines follow the header."""
+    records = [",".join(PANEL_HEADER)]
+    for t in (-1, 0, 1):
+        for d, group in enumerate("ct"):
+            for i in (0, 1):
+                records.append(f"{group}{i},{t},{d},{t + 0.5 * d}")
+    ends = [terminators[j % len(terminators)] for j in range(len(records))]
+    ends[0] += "\n" * pad
+    return "".join(r + e + (blank if j else "") for j, (r, e) in enumerate(zip(records, ends)))
+
+
+class TestRowBound:
+    """numpy sizes the body of a named file by ``_nonempty_lines``: a count
+    one short drops the last record without an error."""
+
+    def load_counting_rows(self, path):
+        seen = []
+        load_body = event_study._load_body
+
+        def spy(source, labels, skiprows=0, max_rows=None):
+            seen.append(max_rows)
+            return load_body(source, labels, skiprows, max_rows)
+
+        with mock.patch.object(event_study, "_load_body", spy):
+            panel = load_panel(path)
+        assert panel.n_rows == 12
+        assert verdict(load_panel, path) == verdict(reference_load, path)
+        with open(path, "rb") as fh:
+            assert event_study._nonempty_lines(fh.fileno()) == nonempty_lines(path.read_bytes())
+        return seen
+
+    @pytest.mark.parametrize(
+        "terminators",
+        [["\r"], ["\r\n"], ["\n", "\r", "\r\n"], ["\r\n", "\r", "\n"]],
+        ids=["CR", "CRLF", "mixed", "mixed2"],
+    )
+    def test_every_line_ending_loads_every_record(self, tmp_path, terminators):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(render_k1_panel(terminators).encode())
+        # no blank lines: the bound is exactly the body's records
+        assert self.load_counting_rows(path) == [12]
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r", "\r\n"])
+    def test_no_final_terminator(self, tmp_path, terminator):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(render_k1_panel([terminator]).rstrip("\r\n").encode())
+        assert self.load_counting_rows(path) == [12]
+
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", "\r", "\n\r\n\r"], ids=repr)
+    def test_blank_lines(self, tmp_path, blank):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(render_k1_panel(["\n"], blank=blank).encode())
+        # a blank line holds no record, and numpy allocates no row for it
+        assert self.load_counting_rows(path) == [12]
+
+    # where the first record's CRLF falls: wholly before the block edge,
+    # split across it, or just after the record's last byte at the edge
+    @pytest.mark.parametrize("cr_at", [BLOCK - 2, BLOCK - 1, BLOCK])
+    def test_line_break_at_the_block_edge(self, tmp_path, cr_at):
+        header, first = render_k1_panel(["\r\n"]).split("\r\n")[:2]
+        pad = cr_at - len(header) - 2 - len(first)
+        data = render_k1_panel(["\r\n"], pad=pad).encode()
+        assert data[cr_at : cr_at + 2] == b"\r\n"
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data)
+        assert self.load_counting_rows(path) == [12]
+
+    def test_quoted_line_breaks_in_a_label(self, tmp_path):
+        # the label's lines count too, so the bound exceeds the records; the
+        # body is then read again through the handle
+        path = write_k1_panel(tmp_path / "panel.csv", ["a\r\nb", "a\nb", "a\rb", "t1"])
+        assert self.load_counting_rows(path) == [21, None]
+
+    def test_quoted_line_breaks_in_a_label_numpy_keeps(self, tmp_path):
+        # a label of lone LFs and blank lines in it: numpy's read stands
+        path = write_k1_panel(tmp_path / "panel.csv", ["a\n\nb", "c1", "t0", "t1"])
+        assert self.load_counting_rows(path) == [15, None]
 
 
 # --- estimation invariances and round trip ----------------------------------------
