@@ -311,6 +311,29 @@ def write_k1_panel(path, units, header=",".join(PANEL_HEADER)):
     return path
 
 
+def verdict_through_a_pipe(path):
+    """``load_panel``'s verdict on the bytes of ``path`` fed through a FIFO."""
+    pipe = path.with_name("pipe")
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    piped = []
+    threads = [
+        threading.Thread(target=feed, daemon=True),
+        threading.Thread(target=lambda: piped.append(verdict(load_panel, pipe)), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    # a second open of the pipe would wait for a writer that has gone
+    assert not any(thread.is_alive() for thread in threads)
+    return piped[0]
+
+
 LARGE_ROWS = 20 * 10_000
 
 
@@ -350,50 +373,15 @@ class TestBodyRead:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe_loads_like_the_file(self, tmp_path):
         path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
-        pipe = tmp_path / "pipe"
-        os.mkfifo(pipe)
-
-        def feed():
-            with open(pipe, "wb") as fh:
-                fh.write(path.read_bytes())
-
-        piped = []
-        threads = [
-            threading.Thread(target=feed, daemon=True),
-            threading.Thread(target=lambda: piped.append(verdict(load_panel, pipe)), daemon=True),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        # a second open of the pipe would wait for a writer that has gone
-        assert not any(thread.is_alive() for thread in threads)
-        assert piped == [verdict(load_panel, path)]
+        assert verdict_through_a_pipe(path) == verdict(load_panel, path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_malformed_panel_through_a_pipe_names_its_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"unit,period,treatment,outcome\na,x,0,1\n")
-        pipe = tmp_path / "pipe"
-        os.mkfifo(pipe)
-
-        def feed():
-            with open(pipe, "wb") as fh:
-                fh.write(bad.read_bytes())
-
-        piped = []
-        threads = [
-            threading.Thread(target=feed, daemon=True),
-            threading.Thread(target=lambda: piped.append(verdict(load_panel, pipe)), daemon=True),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in threads)
         # the report re-reads the bytes the parse saw, not a second open
-        assert piped == [("PanelParseError", 2, "line 2: period 'x' is not an integer")]
-        assert piped == [verdict(load_panel, bad)]
+        expected = ("PanelParseError", 2, "line 2: period 'x' is not an integer")
+        assert verdict_through_a_pipe(bad) == verdict(load_panel, bad) == expected
 
     @pytest.mark.parametrize("good", [True, False], ids=["valid", "malformed"])
     def test_descriptor_stays_open(self, tmp_path, good):
@@ -415,7 +403,12 @@ class TestBodyRead:
                              ids=["bytes", "str", "descriptor"])
     def test_every_kind_of_path_loads(self, tmp_path, kind):
         path = write_k1_panel(tmp_path / "panel.csv", self.UNITS)
-        assert verdict(load_panel, kind(path)) == verdict(load_panel, path)
+        source = kind(path)
+        try:
+            assert verdict(load_panel, source) == verdict(load_panel, path)
+        finally:
+            if isinstance(source, int):  # load_panel leaves a descriptor open
+                os.close(source)
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_under_a_compressed_name(self, tmp_path, suffix):
@@ -446,8 +439,7 @@ class TestBodyRead:
         assert len({id(u) for u in panel.unit}) == len(set(panel.unit))
 
     def test_peak_memory_per_row(self, tmp_path):
-        # 110.9 traced bytes per row before labels were shared, 60.3 before
-        # the body was allocated once with treatment as bool; 52.4 since
+        # measured: 52.4 traced bytes per row
         path = write_large_panel(tmp_path / "panel.csv")
         load_panel(path)  # imports and caches outside the measurement
         tracemalloc.start()
@@ -461,7 +453,7 @@ class TestBodyRead:
 
     def test_estimation_adds_at_most_16_bytes_per_row(self, tmp_path):
         # the cell codes and the residuals; the gathered means are one block
-        # of rows at a time (24 bytes per row before)
+        # of rows at a time
         panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
         expected = estimate_event_study(panel)
         tracemalloc.start()
@@ -553,16 +545,17 @@ class TestRowBound:
         path.write_bytes(data)
         assert self.load_counting_rows(path) == [12]
 
-    def test_quoted_line_breaks_in_a_label(self, tmp_path):
-        # the label's lines count too, so the bound exceeds the records; the
-        # body is then read again through the handle
-        path = write_k1_panel(tmp_path / "panel.csv", ["a\r\nb", "a\nb", "a\rb", "t1"])
-        assert self.load_counting_rows(path) == [21, None]
-
-    def test_quoted_line_breaks_in_a_label_numpy_keeps(self, tmp_path):
-        # a label of lone LFs and blank lines in it: numpy's read stands
-        path = write_k1_panel(tmp_path / "panel.csv", ["a\n\nb", "c1", "t0", "t1"])
-        assert self.load_counting_rows(path) == [15, None]
+    @pytest.mark.parametrize(
+        "units, bound",
+        [(["a\r\nb", "a\nb", "a\rb", "t1"], 21), (["a\n\nb", "c1", "t0", "t1"], 15)],
+        ids=["CRLF-LF-CR", "empty-line"],
+    )
+    def test_quoted_line_breaks_in_a_label(self, tmp_path, units, bound):
+        # each non-empty line of a label counts, so the bound exceeds the 12
+        # records; a label with a line break is then read again through the
+        # handle, which numpy does not size
+        path = write_k1_panel(tmp_path / "panel.csv", units)
+        assert self.load_counting_rows(path) == [bound, None]
 
 
 # --- estimation invariances and round trip ----------------------------------------
