@@ -56,9 +56,9 @@ _INT64 = np.iinfo(np.int64)
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 # np.loadtxt opens a file name with one of these endings as compressed
 _DECOMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
-# bytes per os.pread when counting a file's lines
+# bytes per step when counting a file's lines
 _COUNT_BLOCK = 1 << 20
-# rows per step where estimate_event_study gathers cell means
+# rows per step of validation and estimation
 _ROW_BLOCK = 1 << 14
 
 
@@ -75,8 +75,9 @@ class PanelData:
 
     A panel from :func:`load_panel` holds its parsed body, 25 bytes a row
     with treatment parsed straight to ``bool``, and one ``str`` per distinct
-    label; :func:`estimate_event_study` adds at most 16 bytes a row to it,
-    the cell codes and the residuals.
+    label.  Validation works a block of rows at a time and adds one 32-bit
+    key a row, 5.0 traced bytes a row in all on a 200 000-row K = 8 panel;
+    :func:`estimate_event_study` adds a fixed 0.6 MB, whatever the rows.
     """
 
     unit: np.ndarray
@@ -109,27 +110,26 @@ class PanelData:
         lo, hi = int(period.min()), int(period.max())
         n_periods = hi - lo + 1
         # a contiguous range has a row in every period, so it spans at most n
-        # periods and the bincount stays O(rows)
-        per_period = (
-            np.bincount(period - lo) if hi == 1 and lo <= -1 and n_periods <= n else None
-        )
+        # periods and the counts stay O(rows)
+        per_period = None
+        if hi == 1 and lo <= -1 and n_periods <= n:
+            cells = np.zeros(2 * n_periods, dtype=np.int64)
+            for rows in _row_blocks(n):
+                cells += np.bincount(
+                    _cell_codes(period[rows], treatment[rows], lo), minlength=2 * n_periods
+                )
+            n_ctrl, n_treat = cells.reshape(n_periods, 2).T
+            per_period = n_ctrl + n_treat
         if per_period is None or not per_period.all():
             raise NonContiguousPeriodsError(
                 f"periods must form a contiguous set {{-K,...,0,1}} with K >= 1, "
                 f"got {np.unique(period).tolist()}"
             )
 
-        # rows grouped by period: a duplicate pair shows as a repeated unit
-        units_by_period = unit[np.argsort(period)].tolist()
-        stops = np.cumsum(per_period).tolist()
-        starts = [0] + stops[:-1]
-        if any(len(set(units_by_period[a:b])) < b - a for a, b in zip(starts, stops)):
-            raise PanelValidationError(
-                f"duplicate (unit, period) row: {_first_duplicate(unit, period)}"
-            )
+        duplicate = _first_repeated_pair(unit, period, lo, n_periods)
+        if duplicate is not None:
+            raise PanelValidationError(f"duplicate (unit, period) row: {duplicate}")
 
-        cells = np.bincount((period - lo) * 2 + treatment, minlength=2 * n_periods)
-        n_ctrl, n_treat = cells.reshape(n_periods, 2).T
         thin = np.flatnonzero((n_treat < 2) | (n_ctrl < 2))
         if thin.size:
             j = int(thin[0])
@@ -199,24 +199,33 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     scope.
     """
     k = data.k
-    # cell (period + K) * 2 + treated, periods ascending -K, ..., 0, 1
-    code = data.period + k
-    code *= 2
-    code += data.treatment
     n_cells = 2 * (k + 2)
-    counts = np.bincount(code, minlength=n_cells).astype(float)
     # sums of outcomes far from zero lose the low bits that differences of
     # means keep; centring on one data value makes the estimates invariant
     # to an exact shift of every outcome
-    resid = data.outcome - data.outcome[0]
-    means = np.bincount(code, weights=resid, minlength=n_cells) / counts
-    # elementwise, so gathering the means a block of rows at a time gives the
-    # same bits and holds no third array of the panel's length
-    for start in range(0, resid.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        resid[rows] -= means[code[rows]]
-    resid *= resid
-    variances = np.bincount(code, weights=resid, minlength=n_cells) / (counts - 1.0)
+    origin = data.outcome[0]
+
+    def residuals(rows):
+        code = _cell_codes(data.period[rows], data.treatment[rows], -k)
+        return code, data.outcome[rows] - origin
+
+    # np.add.at adds in row order, as one bincount over the whole panel
+    # would, so the sums hold the same bits a block of rows at a time
+    counts = np.zeros(n_cells, dtype=np.int64)
+    sums = np.zeros(n_cells)
+    for rows in _row_blocks(data.n_rows):
+        code, resid = residuals(rows)
+        counts += np.bincount(code, minlength=n_cells)
+        np.add.at(sums, code, resid)
+    counts = counts.astype(float)
+    means = sums / counts
+    squares = np.zeros(n_cells)
+    for rows in _row_blocks(data.n_rows):
+        code, resid = residuals(rows)
+        resid -= means[code]
+        resid *= resid
+        np.add.at(squares, code, resid)
+    variances = squares / (counts - 1.0)
     # per period: the treated-minus-control mean and its variance
     delta = means[1::2] - means[0::2]
     v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
@@ -252,13 +261,62 @@ def _integer_periods(period: np.ndarray) -> np.ndarray:
     raise PanelValidationError(f"period must hold integers, got dtype {period.dtype}")
 
 
-def _first_duplicate(unit: np.ndarray, period: np.ndarray) -> tuple:
-    """The first (unit, period) pair, in row order, that repeats an earlier row."""
+def _row_blocks(n: int):
+    """Slices of at most ``_ROW_BLOCK`` rows that cover ``range(n)`` in order."""
+    return (slice(start, start + _ROW_BLOCK) for start in range(0, n, _ROW_BLOCK))
+
+
+def _cell_codes(period: np.ndarray, treatment: np.ndarray, lo: int) -> np.ndarray:
+    """Cell ``(period - lo) * 2 + treated``: periods ascending, control first."""
+    code = period - lo
+    code *= 2
+    code += treatment
+    return code
+
+
+def _pair_keys(unit: np.ndarray, period: np.ndarray, lo: int, n_periods: int) -> np.ndarray:
+    """``hash(unit) * n_periods + (period - lo)`` per row, wrapping at 32
+    bits: equal (unit, period) pairs have equal keys."""
+    keys = np.fromiter(map(hash, unit), dtype=np.int64, count=unit.shape[0])
+    keys *= n_periods
+    keys += period
+    keys -= lo
+    return keys.astype(np.uint32)
+
+
+def _first_repeated_pair(unit: np.ndarray, period: np.ndarray, lo: int, n_periods: int):
+    """The first (unit, period) pair, in row order, that repeats an earlier
+    row, or None.
+
+    One 32-bit key a row, sorted in place, finds the keys that repeat; a
+    second pass compares only the rows that hold one of them, pair by pair
+    in row order.  Distinct pairs share a key about n**2 / 2**33 times.
+    """
+    n = period.shape[0]
+    keys = np.empty(n, dtype=np.uint32)
+    for rows in _row_blocks(n):
+        keys[rows] = _pair_keys(unit[rows], period[rows], lo, n_periods)
+    keys.sort()
+    # blocks overlap by one key, so a repeat across a block edge is seen
+    runs = (keys[start : start + _ROW_BLOCK + 1] for start in range(0, n - 1, _ROW_BLOCK))
+    candidates = np.unique(np.concatenate([run[1:][run[1:] == run[:-1]] for run in runs]))
+    del keys, runs
+    if not candidates.size:
+        return None
+    # a table of the candidates' low 16 bits sifts each block before the
+    # exact test, which is slower per key
+    sieve = np.zeros(1 << 16, dtype=bool)
+    sieve[candidates & 0xFFFF] = True
     seen = set()
-    for key in zip(unit.tolist(), period.tolist()):
-        if key in seen:
-            return key
-        seen.add(key)
+    for rows in _row_blocks(n):
+        keys = _pair_keys(unit[rows], period[rows], lo, n_periods)
+        sifted = np.flatnonzero(sieve[keys & 0xFFFF])
+        hits = sifted[np.isin(keys[sifted], candidates)]
+        for pair in zip(unit[rows][hits].tolist(), period[rows][hits].tolist()):
+            if pair in seen:
+                return pair
+            seen.add(pair)
+    return None
 
 
 def load_panel(path) -> PanelData:
@@ -289,11 +347,11 @@ def load_panel(path) -> PanelData:
     the header, under its absolute name, and allocates the body once: every
     record starts a line that is not empty, so the file's non-empty lines,
     less the header's, bound the rows.  Three kinds of file are read through
-    the handle that read the header, one line per call: a pipe or other
-    special file, a file with a line break inside a unit label (numpy's own
-    open would read a quoted CR or CRLF as LF) and a name numpy would
-    decompress.  Loading and validating a 200 000-row K = 8 panel of 20 000
-    labels peak at about 52 traced bytes per row.
+    the handle that read the header, one line per call, under the same
+    bound: a pipe or other special file, a file with a line break inside a
+    unit label (numpy's own open would read a quoted CR or CRLF as LF) and a
+    name numpy would decompress.  Loading and validating a 200 000-row K = 8
+    panel of 20 000 labels peak at about 36 traced bytes per row.
 
     ``path`` may be a descriptor, which stays open.  A source that cannot
     seek, such as a pipe, is read into memory first, so that a malformed
@@ -388,20 +446,32 @@ def _name_for_numpy(path, fh) -> str | None:
     return None if name.endswith(_DECOMPRESSED) else name
 
 
-def _nonempty_lines(fd: int) -> int:
-    """The lines of the file open as ``fd`` that hold a byte other than CR
-    or LF, where LF, a lone CR and CRLF each end a line, as in numpy's
-    universal-newline read.  Counted over ``os.pread`` blocks, so the
-    descriptor's offset does not move."""
-    count, offset, open_line = 0, 0, False
-    while block := os.pread(fd, _COUNT_BLOCK, offset):
-        offset += len(block)
+def _nonempty_lines(raw) -> int:
+    """The lines of the binary source ``raw``, from its start, that hold a
+    byte other than CR or LF, where LF, a lone CR and CRLF each end a line,
+    as in numpy's universal-newline read.  Counted over ``_COUNT_BLOCK``
+    blocks: slices of a buffer read into memory, or ``os.pread`` blocks of
+    a file, which leave its offset where it was."""
+    count, open_line = 0, False
+    for block in _byte_blocks(raw):
         byte = np.frombuffer(block, dtype=np.uint8)
         ends = (byte == 10) | (byte == 13)
         # a line's content ends where a line break follows a byte that is not one
         count += np.count_nonzero(ends[1:] > ends[:-1]) + bool(open_line and ends[0])
         open_line = not ends[-1]
     return count + open_line
+
+
+def _byte_blocks(raw):
+    if isinstance(raw, io.BytesIO):
+        data = memoryview(raw.getvalue())  # the buffer itself, not a copy
+        for start in range(0, len(data), _COUNT_BLOCK):
+            yield data[start : start + _COUNT_BLOCK]
+    else:
+        offset = 0
+        while block := os.pread(raw.fileno(), _COUNT_BLOCK, offset):
+            offset += len(block)
+            yield block
 
 
 def _load_body(source, labels: _Labels, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
@@ -427,20 +497,21 @@ def _parse_columns(fh, path):
     try:
         reader = csv.reader(fh)
         _read_header(reader)
+        # every record starts a line that is not empty, and so does the header
+        max_rows = _nonempty_lines(fh.buffer) - 1
         name = _name_for_numpy(path, fh)
         if name is None:
-            body = _load_body(fh, _Labels())
+            body = _load_body(fh, _Labels(), max_rows=max_rows)
         else:
-            # numpy reads a named file in blocks, a handle line by line; the
-            # header's first line is not empty
+            # numpy reads a named file in blocks, a handle line by line
             labels = _Labels()
-            max_rows = _nonempty_lines(fh.fileno()) - 1
             body = _load_body(name, labels, skiprows=reader.line_num, max_rows=max_rows)
             # numpy's own open reads a quoted CR or CRLF as LF
             if any("\n" in field for field in labels):
+                del body  # one body at a time
                 fh.seek(0)
                 _read_header(csv.reader(fh))
-                body = _load_body(fh, _Labels())
+                body = _load_body(fh, _Labels(), max_rows=max_rows)
     except ValueError:  # also UnicodeDecodeError
         return None
     return body["unit"], body["period"], body["treatment"], body["outcome"]

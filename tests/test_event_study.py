@@ -1,10 +1,14 @@
 """Tests for panel ingestion and event-study estimation."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condid import event_study
 from condid.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -180,6 +184,86 @@ class TestPanelValidation:
             )
 
 
+# Python hashes an int modulo this prime: u and u + HASH_MODULUS share a hash,
+# and so do -1 and -2
+HASH_MODULUS = sys.hash_info.modulus
+COLLIDING_LABELS = [u + j * HASH_MODULUS for u in range(3) for j in range(3)] + [-1, -2]
+
+
+def first_repeated_pair(unit, period):
+    """The first (unit, period) pair, in row order, seen twice."""
+    seen = set()
+    for pair in zip(unit.tolist(), period.tolist()):
+        if pair in seen:
+            return pair
+        seen.add(pair)
+    return None
+
+
+@st.composite
+def colliding_panels(draw):
+    """A K = 1 panel of integer labels that share few hash values, some
+    periods with a repeated label and some without."""
+    n = draw(st.integers(2, 4))
+    units, periods, treats = [], [], []
+    for t in (-1, 0, 1):
+        if draw(st.booleans()):
+            labels = draw(st.permutations(COLLIDING_LABELS))[: 2 * n]
+        else:
+            labels = draw(st.lists(st.sampled_from(COLLIDING_LABELS), min_size=2 * n, max_size=2 * n))
+        units += labels
+        periods += [t] * 2 * n
+        treats += [False] * n + [True] * n
+    order = draw(st.permutations(range(len(units))))
+    return (
+        np.array([units[i] for i in order], dtype=object),
+        np.array([periods[i] for i in order]),
+        np.array([treats[i] for i in order]),
+    )
+
+
+class TestDuplicateCheck:
+    """Distinct pairs can share a 32-bit key; only equal pairs are duplicates."""
+
+    def test_labels_of_one_hash_in_one_period_validate(self):
+        units = [0, HASH_MODULUS, 2 * HASH_MODULUS, -1]
+        assert len({hash(u) for u in units[:3]}) == 1 and hash(-1) == hash(-2)
+        panel = PanelData(
+            unit=np.array(units * 3, dtype=object),
+            period=np.repeat([-1, 0, 1], 4),
+            treatment=np.array([0, 0, 1, 1] * 3, dtype=bool),
+            outcome=np.zeros(12),
+        )
+        assert panel.n_rows == 12
+
+    def test_a_repeat_names_the_first_repeating_pair(self):
+        # (-2, 0) repeats before (HASH_MODULUS, 0) does, and both collide
+        # with a distinct label of their period
+        units = [0, HASH_MODULUS, -1, -2] * 3 + [-2, HASH_MODULUS]
+        with pytest.raises(PanelValidationError) as info:
+            PanelData(
+                unit=np.array(units, dtype=object),
+                period=np.array(list(np.repeat([-1, 0, 1], 4)) + [0, 0]),
+                treatment=np.array([0, 0, 1, 1] * 3 + [1, 0], dtype=bool),
+                outcome=np.zeros(14),
+            )
+        assert str(info.value) == "duplicate (unit, period) row: (-2, 0)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(panel=colliding_panels(), block=st.integers(1, 7) | st.just(event_study._ROW_BLOCK))
+    def test_verdict_matches_the_first_pair_seen_twice(self, panel, block):
+        unit, period, treatment = panel
+        expected = first_repeated_pair(unit, period)
+        # small blocks put repeated keys across block edges
+        with mock.patch.object(event_study, "_ROW_BLOCK", block):
+            if expected is None:
+                PanelData(unit=unit, period=period, treatment=treatment, outcome=np.zeros(unit.size))
+            else:
+                with pytest.raises(PanelValidationError) as info:
+                    PanelData(unit=unit, period=period, treatment=treatment, outcome=np.zeros(unit.size))
+                assert str(info.value) == f"duplicate (unit, period) row: {expected}"
+
+
 class TestEstimation:
     def test_all_zero_outcomes(self):
         panel = make_panel(2, 3, lambda t, d, i: 0.0)
@@ -232,6 +316,39 @@ class TestEstimation:
         np.testing.assert_allclose(
             estimate_event_study(panel).beta, dummy_ols_oracle(panel), atol=1e-8
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        block=st.integers(1, 7),
+        offset=st.sampled_from([0.0, 1e6, -3e9]),
+    )
+    def test_blocks_give_the_bits_of_one_bincount(self, seed, k, block, offset):
+        # the sums over the whole panel at once, as a reference
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 6, size=2 * (k + 2))
+        code = np.repeat(np.arange(sizes.size), sizes)
+        rng.shuffle(code)
+        panel = PanelData(
+            unit=np.arange(code.size),
+            period=code // 2 - k,
+            treatment=(code % 2).astype(bool),
+            outcome=offset + rng.standard_normal(code.size),
+        )
+        counts = np.bincount(code).astype(float)
+        resid = panel.outcome - panel.outcome[0]
+        means = np.bincount(code, weights=resid) / counts
+        resid = (resid - means[code]) ** 2
+        variances = np.bincount(code, weights=resid) / (counts - 1.0)
+        delta = means[1::2] - means[0::2]
+        v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
+        beta, v0, v_coef = coefficients(delta, v)
+        with mock.patch.object(event_study, "_ROW_BLOCK", block):
+            bundle = estimate_event_study(panel)
+        np.testing.assert_array_equal(bundle.beta, beta)
+        sigma = CovarianceMatrix(np.diag(v_coef) + v0, allow_singular=True)
+        np.testing.assert_array_equal(bundle.sigma.entries, sigma.entries)
 
     def test_period_shift_absorbed_by_period_effects(self):
         rng = np.random.default_rng(7)

@@ -7,6 +7,7 @@ raise the same error class, line number and message.
 """
 
 import csv
+import io
 import os
 import re
 import threading
@@ -439,7 +440,7 @@ class TestBodyRead:
         assert len({id(u) for u in panel.unit}) == len(set(panel.unit))
 
     def test_peak_memory_per_row(self, tmp_path):
-        # measured: 52.4 traced bytes per row
+        # measured: 36.4 traced bytes per row
         path = write_large_panel(tmp_path / "panel.csv")
         load_panel(path)  # imports and caches outside the measurement
         tracemalloc.start()
@@ -449,11 +450,40 @@ class TestBodyRead:
         finally:
             tracemalloc.stop()
         assert panel.n_rows == LARGE_ROWS
-        assert peak / panel.n_rows < 56
+        assert peak / panel.n_rows < 40
 
-    def test_estimation_adds_at_most_16_bytes_per_row(self, tmp_path):
-        # the cell codes and the residuals; the gathered means are one block
-        # of rows at a time
+    def test_peak_memory_per_row_with_a_line_break_in_a_label(self, tmp_path):
+        # measured: 40.1 traced bytes per row; the body of the read by name
+        # is dropped before the handle is read again (65.1 while both lived)
+        path = write_large_panel(tmp_path / "panel.csv")
+        path.write_text(path.read_text().replace("\nC0,", '\n"C\n0",'))
+        load_panel(path)
+        tracemalloc.start()
+        try:
+            panel = load_panel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.n_rows == LARGE_ROWS and "C\n0" in set(panel.unit)
+        assert peak / panel.n_rows < 44
+
+    def test_validation_adds_at_most_6_bytes_per_row(self, tmp_path):
+        # measured: 5.0 traced bytes per row, a 32-bit key a row and one
+        # block of rows at a time
+        panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
+        columns = dict(unit=panel.unit, period=panel.period, treatment=panel.treatment,
+                       outcome=panel.outcome)
+        tracemalloc.start()
+        try:
+            PanelData(**columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / panel.n_rows <= 6
+
+    def test_estimation_adds_a_fixed_amount_of_memory(self, tmp_path):
+        # measured: 0.6 MB; the cell codes and residuals are one block of
+        # rows at a time
         panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
         expected = estimate_event_study(panel)
         tracemalloc.start()
@@ -463,7 +493,7 @@ class TestBodyRead:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(bundle.beta, expected.beta)
-        assert peak <= 16 * panel.n_rows + 2**18
+        assert peak <= 2**20
 
 
 # --- the bound on the rows numpy allocates -------------------------------------------
@@ -490,10 +520,12 @@ def render_k1_panel(terminators, pad=0, blank=""):
 
 
 class TestRowBound:
-    """numpy sizes the body of a named file by ``_nonempty_lines``: a count
-    one short drops the last record without an error."""
+    """numpy sizes the body by ``_nonempty_lines``: a count one short drops
+    the last record without an error."""
 
     def load_counting_rows(self, path):
+        """The ``max_rows`` of each body read of ``path`` by name; a pipe and
+        a descriptor read the body once, under the same bound."""
         seen = []
         load_body = event_study._load_body
 
@@ -501,13 +533,27 @@ class TestRowBound:
             seen.append(max_rows)
             return load_body(source, labels, skiprows, max_rows)
 
+        expected = verdict(reference_load, path)
+        assert len(expected[0]) == 12
         with mock.patch.object(event_study, "_load_body", spy):
-            panel = load_panel(path)
-        assert panel.n_rows == 12
-        assert verdict(load_panel, path) == verdict(reference_load, path)
+            assert verdict(load_panel, path) == expected
+            by_name = seen[:]
+            if hasattr(os, "mkfifo"):
+                seen.clear()
+                assert verdict_through_a_pipe(path) == expected
+                assert seen == by_name[:1]
+            seen.clear()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                assert verdict(load_panel, fd) == expected
+            finally:
+                os.close(fd)
+            assert seen == by_name[:1]
+        data = path.read_bytes()
         with open(path, "rb") as fh:
-            assert event_study._nonempty_lines(fh.fileno()) == nonempty_lines(path.read_bytes())
-        return seen
+            assert event_study._nonempty_lines(fh) == nonempty_lines(data)
+        assert event_study._nonempty_lines(io.BytesIO(data)) == nonempty_lines(data)
+        return by_name
 
     @pytest.mark.parametrize(
         "terminators",
@@ -553,9 +599,9 @@ class TestRowBound:
     def test_quoted_line_breaks_in_a_label(self, tmp_path, units, bound):
         # each non-empty line of a label counts, so the bound exceeds the 12
         # records; a label with a line break is then read again through the
-        # handle, which numpy does not size
+        # handle, under the same bound
         path = write_k1_panel(tmp_path / "panel.csv", units)
-        assert self.load_counting_rows(path) == [bound, None]
+        assert self.load_counting_rows(path) == [bound, bound]
 
 
 # --- estimation invariances and round trip ----------------------------------------
