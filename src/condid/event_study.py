@@ -21,8 +21,8 @@ import re
 import stat
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import NoReturn
+from dataclasses import InitVar, dataclass
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -46,10 +46,6 @@ __all__ = [
 
 PANEL_HEADER = ("unit", "period", "treatment", "outcome")
 
-# 25 bytes a row
-_BODY_DTYPE = np.dtype(
-    [("unit", object), ("period", np.int64), ("treatment", bool), ("outcome", np.float64)]
-)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 # bytes that are not UTF-8 decode to these code points under "surrogateescape"
@@ -73,20 +69,25 @@ class PanelData:
     needs at least two observations, and (unit, period) pairs must be
     unique.
 
-    A panel from :func:`load_panel` holds its parsed body, 25 bytes a row
-    with treatment parsed straight to ``bool``, and one ``str`` per distinct
-    label.  Validation works a block of rows at a time and adds one 32-bit
-    key a row, 5.0 traced bytes a row in all on a 200 000-row K = 8 panel;
-    :func:`estimate_event_study` adds a fixed 0.6 MB, whatever the rows.
+    ``unit`` is held as codes into a table of its distinct labels, coded in
+    one ``dict`` pass or at the parse of :func:`load_panel`, and reads back as
+    ``labels[codes]``; labels equal as ``dict`` keys, such as ``1`` and
+    ``1.0``, are one unit, named by its first spelling.  Validation adds 5.0
+    traced bytes a row on a loaded 200 000-row K = 8 panel (10.5 with the
+    ``dict`` pass), :func:`estimate_event_study` a fixed 0.6 MB.
     """
 
-    unit: np.ndarray
+    unit: InitVar[np.ndarray]
     period: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
 
-    def __post_init__(self):
-        unit = np.asarray(self.unit)
+    def __post_init__(self, unit):
+        if not isinstance(unit, _Units):
+            unit, labels = np.asarray(unit), _Labels()
+            codes = np.fromiter(map(labels.__getitem__, unit), np.min_scalar_type(unit.size), unit.size)
+            labels = np.fromiter(labels.table, unit.dtype, len(labels.table))  # frees the dict
+            unit = _Units(codes, labels)
         period = np.asarray(self.period)
         treatment = np.asarray(self.treatment)
         if treatment.dtype != bool:
@@ -94,7 +95,7 @@ class PanelData:
                 raise PanelValidationError("treatment must be coded 0 or 1")
             treatment = treatment.astype(bool)
         outcome = np.asarray(self.outcome, dtype=float)
-        n = unit.shape[0]
+        n = unit.codes.shape[0]
         if not (period.shape[0] == treatment.shape[0] == outcome.shape[0] == n):
             raise PanelValidationError("panel columns have unequal lengths")
         if n == 0:
@@ -102,7 +103,7 @@ class PanelData:
         period = _integer_periods(period)
         if not np.all(np.isfinite(outcome)):
             raise PanelValidationError("outcome contains non-finite values")
-        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_units", unit)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "treatment", treatment)
         object.__setattr__(self, "outcome", outcome)
@@ -118,6 +119,7 @@ class PanelData:
                 cells += np.bincount(
                     _cell_codes(period[rows], treatment[rows], lo), minlength=2 * n_periods
                 )
+            object.__setattr__(self, "_cells", cells)
             n_ctrl, n_treat = cells.reshape(n_periods, 2).T
             per_period = n_ctrl + n_treat
         if per_period is None or not per_period.all():
@@ -126,9 +128,18 @@ class PanelData:
                 f"got {np.unique(period).tolist()}"
             )
 
-        duplicate = _first_repeated_pair(unit, period, lo, n_periods)
-        if duplicate is not None:
-            raise PanelValidationError(f"duplicate (unit, period) row: {duplicate}")
+        # one exact key a row, sorted in place, repeats only where a pair
+        # does; a stable argsort then keeps each run of equal keys in row
+        # order, so the least second row of a run is the first repeat
+        keys = _pair_keys(unit.codes, period, lo, n_periods, unit.labels.size)
+        keys.sort()
+        if any((keys[1:][rows] == keys[:-1][rows]).any() for rows in _row_blocks(n - 1)):
+            keys = _pair_keys(unit.codes, period, lo, n_periods, unit.labels.size)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            row = order[1:][keys[1:] == keys[:-1]].min()
+            pair = unit.labels.item(unit.codes[row]), period.item(row)
+            raise PanelValidationError(f"duplicate (unit, period) row: {pair}")
 
         thin = np.flatnonzero((n_treat < 2) | (n_ctrl < 2))
         if thin.size:
@@ -146,6 +157,17 @@ class PanelData:
     @property
     def n_rows(self) -> int:
         return self.outcome.shape[0]
+
+
+# set after the class body, where it would be the InitVar's default
+PanelData.unit = property(lambda self: self._units.labels[self._units.codes], doc="The unit column.")
+
+
+class _Units(NamedTuple):
+    """A unit column as ``labels[codes]``."""
+
+    codes: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +233,11 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
 
     # np.add.at adds in row order, as one bincount over the whole panel
     # would, so the sums hold the same bits a block of rows at a time
-    counts = np.zeros(n_cells, dtype=np.int64)
     sums = np.zeros(n_cells)
     for rows in _row_blocks(data.n_rows):
         code, resid = residuals(rows)
-        counts += np.bincount(code, minlength=n_cells)
         np.add.at(sums, code, resid)
-    counts = counts.astype(float)
+    counts = data._cells.astype(float)  # counted in validation
     means = sums / counts
     squares = np.zeros(n_cells)
     for rows in _row_blocks(data.n_rows):
@@ -274,49 +294,15 @@ def _cell_codes(period: np.ndarray, treatment: np.ndarray, lo: int) -> np.ndarra
     return code
 
 
-def _pair_keys(unit: np.ndarray, period: np.ndarray, lo: int, n_periods: int) -> np.ndarray:
-    """``hash(unit) * n_periods + (period - lo)`` per row, wrapping at 32
-    bits: equal (unit, period) pairs have equal keys."""
-    keys = np.fromiter(map(hash, unit), dtype=np.int64, count=unit.shape[0])
-    keys *= n_periods
-    keys += period
-    keys -= lo
-    return keys.astype(np.uint32)
-
-
-def _first_repeated_pair(unit: np.ndarray, period: np.ndarray, lo: int, n_periods: int):
-    """The first (unit, period) pair, in row order, that repeats an earlier
-    row, or None.
-
-    One 32-bit key a row, sorted in place, finds the keys that repeat; a
-    second pass compares only the rows that hold one of them, pair by pair
-    in row order.  Distinct pairs share a key about n**2 / 2**33 times.
-    """
-    n = period.shape[0]
-    keys = np.empty(n, dtype=np.uint32)
-    for rows in _row_blocks(n):
-        keys[rows] = _pair_keys(unit[rows], period[rows], lo, n_periods)
-    keys.sort()
-    # blocks overlap by one key, so a repeat across a block edge is seen
-    runs = (keys[start : start + _ROW_BLOCK + 1] for start in range(0, n - 1, _ROW_BLOCK))
-    candidates = np.unique(np.concatenate([run[1:][run[1:] == run[:-1]] for run in runs]))
-    del keys, runs
-    if not candidates.size:
-        return None
-    # a table of the candidates' low 16 bits sifts each block before the
-    # exact test, which is slower per key
-    sieve = np.zeros(1 << 16, dtype=bool)
-    sieve[candidates & 0xFFFF] = True
-    seen = set()
-    for rows in _row_blocks(n):
-        keys = _pair_keys(unit[rows], period[rows], lo, n_periods)
-        sifted = np.flatnonzero(sieve[keys & 0xFFFF])
-        hits = sifted[np.isin(keys[sifted], candidates)]
-        for pair in zip(unit[rows][hits].tolist(), period[rows][hits].tolist()):
-            if pair in seen:
-                return pair
-            seen.add(pair)
-    return None
+def _pair_keys(codes: np.ndarray, period: np.ndarray, lo: int, n_periods: int, n_labels: int):
+    """``code * n_periods + (period - lo)`` per row, a block of rows at a
+    time; exact, as ``uint32`` while ``n_labels * n_periods < 2**32`` and
+    ``uint64`` beyond, so distinct (unit, period) pairs have distinct keys."""
+    keys = np.empty(period.shape[0], np.uint32 if n_labels * n_periods < 2**32 else np.uint64)
+    for rows in _row_blocks(keys.size):
+        np.multiply(codes[rows], n_periods, out=keys[rows], dtype=keys.dtype)
+        keys[rows] += (period[rows] - lo).astype(keys.dtype)  # uint64 + int64 is float64
+    return keys
 
 
 def load_panel(path) -> PanelData:
@@ -340,18 +326,19 @@ def load_panel(path) -> PanelData:
       or ``inf``, ``infinity`` or ``nan`` with optional sign in any case
       (these three then fail validation as non-finite).
 
-    Each unit label is stripped once, and every row of one label holds the
-    same ``str``; treatment is parsed straight to ``bool``, so the parsed
-    body takes 25 bytes a row, and the period and outcome columns are views
+    Each unit label is stripped once and parsed to its code, its index among
+    the distinct labels in order of first sight, in the narrowest unsigned
+    type that holds the row bound below, and treatment straight to ``bool``:
+    the body takes 21 bytes a row below 2**32 rows, and the columns are views
     of it.  numpy reads a regular file itself, in blocks, from the line after
     the header, under its absolute name, and allocates the body once: every
     record starts a line that is not empty, so the file's non-empty lines,
     less the header's, bound the rows.  Three kinds of file are read through
-    the handle that read the header, one line per call, under the same
-    bound: a pipe or other special file, a file with a line break inside a
-    unit label (numpy's own open would read a quoted CR or CRLF as LF) and a
-    name numpy would decompress.  Loading and validating a 200 000-row K = 8
-    panel of 20 000 labels peak at about 36 traced bytes per row.
+    the handle that read the header, one line per call, under the same bound:
+    a pipe or other special file, a file with a line break inside a unit
+    label (numpy's own open would read a quoted CR or CRLF as LF) and a name
+    numpy would decompress.  Loading and validating a 200 000-row K = 8 panel
+    of 20 000 labels peak at about 33 traced bytes per row.
 
     ``path`` may be a descriptor, which stays open.  A source that cannot
     seek, such as a pipe, is read into memory first, so that a malformed
@@ -410,12 +397,21 @@ def _check_decoded(row: list[str], lineno: int) -> None:
 
 
 class _Labels(dict):
-    """Unit field -> its stripped label, one shared ``str`` per distinct label."""
+    """Label -> its code, its index in ``table``, the distinct labels in
+    order of first sight; labels are equal as ``dict`` keys are.  Under
+    ``strip`` a label is a CSV field, coded as its stripped text."""
 
-    def __missing__(self, field: str) -> str:
-        label = field.strip()
-        label = self[field] = self.setdefault(label, label)
-        return label
+    def __init__(self, strip: bool = False):
+        super().__init__()
+        self.strip = strip
+        self.table = []
+
+    def __missing__(self, label) -> int:
+        text = label.strip() if self.strip else label
+        code = self[label] = self.setdefault(text, len(self.table))
+        if code == len(self.table):
+            self.table.append(text)
+        return code
 
 
 class _Treatment(dict):
@@ -474,7 +470,9 @@ def _byte_blocks(raw):
             yield block
 
 
-def _load_body(source, labels: _Labels, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
+def _load_body(source, fields: _Labels, skiprows: int, max_rows: int) -> np.ndarray:
+    dtype = np.dtype([("unit", np.min_scalar_type(max_rows)), ("period", np.int64),
+                      ("treatment", bool), ("outcome", np.float64)])
     with warnings.catch_warnings():
         # an empty body is reported by the caller; older numpy reads
         # "1.0" as an integer with only a DeprecationWarning
@@ -483,38 +481,40 @@ def _load_body(source, labels: _Labels, skiprows: int = 0, max_rows: int | None 
         # an explicit encoding also keeps numpy 1.x's default, "bytes", from
         # handing the converters latin-1 bytes
         return np.loadtxt(
-            source, dtype=_BODY_DTYPE, delimiter=",", quotechar='"', comments=None,
+            source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
             ndmin=1, skiprows=skiprows, max_rows=max_rows, encoding="utf-8",
-            converters={0: labels.__getitem__, 2: _TREATMENT.__getitem__},
+            converters={0: fields.__getitem__, 2: _TREATMENT.__getitem__},
         )
 
 
 def _parse_columns(fh, path):
     """The body's columns (unit, period, treatment, outcome) from the UTF-8
     text handle ``fh`` on ``path``, parsed in one C-level pass with
-    ``np.loadtxt``; None when any line is malformed.  The columns are views
-    of one structured array."""
+    ``np.loadtxt``; None when any line is malformed.  The unit codes and the
+    other columns are views of one structured array."""
     try:
         reader = csv.reader(fh)
         _read_header(reader)
         # every record starts a line that is not empty, and so does the header
         max_rows = _nonempty_lines(fh.buffer) - 1
         name = _name_for_numpy(path, fh)
+        fields = _Labels(strip=True)
         if name is None:
-            body = _load_body(fh, _Labels(), max_rows=max_rows)
+            body = _load_body(fh, fields, 0, max_rows)
         else:
             # numpy reads a named file in blocks, a handle line by line
-            labels = _Labels()
-            body = _load_body(name, labels, skiprows=reader.line_num, max_rows=max_rows)
+            body = _load_body(name, fields, reader.line_num, max_rows)
             # numpy's own open reads a quoted CR or CRLF as LF
-            if any("\n" in field for field in labels):
+            if any("\n" in field for field in fields):
                 del body  # one body at a time
                 fh.seek(0)
                 _read_header(csv.reader(fh))
-                body = _load_body(fh, _Labels(), max_rows=max_rows)
+                fields = _Labels(strip=True)
+                body = _load_body(fh, fields, 0, max_rows)
     except ValueError:  # also UnicodeDecodeError
         return None
-    return body["unit"], body["period"], body["treatment"], body["outcome"]
+    labels = np.fromiter(fields.table, object, len(fields.table))
+    return _Units(body["unit"], labels), body["period"], body["treatment"], body["outcome"]
 
 
 def _raise_first_bad_line(fh) -> NoReturn:

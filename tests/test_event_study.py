@@ -223,7 +223,8 @@ def colliding_panels(draw):
 
 
 class TestDuplicateCheck:
-    """Distinct pairs can share a 32-bit key; only equal pairs are duplicates."""
+    """Labels are coded as ``dict`` keys are told apart, so labels that share
+    a hash are distinct units; the key of a (unit, period) pair is exact."""
 
     def test_labels_of_one_hash_in_one_period_validate(self):
         units = [0, HASH_MODULUS, 2 * HASH_MODULUS, -1]
@@ -262,6 +263,53 @@ class TestDuplicateCheck:
                 with pytest.raises(PanelValidationError) as info:
                     PanelData(unit=unit, period=period, treatment=treatment, outcome=np.zeros(unit.size))
                 assert str(info.value) == f"duplicate (unit, period) row: {expected}"
+
+    @pytest.mark.parametrize(
+        "n_labels, dtype",
+        [(2**30 - 1, np.uint32), (2**30, np.uint64), (2**32, np.uint64), (2**40 + 3, np.uint64)],
+    )
+    def test_keys_are_exact_at_any_label_count(self, n_labels, dtype):
+        # four periods -2..1: the key type widens where labels x periods
+        # reaches 2**32, and the largest code still gets its own keys
+        codes = np.array([n_labels - 1, 0, n_labels - 1, n_labels - 2, 1], dtype=np.uint64)
+        period = np.array([1, -2, -2, 1, 0])
+        keys = event_study._pair_keys(codes, period, -2, 4, n_labels)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [int(c) * 4 + (int(t) + 2) for c, t in zip(codes, period)]
+        assert keys.tolist()[0] == 4 * n_labels - 1
+
+    def test_equal_labels_are_one_unit_named_by_the_first_spelling(self):
+        # 1.0, 1 and True are equal dict keys
+        with pytest.raises(PanelValidationError) as info:
+            PanelData(
+                unit=np.array([1.0, 2, 3, 4, 5, 6, 7, 8, 1, True, 9, 10], dtype=object),
+                period=np.repeat([-1, 0, 1], 4),
+                treatment=np.array([0, 0, 1, 1] * 3, dtype=bool),
+                outcome=np.zeros(12),
+            )
+        assert str(info.value) == "duplicate (unit, period) row: (1.0, 1)"
+
+    def test_a_numpy_label_is_named_as_a_python_value(self):
+        for unit in (np.array(list("abcd") * 3 + ["a"]), np.array([5, 6, 7, 8] * 3 + [5])):
+            with pytest.raises(PanelValidationError) as info:
+                PanelData(unit=unit, period=np.append(np.repeat([-1, 0, 1], 4), 0),
+                          treatment=np.array([0, 0, 1, 1] * 3 + [1], dtype=bool),
+                          outcome=np.zeros(13))
+            assert str(info.value) == f"duplicate (unit, period) row: ({unit[0].item()!r}, 0)"
+
+    def test_a_long_run_of_one_pair_names_the_first_repeat(self):
+        # ("a", 0) is seen first, but ("b", 0) repeats first: the run of
+        # 3 000 equal keys must stay in row order for the verdict to hold
+        units = ["a", "b", "b"] + ["a"] * 3000 + ["c", "d"]
+        period = np.array([0] * 3003 + [-1, 1])
+        unit = np.array(units, dtype=object)
+        assert first_repeated_pair(unit, period) == ("b", 0)
+        for block in (7, event_study._ROW_BLOCK):
+            with mock.patch.object(event_study, "_ROW_BLOCK", block):
+                with pytest.raises(PanelValidationError) as info:
+                    PanelData(unit=unit, period=period, treatment=np.arange(3005) % 2 == 0,
+                              outcome=np.zeros(3005))
+            assert str(info.value) == "duplicate (unit, period) row: ('b', 0)"
 
 
 class TestEstimation:

@@ -440,7 +440,7 @@ class TestBodyRead:
         assert len({id(u) for u in panel.unit}) == len(set(panel.unit))
 
     def test_peak_memory_per_row(self, tmp_path):
-        # measured: 36.4 traced bytes per row
+        # measured: 33.0 traced bytes per row
         path = write_large_panel(tmp_path / "panel.csv")
         load_panel(path)  # imports and caches outside the measurement
         tracemalloc.start()
@@ -453,8 +453,9 @@ class TestBodyRead:
         assert peak / panel.n_rows < 40
 
     def test_peak_memory_per_row_with_a_line_break_in_a_label(self, tmp_path):
-        # measured: 40.1 traced bytes per row; the body of the read by name
-        # is dropped before the handle is read again (65.1 while both lived)
+        # measured: 33.0 traced bytes per row; the body of the read by name
+        # is dropped before the handle is read again (65.1 while both lived,
+        # at 25 bytes a row)
         path = write_large_panel(tmp_path / "panel.csv")
         path.write_text(path.read_text().replace("\nC0,", '\n"C\n0",'))
         load_panel(path)
@@ -468,10 +469,10 @@ class TestBodyRead:
         assert peak / panel.n_rows < 44
 
     def test_validation_adds_at_most_6_bytes_per_row(self, tmp_path):
-        # measured: 5.0 traced bytes per row, a 32-bit key a row and one
-        # block of rows at a time
+        # measured: 5.0 traced bytes per row, one exact 32-bit key a row and
+        # one block of rows at a time, on the codes the parse produced
         panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
-        columns = dict(unit=panel.unit, period=panel.period, treatment=panel.treatment,
+        columns = dict(unit=panel._units, period=panel.period, treatment=panel.treatment,
                        outcome=panel.outcome)
         tracemalloc.start()
         try:
@@ -481,9 +482,24 @@ class TestBodyRead:
             tracemalloc.stop()
         assert peak / panel.n_rows <= 6
 
+    def test_coding_a_unit_column_adds_at_most_12_bytes_per_row(self, tmp_path):
+        # measured: 10.5 traced bytes per row: the validation above, a
+        # 32-bit code a row and the label table of 20 000 entries
+        panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
+        columns = dict(unit=panel.unit, period=panel.period, treatment=panel.treatment,
+                       outcome=panel.outcome)
+        tracemalloc.start()
+        try:
+            coded = PanelData(**columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coded.unit.tolist() == columns["unit"].tolist()
+        assert peak / panel.n_rows <= 12
+
     def test_estimation_adds_a_fixed_amount_of_memory(self, tmp_path):
         # measured: 0.6 MB; the cell codes and residuals are one block of
-        # rows at a time
+        # rows at a time, and the cell counts come from validation
         panel = load_panel(write_large_panel(tmp_path / "panel.csv"))
         expected = estimate_event_study(panel)
         tracemalloc.start()
@@ -677,3 +693,48 @@ class TestEstimationInvariance:
         with pytest.raises(ValueError, match="whitespace"):
             write_panel(path, panel)
         assert not path.exists()
+
+
+class TestUnitColumn:
+    """A panel holds its unit column as codes into a table of labels; ``unit``
+    reads back the given column, each label as its first spelling."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["object", "str", "int", "spellings"]))
+    def test_unit_reads_back_the_given_column(self, data, kind):
+        k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+        period = np.repeat(np.arange(-k, 2), 2 * n)
+        treatment = np.tile(np.repeat([False, True], n), k + 2)
+        index = [int(d) * n + i % n for i, d in enumerate(treatment)]
+        if kind == "int":
+            ints = st.integers(-(2**63), 2**63 - 1)
+            labels = data.draw(st.lists(ints, min_size=2 * n, max_size=2 * n, unique=True))
+            given = [labels[j] for j in index]
+        elif kind == "spellings":
+            # label j spelt as an int, a float or, for 0 and 1, a bool: equal
+            # dict keys, so one unit
+            given = [data.draw(st.sampled_from([int, float, bool][: 3 if j < 2 else 2]))(j)
+                     for j in index]
+        else:
+            labels = data.draw(unit_labels(2 * n))
+            given = [labels[j] for j in index]
+        unit = np.array(given, dtype={"str": str, "int": np.int64}.get(kind, object))
+        order = data.draw(st.permutations(range(unit.size)))
+        unit, period, treatment = unit[order], period[order], treatment[order]
+        panel = PanelData(unit=unit, period=period, treatment=treatment, outcome=np.zeros(unit.size))
+        assert panel.unit.dtype == unit.dtype and panel.unit.shape == unit.shape
+        assert panel.unit.tolist() == unit.tolist()
+        first = {}
+        expected = [first.setdefault(u, u) for u in unit.tolist()]
+        assert [(type(u), u) for u in panel.unit.tolist()] == [(type(u), u) for u in expected]
+
+    @settings(max_examples=30, **PANEL_SETTINGS)
+    @given(data=st.data(), case=panel_files())
+    def test_a_loaded_panel_holds_one_object_per_label(self, tmp_path_factory, data, case):
+        rows, records, _ = case
+        path = write_records(
+            tmp_path_factory.mktemp("p") / "panel.csv", records, data.draw(TERMINATOR)
+        )
+        unit = load_panel(path).unit
+        assert unit.dtype == object
+        assert len({id(u) for u in unit}) == len(set(unit.tolist())) == len({r[0] for r in rows})
