@@ -63,11 +63,13 @@ class PanelData:
     """Long-format observations for one treated and one control group.
 
     Validated at construction: ``treatment`` must be boolean or coded 0/1,
-    ``period`` must hold integers (an integer dtype, or objects that are
-    integers and not bools; ``-1.7`` is refused, not truncated) and form a
-    contiguous set {-K, ..., 0, 1} with K >= 1, every (group, period) cell
-    needs at least two observations, and (unit, period) pairs must be
-    unique.
+    ``period`` must hold integers that fit in a signed 64-bit integer (an
+    integer dtype, or objects that are integers and not bools; ``-1.7`` is
+    refused, not truncated) and form a contiguous set {-K, ..., 0, 1} with
+    K >= 1, ``outcome`` must hold finite real numbers (a complex column is
+    refused), every (group, period) cell needs at least two observations,
+    (unit, period) pairs must be unique, and every row of a unit must have
+    the treatment of its first row: a unit keeps its group.
 
     ``unit`` is held as codes into a table of its distinct labels, coded in
     one ``dict`` pass or at the parse of :func:`load_panel`, and reads back as
@@ -94,7 +96,11 @@ class PanelData:
             if not np.isin(treatment, (0, 1)).all():
                 raise PanelValidationError("treatment must be coded 0 or 1")
             treatment = treatment.astype(bool)
-        outcome = np.asarray(self.outcome, dtype=float)
+        outcome = np.asarray(self.outcome)
+        if outcome.dtype.kind == "c":
+            value = outcome.flat[np.argmax(outcome.imag != 0)]
+            raise PanelValidationError(f"outcome must hold real numbers, got {value}")
+        outcome = np.asarray(outcome, dtype=float)
         n = unit.codes.shape[0]
         if not (period.shape[0] == treatment.shape[0] == outcome.shape[0] == n):
             raise PanelValidationError("panel columns have unequal lengths")
@@ -140,6 +146,16 @@ class PanelData:
             row = order[1:][keys[1:] == keys[:-1]].min()
             pair = unit.labels.item(unit.codes[row]), period.item(row)
             raise PanelValidationError(f"duplicate (unit, period) row: {pair}")
+        del keys  # one array of the panel's length at a time
+
+        row = _first_switching_row(unit.codes, treatment, unit.labels.size)
+        if row is not None:
+            treated = bool(treatment[row])
+            group = ("a control", "treated")
+            raise PanelValidationError(
+                f"unit {unit.labels.item(unit.codes[row])!r} is {group[not treated]} "
+                f"in its first row but {group[treated]} at period {period[row]}"
+            )
 
         thin = np.flatnonzero((n_treat < 2) | (n_ctrl < 2))
         if thin.size:
@@ -272,13 +288,24 @@ def _integer_periods(period: np.ndarray) -> np.ndarray:
     column of integers that are not bools (``errors.as_integer``'s rule);
     anything else, such as ``-1.7``, is refused rather than truncated."""
     if np.issubdtype(period.dtype, np.integer):
+        # astype(int) would wrap 2**64 - 1 to -1
+        top = np.uint64(_INT64.max)
+        if period.dtype == np.uint64 and period.max() > top:
+            _refuse_period(period[np.argmax(period > top)])
         return period.astype(int, copy=False)
     if period.dtype == object and not any(isinstance(p, (bool, np.bool_)) for p in period.flat):
         try:
-            return np.array([operator.index(p) for p in period.flat], dtype=int).reshape(period.shape)
+            values = [operator.index(p) for p in period.flat]
+            return np.array(values, dtype=int).reshape(period.shape)
         except TypeError:
             pass
+        except OverflowError:
+            _refuse_period(next(p for p in values if not _INT64.min <= p <= _INT64.max))
     raise PanelValidationError(f"period must hold integers, got dtype {period.dtype}")
+
+
+def _refuse_period(value) -> NoReturn:
+    raise PanelValidationError(f"period must fit in a signed 64-bit integer, got {value}")
 
 
 def _row_blocks(n: int):
@@ -292,6 +319,29 @@ def _cell_codes(period: np.ndarray, treatment: np.ndarray, lo: int) -> np.ndarra
     code *= 2
     code += treatment
     return code
+
+
+def _first_switching_row(codes: np.ndarray, treatment: np.ndarray, n_labels: int):
+    """The first row, in row order, whose treatment differs from the first
+    row of its unit, or ``None``; a block of rows at a time.  Codes number
+    the labels in order of first sight, so a row is its code's first row
+    exactly when its code exceeds every earlier code."""
+    first = np.zeros(n_labels, dtype=bool)  # each unit's treatment in its first row
+    seen = 0  # every code below it has had its first row
+    for rows in _row_blocks(codes.shape[0]):
+        code, treated = codes[rows], treatment[rows]
+        fresh = np.flatnonzero(code >= seen)
+        if fresh.size:
+            fresh_code = code[fresh]
+            greatest = np.maximum.accumulate(fresh_code)
+            new = np.ones(fresh.size, dtype=bool)
+            np.greater(fresh_code[1:], greatest[:-1], out=new[1:])
+            first[fresh_code[new]] = treated[fresh[new]]
+            seen = int(greatest[-1]) + 1
+        switched = treated != first[code]
+        if switched.any():
+            return rows.start + int(switched.argmax())
+    return None
 
 
 def _pair_keys(codes: np.ndarray, period: np.ndarray, lo: int, n_periods: int, n_labels: int):
@@ -327,8 +377,9 @@ def load_panel(path) -> PanelData:
       (these three then fail validation as non-finite).
 
     Each unit label is stripped once and parsed to its code, its index among
-    the distinct labels in order of first sight, in the narrowest unsigned
-    type that holds the row bound below, and treatment straight to ``bool``:
+    the distinct labels in order of first sight (the label table holds one
+    ``str`` a label), in the narrowest unsigned type that holds the row bound
+    below, and treatment straight to ``bool``:
     the body takes 21 bytes a row below 2**32 rows, and the columns are views
     of it.  numpy reads a regular file itself, in blocks, from the line after
     the header, under its absolute name, and allocates the body once: every
@@ -351,7 +402,8 @@ def load_panel(path) -> PanelData:
         carries the 1-based line number of the first offending line, counted
         as CSV records.
     PanelValidationError
-        Structural violations (duplicates, missing periods, thin cells).
+        Structural violations (duplicates, missing periods, thin cells, a
+        unit that changes group).
     """
     with _open_text(path) as fh:
         start = fh.tell()

@@ -111,6 +111,19 @@ class TestAnalyze:
         rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_VALIDATION
 
+    def test_a_unit_that_changes_group_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "switch.csv"
+        rows = ["unit,period,treatment,outcome"]
+        for t in (-1, 0, 1):
+            for i in range(8):
+                treated = i >= 4 or (i == 0 and t >= 0)
+                rows.append(f"u{i},{t},{int(treated)},{i + t * 0.5}")
+        src.write_text("\n".join(rows) + "\n")
+        rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_VALIDATION
+        message = "unit 'u0' is a control in its first row but treated at period 0"
+        assert message in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["analyze", "--input", str(tmp_path / "nope.csv"),
                    "--output", str(tmp_path / "r.json")])

@@ -169,6 +169,33 @@ class TestPanelValidation:
         assert panel.period.dtype == int
         assert panel.period.tolist() == np.repeat([-1, 0, 1], 4).tolist()
 
+    def test_a_period_beyond_int64_is_refused_not_wrapped(self):
+        # astype(int) would read 2**64 - 1 as -1 and build a K = 1 panel
+        for dtype in (np.uint64, object):
+            periods = np.array([2**64 - 1, 0, 1], dtype)
+            with pytest.raises(PanelValidationError) as info:
+                PanelData(
+                    unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
+                    period=np.repeat(periods, 4),
+                    treatment=np.array([0, 0, 1, 1] * 3),
+                    outcome=np.zeros(12),
+                )
+            assert str(info.value) == (
+                "period must fit in a signed 64-bit integer, got 18446744073709551615"
+            )
+
+    def test_a_complex_outcome_is_refused(self):
+        outcome = np.zeros(12, dtype=complex)
+        outcome[5] = 0.5 + 2j
+        with pytest.raises(PanelValidationError) as info:
+            PanelData(
+                unit=np.array(["a", "b", "c", "d"] * 3, dtype=object),
+                period=np.repeat([-1, 0, 1], 4),
+                treatment=np.array([0, 0, 1, 1] * 3),
+                outcome=outcome,
+            )
+        assert str(info.value) == "outcome must hold real numbers, got (0.5+2j)"
+
     def test_empty_lists_are_an_empty_panel(self):
         # [] reads as float64; emptiness is reported before the period dtype
         with pytest.raises(InsufficientDataError, match="no observations"):
@@ -188,6 +215,8 @@ class TestPanelValidation:
 # and so do -1 and -2
 HASH_MODULUS = sys.hash_info.modulus
 COLLIDING_LABELS = [u + j * HASH_MODULUS for u in range(3) for j in range(3)] + [-1, -2]
+# a unit keeps its group: the first six labels are control units, the rest treated
+GROUP_LABELS = (COLLIDING_LABELS[:6], COLLIDING_LABELS[6:])
 
 
 def first_repeated_pair(unit, period):
@@ -203,17 +232,18 @@ def first_repeated_pair(unit, period):
 @st.composite
 def colliding_panels(draw):
     """A K = 1 panel of integer labels that share few hash values, some
-    periods with a repeated label and some without."""
+    (group, period) cells with a repeated label and some without."""
     n = draw(st.integers(2, 4))
     units, periods, treats = [], [], []
     for t in (-1, 0, 1):
-        if draw(st.booleans()):
-            labels = draw(st.permutations(COLLIDING_LABELS))[: 2 * n]
-        else:
-            labels = draw(st.lists(st.sampled_from(COLLIDING_LABELS), min_size=2 * n, max_size=2 * n))
-        units += labels
-        periods += [t] * 2 * n
-        treats += [False] * n + [True] * n
+        for treated, pool in enumerate(GROUP_LABELS):
+            if draw(st.booleans()):
+                labels = draw(st.permutations(pool))[:n]
+            else:
+                labels = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            units += labels
+            periods += [t] * n
+            treats += [bool(treated)] * n
     order = draw(st.permutations(range(len(units))))
     return (
         np.array([units[i] for i in order], dtype=object),
@@ -310,6 +340,60 @@ class TestDuplicateCheck:
                     PanelData(unit=unit, period=period, treatment=np.arange(3005) % 2 == 0,
                               outcome=np.zeros(3005))
             assert str(info.value) == "duplicate (unit, period) row: ('b', 0)"
+
+
+def first_switching_unit(unit, treatment, period):
+    """The first row, in row order, whose treatment differs from its unit's
+    first row, as (unit, treated, period), or None."""
+    first = {}
+    for u, d, t in zip(unit.tolist(), treatment.tolist(), period.tolist()):
+        if first.setdefault(u, d) != d:
+            return u, d, t
+    return None
+
+
+@st.composite
+def switching_panels(draw):
+    """A valid panel of 5-7 units per group over periods -K..1, with 1-3
+    units made to switch group in one of their rows, in any row order."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(5, 7))
+    labels = [f"u{i}" for i in range(2 * n)]
+    rows = [(u, t, i >= n) for t in range(-k, 2) for i, u in enumerate(labels)]
+    switched = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+    for u in switched:
+        j = draw(st.sampled_from([r for r, row in enumerate(rows) if row[0] == u]))
+        rows[j] = (u, rows[j][1], not rows[j][2])
+    rows = draw(st.permutations(rows))
+    unit, period, treatment = (np.array(column) for column in zip(*rows))
+    return unit.astype(object), period, treatment
+
+
+class TestUnitKeepsItsGroup:
+    def test_a_unit_treated_after_its_first_period_is_refused(self):
+        # 8 units over periods -1..1; u0 is a control at -1, treated at 0 and 1
+        treatment = np.array([0, 0, 0, 0, 1, 1, 1, 1] * 3, dtype=bool)
+        treatment[[8, 16]] = True
+        with pytest.raises(PanelValidationError) as info:
+            PanelData(unit=np.array([f"u{i}" for i in range(8)] * 3, dtype=object),
+                      period=np.repeat([-1, 0, 1], 8), treatment=treatment, outcome=np.zeros(24))
+        assert str(info.value) == "unit 'u0' is a control in its first row but treated at period 0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(panel=switching_panels(), block=st.integers(1, 7) | st.just(event_study._ROW_BLOCK))
+    def test_the_first_unit_to_switch_is_named(self, panel, block):
+        unit, period, treatment = panel
+        label, treated, t = first_switching_unit(unit, treatment, period)
+        groups = ("a control", "treated")
+        # small blocks put a unit's first row and its switch in different blocks
+        with mock.patch.object(event_study, "_ROW_BLOCK", block):
+            with pytest.raises(PanelValidationError) as info:
+                PanelData(unit=unit, period=period, treatment=treatment,
+                          outcome=np.zeros(unit.size))
+        assert str(info.value) == (
+            f"unit {label!r} is {groups[not treated]} in its first row but {groups[treated]} "
+            f"at period {t}"
+        )
 
 
 class TestEstimation:

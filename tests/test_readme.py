@@ -1,4 +1,5 @@
-"""The README's examples run, and what it lists as removed is gone."""
+"""The README's examples run, it keeps no per-version notes, and what it
+lists as removed is gone."""
 
 import dataclasses
 import importlib
@@ -37,6 +38,11 @@ def test_python_blocks_run_from_repo_root(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_per_version_notes_live_in_the_changelog():
+    # README states the present contract; CHANGES.md records each version
+    assert not re.search(r"^## Changed in ", README, re.M)
 
 
 def test_removed_names_are_gone():
