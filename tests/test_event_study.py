@@ -396,6 +396,57 @@ class TestUnitKeepsItsGroup:
         )
 
 
+def rows_panel(rows):
+    """A panel from (unit, period, treated) rows."""
+    unit, period, treatment = (np.array(column) for column in zip(*rows))
+    return dict(unit=unit.astype(object), period=period, treatment=treatment,
+                outcome=np.zeros(len(rows)))
+
+
+# u0, u1 are controls and u2, u3 treated over periods -1..1; row 8 is (u0, 1)
+VALID_ROWS = [(f"u{i}", t, i >= 2) for t in (-1, 0, 1) for i in range(4)]
+SWITCH = ("u0", 1, True)  # u0 treated at period 1: the control cell of period 1 thins to u1
+DUPLICATE = ("u1", -1, False)
+
+
+class TestRefusalOrder:
+    """A panel that breaks two rules is refused for the first of: periods
+    not contiguous, a repeated (unit, period) pair, a unit that changes
+    group, a thin cell."""
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            # period -1 missing (0 and 1 only, so K = 0), and (u1, 0) repeated
+            ([r for r in VALID_ROWS if r[1] != -1] + [("u1", 0, False)], NonContiguousPeriodsError,
+             "periods must form a contiguous set {-K,...,0,1} with K >= 1, got [0, 1]"),
+            # a gap at -1 under -2..1, and (u1, 0) repeated
+            ([(u, -2 if t == -1 else t, d) for u, t, d in VALID_ROWS] + [("u1", 0, False)],
+             NonContiguousPeriodsError,
+             "periods must form a contiguous set {-K,...,0,1} with K >= 1, got [-2, 0, 1]"),
+            # the switch (row 8) before the repeat (row 12)
+            (VALID_ROWS[:8] + [SWITCH] + VALID_ROWS[9:] + [DUPLICATE], PanelValidationError,
+             "duplicate (unit, period) row: ('u1', -1)"),
+            # the repeat (row 2) before the switch (row 9)
+            (VALID_ROWS[:2] + [DUPLICATE] + VALID_ROWS[2:8] + [SWITCH] + VALID_ROWS[9:],
+             PanelValidationError, "duplicate (unit, period) row: ('u1', -1)"),
+            # the repeated row is itself the switch
+            (VALID_ROWS + [("u1", -1, True)], PanelValidationError,
+             "duplicate (unit, period) row: ('u1', -1)"),
+            # the switch leaves period 1 one control row
+            (VALID_ROWS[:8] + [SWITCH] + VALID_ROWS[9:], PanelValidationError,
+             "unit 'u0' is a control in its first row but treated at period 1"),
+        ],
+        ids=["no-pre-period-and-repeat", "gap-and-repeat", "switch-then-repeat",
+             "repeat-then-switch", "repeat-that-switches", "switch-and-thin-cell"],
+    )
+    def test_the_first_rule_broken_names_the_refusal(self, rows, error, message):
+        with pytest.raises(error) as info:
+            PanelData(**rows_panel(rows))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestEstimation:
     def test_all_zero_outcomes(self):
         panel = make_panel(2, 3, lambda t, d, i: 0.0)
