@@ -69,14 +69,22 @@ class PanelData:
     K >= 1, ``outcome`` must hold finite real numbers (a complex column is
     refused), every (group, period) cell needs at least two observations,
     (unit, period) pairs must be unique, and every row of a unit must have
-    the treatment of its first row: a unit keeps its group.
+    the treatment of its first row: a unit keeps its group.  A panel that
+    breaks several rules is refused for the first in that order: periods,
+    pairs, groups, cells.
 
     ``unit`` is held as codes into a table of its distinct labels, coded in
     one ``dict`` pass or at the parse of :func:`load_panel`, and reads back as
     ``labels[codes]``; labels equal as ``dict`` keys, such as ``1`` and
-    ``1.0``, are one unit, named by its first spelling.  Validation adds 5.0
-    traced bytes a row on a loaded 200 000-row K = 8 panel (10.5 with the
-    ``dict`` pass), :func:`estimate_event_study` a fixed 0.6 MB.
+    ``1.0``, are one unit, named by its first spelling.  Every per-row rule is
+    checked from one exact key a row, ``code * n_cells + cell`` over the
+    (group, period) cells estimation reads (``uint32`` while labels times
+    cells stay below 2**32, ``uint64`` beyond), built in the pass that counts
+    the cells and sorted once: a repeated pair or a unit in two groups has
+    adjacent keys.  Only a refused panel sorts again, to name its first
+    offender in row order.  Validation adds 5.0 traced bytes a row on a
+    loaded 200 000-row K = 8 panel (10.5 with the ``dict`` pass),
+    :func:`estimate_event_study` a fixed 0.6 MB.
     """
 
     unit: InitVar[np.ndarray]
@@ -115,41 +123,52 @@ class PanelData:
         object.__setattr__(self, "outcome", outcome)
 
         lo, hi = int(period.min()), int(period.max())
-        n_periods = hi - lo + 1
+        n_cells = 2 * (hi - lo + 1)
         # a contiguous range has a row in every period, so it spans at most n
         # periods and the counts stay O(rows)
-        per_period = None
-        if hi == 1 and lo <= -1 and n_periods <= n:
-            cells = np.zeros(2 * n_periods, dtype=np.int64)
+        contiguous = hi == 1 and lo <= -1 and n_cells <= 2 * n
+        if contiguous:
+            # one exact key a row, code * n_cells + cell: key >> 1 is the
+            # (unit, period) pair, key // n_cells the unit and the low bit
+            # its treatment
+            cells = np.zeros(n_cells, dtype=np.int64)
+            keys = np.empty(n, np.uint32 if unit.labels.size * n_cells < 2**32 else np.uint64)
             for rows in _row_blocks(n):
-                cells += np.bincount(
-                    _cell_codes(period[rows], treatment[rows], lo), minlength=2 * n_periods
-                )
+                cell = _cell_codes(period[rows], treatment[rows], lo)
+                cells += np.bincount(cell, minlength=n_cells)
+                np.multiply(unit.codes[rows], n_cells, out=keys[rows], dtype=keys.dtype)
+                keys[rows] += cell.astype(keys.dtype)  # uint64 + int64 is float64
+                del cell  # one block of cells at a time
             object.__setattr__(self, "_cells", cells)
-            n_ctrl, n_treat = cells.reshape(n_periods, 2).T
-            per_period = n_ctrl + n_treat
-        if per_period is None or not per_period.all():
+            n_ctrl, n_treat = cells.reshape(-1, 2).T
+            contiguous = (n_ctrl + n_treat).all()
+        if not contiguous:
             raise NonContiguousPeriodsError(
                 f"periods must form a contiguous set {{-K,...,0,1}} with K >= 1, "
-                f"got {np.unique(period).tolist()}"
+                f"got {_listing(np.unique(period))}"
             )
 
-        # one exact key a row, sorted in place, repeats only where a pair
-        # does; a stable argsort then keeps each run of equal keys in row
-        # order, so the least second row of a run is the first repeat
-        keys = _pair_keys(unit.codes, period, lo, n_periods, unit.labels.size)
+        # sorted, a repeated pair or a unit in two groups has adjacent keys
         keys.sort()
-        if any((keys[1:][rows] == keys[:-1][rows]).any() for rows in _row_blocks(n - 1)):
-            keys = _pair_keys(unit.codes, period, lo, n_periods, unit.labels.size)
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            row = order[1:][keys[1:] == keys[:-1]].min()
+        repeated = switched = False
+        for rows in _row_blocks(n - 1):
+            key, after = keys[:-1][rows], keys[1:][rows]
+            repeated |= (key >> 1 == after >> 1).any()
+            switched |= ((key // n_cells == after // n_cells) & (key & 1 != after & 1)).any()
+        del keys  # one array of the panel's length at a time
+        if repeated:
+            # a stable argsort keeps each run of equal pairs in row order, so
+            # the least second row of a run is the first repeat
+            pairs = unit.codes.astype(np.int64) * (n_cells // 2) + (period - lo)
+            order = np.argsort(pairs, kind="stable")
+            pairs = pairs[order]
+            row = order[1:][pairs[1:] == pairs[:-1]].min()
             pair = unit.labels.item(unit.codes[row]), period.item(row)
             raise PanelValidationError(f"duplicate (unit, period) row: {pair}")
-        del keys  # one array of the panel's length at a time
-
-        row = _first_switching_row(unit.codes, treatment, unit.labels.size)
-        if row is not None:
+        if switched:
+            # each row against its unit's first row
+            _, first, code = np.unique(unit.codes, return_index=True, return_inverse=True)
+            row = np.argmax(treatment != treatment[first][code])
             treated = bool(treatment[row])
             group = ("a control", "treated")
             raise PanelValidationError(
@@ -201,7 +220,11 @@ class EstimateBundle:
         if beta_post.ndim != 0 or beta_post.dtype.kind not in "iuf":
             raise InvalidArgumentError(f"beta_post must be one real number, got {self.beta_post!r}")
         beta_post = float(beta_post)
-        beta_pre = np.asarray(self.beta_pre, dtype=float)
+        beta_pre = np.asarray(self.beta_pre)
+        if beta_pre.dtype.kind == "c":
+            value = beta_pre.flat[np.argmax(beta_pre.imag != 0)]
+            raise InvalidArgumentError(f"beta_pre must hold real numbers, got {value}")
+        beta_pre = np.asarray(beta_pre, dtype=float)
         object.__setattr__(self, "beta_post", beta_post)
         object.__setattr__(self, "beta_pre", beta_pre)
         if beta_pre.ndim != 1:
@@ -321,38 +344,12 @@ def _cell_codes(period: np.ndarray, treatment: np.ndarray, lo: int) -> np.ndarra
     return code
 
 
-def _first_switching_row(codes: np.ndarray, treatment: np.ndarray, n_labels: int):
-    """The first row, in row order, whose treatment differs from the first
-    row of its unit, or ``None``; a block of rows at a time.  Codes number
-    the labels in order of first sight, so a row is its code's first row
-    exactly when its code exceeds every earlier code."""
-    first = np.zeros(n_labels, dtype=bool)  # each unit's treatment in its first row
-    seen = 0  # every code below it has had its first row
-    for rows in _row_blocks(codes.shape[0]):
-        code, treated = codes[rows], treatment[rows]
-        fresh = np.flatnonzero(code >= seen)
-        if fresh.size:
-            fresh_code = code[fresh]
-            greatest = np.maximum.accumulate(fresh_code)
-            new = np.ones(fresh.size, dtype=bool)
-            np.greater(fresh_code[1:], greatest[:-1], out=new[1:])
-            first[fresh_code[new]] = treated[fresh[new]]
-            seen = int(greatest[-1]) + 1
-        switched = treated != first[code]
-        if switched.any():
-            return rows.start + int(switched.argmax())
-    return None
-
-
-def _pair_keys(codes: np.ndarray, period: np.ndarray, lo: int, n_periods: int, n_labels: int):
-    """``code * n_periods + (period - lo)`` per row, a block of rows at a
-    time; exact, as ``uint32`` while ``n_labels * n_periods < 2**32`` and
-    ``uint64`` beyond, so distinct (unit, period) pairs have distinct keys."""
-    keys = np.empty(period.shape[0], np.uint32 if n_labels * n_periods < 2**32 else np.uint64)
-    for rows in _row_blocks(keys.size):
-        np.multiply(codes[rows], n_periods, out=keys[rows], dtype=keys.dtype)
-        keys[rows] += (period[rows] - lo).astype(keys.dtype)  # uint64 + int64 is float64
-    return keys
+def _listing(periods: np.ndarray) -> str:
+    """The sorted distinct ``periods`` as a list, cut after the first 20."""
+    if periods.size <= 20:
+        return str(periods.tolist())
+    shown = ", ".join(map(str, periods[:20].tolist()))
+    return f"[{shown}, ...] ({periods.size} distinct periods, {periods[0]} to {periods[-1]})"
 
 
 def load_panel(path) -> PanelData:

@@ -83,6 +83,10 @@ class CovarianceMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries, *, allow_singular: bool = False):
+        entries = np.asarray(entries)
+        if entries.dtype.kind == "c":
+            value = entries.flat[np.argmax(entries.imag != 0)]
+            raise InvalidArgumentError(f"covariance entries must be real numbers, got {value}")
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidArgumentError(f"covariance must be a square matrix, got shape {arr.shape}")

@@ -14,6 +14,8 @@ package reads.
   moments.
 * :func:`contrast_decomposition` splits a coefficient vector into the part a
   contrast moves and the part it leaves fixed.
+* :func:`tn_mean_root` solves the truncated-normal mean equation in 50-digit
+  arithmetic.
 * :func:`write_panel` writes a panel back to CSV.
 * :class:`NoMatmul` is an array that fails any matrix product it enters.
 """
@@ -21,8 +23,10 @@ package reads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from condid.errors import NumericalError
@@ -167,6 +171,39 @@ def contrast_decomposition(bundle: EstimateBundle, eta) -> tuple[np.ndarray, np.
     sigma_eta = bundle.sigma.entries @ eta
     c = sigma_eta / (eta @ sigma_eta)
     return c, bundle.beta - c * (eta @ bundle.beta)
+
+
+# --- truncated-normal mean ------------------------------------------------------
+
+
+def tn_mean_root(observed, sd, lower, upper, target, radius=40):
+    """The mean ``mu`` at which the CDF of TN(mu, sd^2, [lower, upper]) at
+    ``observed`` equals ``target``, by bisection in 50-digit arithmetic on
+    the offset ``u = (mu - observed) / sd``; ``-inf`` (``+inf``) where the root
+    lies below ``observed - radius * sd`` (above ``observed + radius * sd``),
+    as :func:`~condid.gaussian.solve_tn_mean_bulk` reports it.  The window is
+    standardized from the floats exactly, and its CDF is formed on the side
+    of zero where its bulk lies, so a window far out in a tail keeps its
+    digits."""
+    with mp.workdps(50):
+        zlo, zhi = ((mp.mpf(edge) - mp.mpf(observed)) / mp.mpf(sd) for edge in (lower, upper))
+
+        def cdf(u):
+            a, x, b = zlo - u, -u, zhi - u
+            if a + b > 0:
+                return (mp.ncdf(-a) - mp.ncdf(-x)) / (mp.ncdf(-a) - mp.ncdf(-b))
+            return (mp.ncdf(x) - mp.ncdf(a)) / (mp.ncdf(b) - mp.ncdf(a))
+
+        # the CDF decreases in u
+        lo, hi = mp.mpf(-radius), mp.mpf(radius)
+        if cdf(lo) < target:
+            return -math.inf
+        if cdf(hi) > target:
+            return math.inf
+        for _ in range(mp.mp.prec):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cdf(mid) > target else (lo, mid)
+        return float(mp.mpf(observed) + (lo + hi) / 2 * mp.mpf(sd))
 
 
 # --- panel files ----------------------------------------------------------------

@@ -85,6 +85,38 @@ class TestPanelValidation:
         with pytest.raises(NonContiguousPeriodsError):
             make_panel(0, 3, lambda t, d, i: 0.0)
 
+    @pytest.mark.parametrize("n_periods", [20, 21])
+    def test_the_refusal_lists_at_most_20_periods(self, n_periods):
+        # n_periods distinct periods up to 1, with -1 missing
+        listed = [p for p in range(1 - n_periods, 2) if p != -1]
+        with pytest.raises(NonContiguousPeriodsError) as info:
+            PanelData(unit=np.arange(n_periods), period=np.array(listed),
+                      treatment=np.arange(n_periods) % 2, outcome=np.zeros(n_periods))
+        if n_periods > 20:
+            shown = ", ".join(map(str, listed[:20]))
+            listed = f"[{shown}, ...] ({n_periods} distinct periods, {1 - n_periods} to 1)"
+        assert str(info.value) == (
+            f"periods must form a contiguous set {{-K,...,0,1}} with K >= 1, got {listed}"
+        )
+
+    def test_a_period_range_wider_than_the_panel_is_refused_before_counting(self):
+        # four rows cannot fill 2**40 + 2 periods, so no count of 2**41 cells is allocated
+        with pytest.raises(NonContiguousPeriodsError) as info:
+            PanelData(unit=np.arange(4), period=np.array([-2**40, -1, 0, 1]),
+                      treatment=np.arange(4) % 2, outcome=np.zeros(4))
+        assert str(info.value).endswith("got [-1099511627776, -1, 0, 1]")
+
+    def test_row_numbers_as_periods_get_a_short_refusal(self):
+        # a period column that holds row numbers, as when columns are swapped
+        n = 200_000
+        with pytest.raises(NonContiguousPeriodsError) as info:
+            PanelData(unit=np.arange(n), period=np.arange(n), treatment=np.arange(n) % 2,
+                      outcome=np.zeros(n))
+        message = str(info.value)
+        assert len(message.encode()) < 1000
+        assert message.endswith("got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, "
+                                "18, 19, ...] (200000 distinct periods, 0 to 199999)")
+
     def test_thin_cell_rejected(self):
         units = np.array(["a", "b", "c", "a", "b", "c", "a", "b", "c"], dtype=object)
         periods = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
@@ -296,17 +328,35 @@ class TestDuplicateCheck:
 
     @pytest.mark.parametrize(
         "n_labels, dtype",
-        [(2**30 - 1, np.uint32), (2**30, np.uint64), (2**32, np.uint64), (2**40 + 3, np.uint64)],
+        [(2**29 - 1, np.uint32), (2**29, np.uint64), (2**29 + 1, np.uint64), (2**37 + 3, np.uint64)],
     )
     def test_keys_are_exact_at_any_label_count(self, n_labels, dtype):
-        # four periods -2..1: the key type widens where labels x periods
-        # reaches 2**32, and the largest code still gets its own keys
-        codes = np.array([n_labels - 1, 0, n_labels - 1, n_labels - 2, 1], dtype=np.uint64)
-        period = np.array([1, -2, -2, 1, 0])
-        keys = event_study._pair_keys(codes, period, -2, 4, n_labels)
-        assert keys.dtype == dtype
-        assert keys.tolist() == [int(c) * 4 + (int(t) + 2) for c, t in zip(codes, period)]
-        assert keys.tolist()[0] == 4 * n_labels - 1
+        # eight cells over periods -2..1: the key type widens where labels x
+        # cells reaches 2**32, and the largest code keeps its own keys, apart
+        # from those of the code a 32-bit key would wrap it onto
+        top = n_labels - 1
+        wrapped = top * 8 % 2**32 // 8
+        control = [top, wrapped if wrapped != top else 0]
+        treated = [c for c in range(4) if c not in control][:2]
+        rows = [(c, t, d) for t in range(-2, 2) for d, group in enumerate((control, treated))
+                for c in group]
+        labels = np.broadcast_to(np.array("x", dtype=object), (n_labels,))
+
+        def panel(rows):
+            codes, period, treatment = (np.array(column) for column in zip(*rows))
+            units = event_study._Units(codes.astype(np.uint64), labels)
+            return PanelData(unit=units, period=period, treatment=treatment.astype(bool),
+                             outcome=np.zeros(len(rows)))
+
+        with mock.patch.object(event_study.np, "empty", wraps=np.empty) as empty:
+            assert panel(rows).n_rows == 16
+        assert empty.call_args.args[1] == dtype
+        with pytest.raises(PanelValidationError) as info:
+            panel(rows + [(top, 0, 0)])
+        assert str(info.value) == "duplicate (unit, period) row: ('x', 0)"
+        with pytest.raises(PanelValidationError) as info:
+            panel([(c, t, d or (c, t) == (top, 1)) for c, t, d in rows])
+        assert str(info.value) == "unit 'x' is a control in its first row but treated at period 1"
 
     def test_equal_labels_are_one_unit_named_by_the_first_spelling(self):
         # 1.0, 1 and True are equal dict keys
@@ -691,6 +741,19 @@ class TestEstimateBundle:
     def test_beta_post_must_be_one_real_number(self, bad):
         with pytest.raises(InvalidArgumentError, match="beta_post must be one real number"):
             EstimateBundle(bad, np.array([0.01, -0.02]), self.SIGMA)
+
+    @pytest.mark.parametrize(
+        "beta_pre, value",
+        [(np.array([0.2 + 3j]), "(0.2+3j)"), ([0.1, 0.2 - 1j], "(0.2-1j)"),
+         (np.array([0.1, 0.2], dtype=complex), "(0.1+0j)")],
+        ids=["complex", "list", "zero-imaginary"],
+    )
+    def test_complex_beta_pre_is_refused(self, beta_pre, value):
+        # a float conversion would keep the real part, with only a ComplexWarning
+        sigma = CovarianceMatrix(np.eye(len(beta_pre) + 1))
+        with pytest.raises(InvalidArgumentError) as info:
+            EstimateBundle(beta_post=0.1, beta_pre=beta_pre, sigma=sigma)
+        assert str(info.value) == f"beta_pre must hold real numbers, got {value}"
 
     @pytest.mark.parametrize("value", [1, np.float32(0.5), np.array(0.25), np.int64(-3)])
     def test_beta_post_is_stored_as_a_float(self, value):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm, truncnorm
 
+from pathlib import Path
+
 from condid import gaussian
 from condid.errors import (
     CholeskyError,
@@ -20,8 +22,19 @@ from condid.errors import (
     NoConvergenceError,
     SingularMatrixError,
 )
-from condid.estimators import ConditionalLaw, efficient_estimator, quantile_unbiased_estimate
-from condid.event_study import EstimateBundle
+
+from _oracles import tn_mean_root
+from condid.estimators import (
+    ALPHA,
+    ConditionalLaw,
+    condition_contrast,
+    efficient_estimator,
+    eta_gamma,
+    quantile_targets,
+    quantile_unbiased_estimate,
+)
+from condid.event_study import EstimateBundle, estimate_event_study, load_panel
+from condid.pretest import build_ns_polyhedron
 from condid.gaussian import (
     CovarianceMatrix,
     solve_tn_mean_bulk,
@@ -67,6 +80,18 @@ class TestCovarianceMatrix:
         m = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
         cov = CovarianceMatrix(m)
         assert cov.entries[0, 1] == cov.entries[1, 0]
+
+    @pytest.mark.parametrize(
+        "entries, value",
+        [(np.eye(2) + 1j, "(1+1j)"), (np.array([[1.0, 0.5j], [-0.5j, 1.0]]), "0.5j"),
+         (np.eye(2, dtype=complex), "(1+0j)")],
+        ids=["all-complex", "hermitian", "zero-imaginary"],
+    )
+    def test_rejects_complex_entries(self, entries, value):
+        # a float conversion would keep the real part, with only a ComplexWarning
+        with pytest.raises(InvalidArgumentError) as info:
+            CovarianceMatrix(entries, allow_singular=True)
+        assert str(info.value) == f"covariance entries must be real numbers, got {value}"
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(CholeskyError):
@@ -692,3 +717,39 @@ class TestSolveTnQuantiles:
             solve_tn_quantiles(
                 np.array([0.5, 1.0]), np.ones(2), np.zeros(3), np.full(2, 2.0), (0.5,)
             )
+
+
+class TestExactRoots:
+    """Solves against :func:`tn_mean_root`, the 50-digit root."""
+
+    # on the golden panels' windows the solve lies at most 2.9e-12 sd from the
+    # exact root (infinite_endpoint's gamma median, 21.8 sd out); the bound is
+    # the solve's own predicted error at early acceptance, _EARLY_ERROR
+    TOLERANCE = 1e-10
+
+    # fails_pretest.csv passes no pretest, so it has no conditional window
+
+    @pytest.mark.parametrize("panel", ["infinite_endpoint.csv", "k8.csv"])
+    def test_golden_panel_windows_match_the_exact_root(self, panel):
+        bundle = estimate_event_study(load_panel(Path(__file__).parent / "golden" / "panels" / panel))
+        constraint = build_ns_polyhedron(bundle.sigma, ALPHA)
+        targets = quantile_targets(ALPHA)
+        for eta in (np.eye(bundle.k + 1)[0], eta_gamma(bundle.k, 1)):
+            law = condition_contrast(bundle, eta, constraint)
+            mu = solve_tn_quantiles(law.observed, law.sd, law.lower, law.upper, targets)
+            exact = np.array([tn_mean_root(law.observed, law.sd, law.lower, law.upper, t)
+                              for t in targets])
+            finite = np.isfinite(exact)
+            np.testing.assert_array_equal(mu[~finite], exact[~finite])
+            assert np.all(np.abs(mu[finite] - exact[finite]) <= self.TOLERANCE * law.sd)
+
+    @pytest.mark.xfail(strict=True, reason="finite roots where the exact root lies beyond 40 sd")
+    def test_narrow_window_roots_beyond_the_search_edge_are_infinite(self):
+        # the exact CDF spans only 0.9 +/- 1.8e-12 over the search range, so
+        # every target but 0.9 itself has its root beyond an edge
+        targets = np.linspace(0.899, 0.901, 41)
+        mu, _ = solve_tn_mean_bulk(9e-13, 1.0, 0.0, 1e-12, targets)
+        exact = np.array([tn_mean_root(9e-13, 1.0, 0.0, 1e-12, t) for t in targets])
+        infinite = np.isinf(exact)
+        assert np.count_nonzero(infinite) == 40
+        np.testing.assert_array_equal(mu[infinite], exact[infinite])
