@@ -15,7 +15,7 @@ The package exposes, on top of the usual event-study estimator:
   replicated experiments.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from . import errors
 from .errors import CondidError

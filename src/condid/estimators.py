@@ -14,10 +14,10 @@ and equal-tailed intervals then come from solving the truncated-normal mean.
 One step serves every caller.  :func:`polyhedral_window` computes the
 observed value, variance and window of one contrast over a stack of ``n``
 datasets, and :func:`conditional_quantiles` runs it once per contrast and
-solves every (dataset, contrast, target) triple, one block of datasets at a
-time, each block in one :func:`~condid.gaussian.solve_tn_quantiles` call.
-:func:`analyze` calls it on one dataset and two contrasts, and the simulator
-on each chunk of replications; :func:`condition_contrast` is a window on a stack of one, and
+solves every (dataset, contrast, target) triple in one
+:func:`~condid.gaussian.solve_tn_quantiles` call.  :func:`analyze` calls it
+on one dataset and two contrasts, and the simulator on each block of
+replications; :func:`condition_contrast` is a window on a stack of one, and
 :func:`quantile_unbiased_estimate` and :func:`conditional_ci` solve its law
 through the same solve.
 """
@@ -67,11 +67,6 @@ __all__ = [
 # rows with |(Ac)_j| below this relative threshold are treated as orthogonal
 # to the contrast and excluded from the window competition
 AC_ZERO_RTOL = 1e-10
-
-# Most (dataset, contrast, target) triples per block of conditional_quantiles,
-# each block one solve_tn_mean_bulk call: the bulk solve's temporaries grow with
-# its batch, while its cost per pair stops falling at about this size.
-BULK_BLOCK = 25_000
 
 
 def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
@@ -152,26 +147,18 @@ def polyhedral_window(
 def conditional_quantiles(beta, sigma_etas, etas, a, b, alpha):
     """The conditional step after the pretest, for ``m`` contrasts ``etas``
     (m, d) over ``n`` datasets, with ``sigma_etas`` (m, n, d) holding
-    ``Sigma_i eta_j``.  The conditional path's one block loop, it runs
-    ``BULK_BLOCK // (3 m)`` datasets at a time: one :func:`polyhedral_window`
-    call per contrast, then one :func:`~condid.gaussian.solve_tn_quantiles`
-    call at :func:`quantile_targets` of ``alpha``, which is a single bulk
-    solve.  So no (n, r) temporary spans the stack, and since every step is
-    elementwise over datasets, the blocking moves no bit.  Returns the windows
-    ``lower`` and ``upper``, each (n, m), and ``mu`` (n, m, 3): the median and
-    the 1-alpha interval's lower and upper endpoints.  Raises what those two
-    raise."""
-    targets = quantile_targets(alpha)
-    n, m = len(beta), len(etas)
-    lower, upper, mu = np.empty((n, m)), np.empty((n, m)), np.empty((n, m, len(targets)))
-    step = max(1, BULK_BLOCK // (len(targets) * m))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        windows = [polyhedral_window(beta[rows], s_eta[rows], eta, a, b[rows])
-                   for s_eta, eta in zip(sigma_etas, etas)]
-        observed, var, lower[rows], upper[rows] = (np.stack(x, axis=1) for x in zip(*windows))
-        mu[rows] = solve_tn_quantiles(observed, np.sqrt(var), lower[rows], upper[rows], targets)
-    return lower, upper, mu
+    ``Sigma_i eta_j``: one :func:`polyhedral_window` call per contrast, then
+    one :func:`~condid.gaussian.solve_tn_quantiles` call at
+    :func:`quantile_targets` of ``alpha``, which is a single bulk solve.  Its
+    temporaries grow with the stack: a caller with a large stack blocks it, as
+    the simulator does, and since every step is elementwise over datasets,
+    the blocks move no bit.  Returns the windows ``lower`` and ``upper``, each
+    (n, m), and ``mu`` (n, m, 3): the median and the 1-alpha interval's lower
+    and upper endpoints.  Raises what those two raise."""
+    windows = [polyhedral_window(beta, s_eta, eta, a, b) for s_eta, eta in zip(sigma_etas, etas)]
+    observed, var, lower, upper = (np.stack(x, axis=1) for x in zip(*windows))
+    return lower, upper, solve_tn_quantiles(observed, np.sqrt(var), lower, upper,
+                                            quantile_targets(alpha))
 
 
 @dataclass(frozen=True, eq=False)

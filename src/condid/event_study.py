@@ -257,7 +257,8 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     ``v_t = s2_T/n_T + s2_C/n_C``, and every coefficient shares the
     reference-period term, so the off-diagonal entries all equal ``v_0`` and
     the diagonal is ``v_0 + v_t``.  Serially correlated errors are out of
-    scope.
+    scope.  Outcomes so large that a cell's sum or squared deviations, or a
+    coefficient, overflow raise :class:`PanelValidationError`.
     """
     k = data.k
     n_cells = 2 * (k + 2)
@@ -271,26 +272,43 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
         return code, data.outcome[rows] - origin
 
     # np.add.at adds in row order, as one bincount over the whole panel
-    # would, so the sums hold the same bits a block of rows at a time
+    # would, so the sums hold the same bits a block of rows at a time; an
+    # overflow here or below is refused, naming the input, not warned about
     sums = np.zeros(n_cells)
-    for rows in _row_blocks(data.n_rows):
-        code, resid = residuals(rows)
-        np.add.at(sums, code, resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(data.n_rows):
+            code, resid = residuals(rows)
+            np.add.at(sums, code, resid)
+    _refuse_overflow(data.outcome, sums, "cell sums")
     counts = data._cells.astype(float)  # counted in validation
     means = sums / counts
     squares = np.zeros(n_cells)
-    for rows in _row_blocks(data.n_rows):
-        code, resid = residuals(rows)
-        resid -= means[code]
-        resid *= resid
-        np.add.at(squares, code, resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(data.n_rows):
+            code, resid = residuals(rows)
+            resid -= means[code]
+            resid *= resid
+            np.add.at(squares, code, resid)
+    _refuse_overflow(data.outcome, squares, "cell squared deviations")
     variances = squares / (counts - 1.0)
     # per period: the treated-minus-control mean and its variance
-    delta = means[1::2] - means[0::2]
-    v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
-    beta, v0, v_coef = coefficients(delta, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = means[1::2] - means[0::2]
+        v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
+        beta, v0, v_coef = coefficients(delta, v)
+    _refuse_overflow(data.outcome, beta, "coefficients")
     sigma = CovarianceMatrix(np.diag(v_coef) + v0, allow_singular=True)
     return EstimateBundle(beta_post=float(beta[0]), beta_pre=beta[1:], sigma=sigma)
+
+
+def _refuse_overflow(outcome: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Refuse a panel whose ``values`` overflowed, naming the outcome's
+    largest magnitude."""
+    if not np.isfinite(values).all():
+        raise PanelValidationError(
+            f"outcome values up to {float(np.abs(outcome).max())!r} in magnitude overflow "
+            f"the {what}"
+        )
 
 
 def coefficients(delta: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

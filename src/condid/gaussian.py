@@ -369,9 +369,9 @@ def solve_tn_quantiles(observed, sd, lower, upper, targets) -> np.ndarray:
     ``observed``, ``sd``, ``lower`` and ``upper`` share one shape ``S``; the
     result has shape ``S + (len(targets),)``.  Every (element, target) pair
     goes through one :func:`solve_tn_mean_bulk` call, whose temporaries grow
-    with the stack: a caller with a large stack blocks it, as
-    :func:`~condid.estimators.conditional_quantiles` does.  A root beyond
-    ``observed -/+ 40 sd`` is returned as ``-inf``/``+inf``.
+    with the stack: a caller with a large stack blocks it, as the simulator
+    does.  A root beyond ``observed -/+ 40 sd`` is returned as
+    ``-inf``/``+inf``.
 
     Raises
     ------

@@ -13,19 +13,20 @@ within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
 vectorized and elementwise across replications, so results are invariant to
 how replications are split into chunks; workers each simulate whole cells.
-Conditional inference is the step :func:`condid.estimators.analyze` runs: each
-chunk's accepted replications go through one
-:func:`~condid.estimators.conditional_quantiles` call (with ``Sigma eta``
-formed from the rank-one-plus-diagonal covariance, never as a dense matrix),
-whose :class:`~condid.errors.NoConvergenceError` for a solve that does not
-converge gains the DGP and K in its message.  No product over a chunk calls
-BLAS: the pretest event's rows are +/-e_j, so
+A chunk's draws span the chunk; every step after them runs in one loop over
+blocks of :data:`BULK_BLOCK` // 6 replications, so a cell holds the draws and
+one block's arrays at a time.  Conditional inference is the step
+:func:`condid.estimators.analyze` runs: each block's accepted replications go
+through one :func:`~condid.estimators.conditional_quantiles` call (with
+``Sigma eta`` formed from the rank-one-plus-diagonal covariance, never as a
+dense matrix), whose :class:`~condid.errors.NoConvergenceError` for a solve
+that does not converge gains the DGP and K in its message.  No product over a
+block calls BLAS: the pretest event's rows are +/-e_j, so
 :func:`~condid.pretest.event_product` forms them by gathering columns, and no
-BLAS thread wakes to take the core another worker needs.  A chunk's draws and
-whole-chunk coefficients are dropped before its conditional step, which runs
-block by block.  Chunk RNG streams are derived from the root seed with a
-splittable seed sequence keyed by (seed, DGP slope, K, chunk index), and
-aggregation is a deterministic fold over chunk order.
+BLAS thread wakes to take the core another worker needs.  Chunk RNG streams
+are derived from the root seed with a splittable seed sequence keyed by
+(seed, DGP slope, K, chunk index), and aggregation is a deterministic fold
+over chunk order.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ MIN_ACCEPTED = 500
 # Replications per chunk.  Each chunk draws from its own RNG stream, so this
 # value decides every table's bytes.
 CHUNK_REPS = 25_000
+
+# Most (replication, contrast, target) triples one block of a chunk hands the
+# bulk solve.  The solve's temporaries grow with its batch, and so set the
+# simulator's peak memory; below about this size its time per pair rises.
+BULK_BLOCK = 12_000
 
 
 @dataclass(frozen=True)
@@ -222,13 +228,19 @@ def _fast_cell_draws(
     t = np.concatenate(([1.0, 0.0], -np.arange(1.0, k + 1)))  # periods (1, 0, -1, ..., -K)
     n_cell = config.n_per_cell
     cell_var = 2.0 / n_cell
-    delta = rng.standard_normal((n, k + 2)) * math.sqrt(cell_var) + slope * t
+    # in place, with the operations in the order every table's bytes were made with
+    delta = rng.standard_normal((n, k + 2))
+    delta *= math.sqrt(cell_var)
+    delta += slope * t
     if config.use_estimated_sigma:
         df = n_cell - 1
-        # times 1/df, not divided by df: the rounding every table's bytes were made with
-        s2_t = rng.chisquare(df, (n, k + 2)) * (1.0 / df)
-        s2_c = rng.chisquare(df, (n, k + 2)) * (1.0 / df)
-        v = (s2_t + s2_c) / n_cell
+        # times 1/df, not divided by df
+        v = rng.chisquare(df, (n, k + 2))
+        v *= 1.0 / df
+        s2_c = rng.chisquare(df, (n, k + 2))
+        s2_c *= 1.0 / df
+        v += s2_c
+        v /= n_cell
     else:
         v = np.full((n, k + 2), cell_var)
     return delta, v
@@ -246,19 +258,34 @@ def _chunk_records(
     n: int,
 ) -> ReplicationRecords:
     """Everything the tables need from ``n`` replications drawn from ``rng``,
-    computed elementwise across replications, for the cell's contrasts ``etas``.
+    for the cell's contrasts ``etas``.
 
-    Uses only elementwise operations and per-axis reductions so that results
-    do not depend on chunk boundaries.  The draws are dropped once the
-    coefficients are formed, and the whole chunk's coefficients once the
-    pretest has selected the accepted replications, so the conditional step
-    holds no array of the whole chunk.
+    The draws span the chunk, since the stream's order decides every byte.
+    Every step after them runs in the one block loop, ``BULK_BLOCK // 6``
+    replications at a time (two contrasts at three targets each), so no other
+    array spans the chunk.  Each step is elementwise across replications, so
+    the blocks move no bit.
     """
     delta, v = _fast_cell_draws(config, k, _slope(config, dgp), rng, n)
-    # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending;
-    # v0 is a view of v until the selection below copies it
-    beta, v0, v_coef = coefficients(delta[:, ::-1], v[:, ::-1])
-    del delta, v
+    step = max(1, BULK_BLOCK // 6)
+    # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending
+    return ReplicationRecords.concatenate([
+        _block_records(config, k, dgp, etas, delta[rows, ::-1], v[rows, ::-1])
+        for rows in (slice(start, start + step) for start in range(0, n, step))
+    ])
+
+
+def _block_records(
+    config: SimConfig,
+    k: int,
+    dgp: str,
+    etas: tuple[np.ndarray, ...],
+    delta: np.ndarray,
+    v: np.ndarray,
+) -> ReplicationRecords:
+    """The records of one block of replications from its draws, with the
+    periods in ascending order."""
+    beta, v0, v_coef = coefficients(delta, v)
     # the pretest event A beta <= b, formed without a BLAS call (event_product)
     a, b = ns_event(v0[:, None] + v_coef[:, 1:], config.alpha_pretest)
     accepted = np.all(event_product(a, beta) <= b, axis=1)
@@ -277,8 +304,7 @@ def _chunk_records(
             raise NoConvergenceError(f"{exc} ({dgp} DGP, K={k})") from None
 
     # pre-period adjustment: the estimated covariance is always a rank-one
-    # update of a diagonal, so the solve has a closed form.  It runs after the
-    # conditional step, which then holds none of its (n, K) temporaries
+    # update of a diagonal, so the solve has a closed form
     var_trad = v0 + v_coef[:, 0]
     inv_lam = 1.0 / v_coef[:, 1:]
     s = inv_lam.sum(axis=1)
@@ -292,7 +318,7 @@ def _chunk_records(
         k=k,
         alpha_ci=config.alpha_ci,
         accepted=accepted,
-        beta_post=beta[:, 0],
+        beta_post=beta[:, 0].copy(),  # not a view that keeps the block's beta
         se_trad=np.sqrt(var_trad),
         beta_tilde=beta_tilde,
         se_eff=np.sqrt(var_eff),

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,33 @@ class TestAnalyze:
         assert rc == EXIT_VALIDATION
         message = "unit 'u0' is a control in its first row but treated at period 0"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("power, what", [(509, "cell squared deviations"),
+                                             (1022, "cell sums"), (None, "coefficients")])
+    def test_outcomes_that_overflow_name_the_outcome(self, power, what, tmp_path, capsys):
+        # the bundled panel scaled by 2**power: at 509 the squared deviations
+        # overflow, at 1022 the sums already do; with power None, cell means
+        # of -/+0.89e308 whose differences overflow the coefficients.  No
+        # RuntimeWarning leaks
+        if power is None:
+            y = {1: 0.89e308, 0: -0.89e308, -1: 0.0}
+            rows = [f"{g}{i},{t},{d},{(2 * d - 1) * y[t] + i!r}"
+                    for t in (-1, 0, 1) for i in range(2) for g, d in (("c", 0), ("t", 1))]
+            largest = 0.89e308
+        else:
+            header, *lines = EXAMPLE_PANEL.read_text().splitlines()
+            scaled = [row.rsplit(",", 1) for row in lines]
+            rows = [f"{head},{float(y) * 2.0**power!r}" for head, y in scaled]
+            largest = max(abs(float(y)) * 2.0**power for _, y in scaled)
+        src = tmp_path / "huge.csv"
+        src.write_text("\n".join(["unit,period,treatment,outcome"] + rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: outcome values up to {largest!r} in magnitude overflow the {what}\n"
+        )
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["analyze", "--input", str(tmp_path / "nope.csv"),

@@ -514,6 +514,32 @@ class TestSolveTnMean:
             assert abs(float(mu_s) / scale - float(mu)) <= 1e-9 * sd
             assert abs(float(mu_c) - c - float(mu)) <= 1e-9 * sd
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_width=st.floats(min_value=math.log(0.05), max_value=math.log(50.0)),
+        sd=st.floats(min_value=0.01, max_value=100.0),
+        shift=st.floats(min_value=-100.0, max_value=100.0),
+        inside=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
+        targets=st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=5, max_size=5),
+    )
+    def test_mean_falls_in_the_target_and_rises_in_the_observed_value(
+        self, log_width, sd, shift, inside, targets
+    ):
+        # the CDF at the observed value falls in the mean and rises in the
+        # observed value, so the root does the opposite; each solve stops
+        # within 1e-8 sd of its root, so two near-equal inputs may swap by that.
+        # Observed values within 1e-7 sd of an edge are ill-conditioned, and
+        # within 1e-12 sd some end with status 2: TestExactRoots pins one
+        lower = shift * sd
+        upper = lower + math.exp(log_width) * sd
+        margin = 1e-7 * sd
+        observed = lower + margin + np.sort(inside) * (upper - lower - 2 * margin)
+        mu, status = solve_tn_mean_bulk(observed[:, None], sd, lower, upper, np.sort(targets))
+        assert not (status == 2).any()
+        slack = 2e-8 * sd
+        assert np.all(mu[:, 1:] <= mu[:, :-1] + slack), mu
+        assert np.all(mu[0] <= mu[1] + slack), mu
+
     def test_validation(self):
         # no truncated normal has these (observed, sd, lower, upper)
         for bad in ((3.0, 1.0, 0.0, 2.0), (INF, 1.0, 0.0, INF), (math.nan, 1.0, 0.0, 1.0),
@@ -742,6 +768,16 @@ class TestExactRoots:
             finite = np.isfinite(exact)
             np.testing.assert_array_equal(mu[~finite], exact[~finite])
             assert np.all(np.abs(mu[finite] - exact[finite]) <= self.TOLERANCE * law.sd)
+
+    @pytest.mark.xfail(strict=True, reason="status 2 where the observed value is 1e-13 sd from an edge")
+    def test_an_observed_value_next_to_an_edge_has_its_root_beyond_the_search_edge(self):
+        # a window 0.135 sd wide, not a narrow one: the CDF at the observed
+        # value stays near 0 for every mean within 40 sd, so the root is -inf
+        upper = math.exp(-2.0)
+        observed = 1e-12 * upper
+        assert tn_mean_root(observed, 1.0, 0.0, upper, 0.5) == -INF
+        mu, status = solve_tn_mean_bulk(observed, 1.0, 0.0, upper, 0.5)
+        assert (int(status), float(mu)) == (-1, -INF)
 
     @pytest.mark.xfail(strict=True, reason="finite roots where the exact root lies beyond 40 sd")
     def test_narrow_window_roots_beyond_the_search_edge_are_infinite(self):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, truncnorm
 
-from condid import estimators
+from condid import estimators, simulation
 from condid.estimators import analyze, conditional_quantiles, eta_gamma
 from condid.event_study import coefficients
 from condid.gaussian import _cdf_excess
@@ -153,8 +153,12 @@ def test_intervals_exclude_the_truth_exactly_where_its_pivot_is_outside(dgp, k, 
         excluded += np.count_nonzero(excludes)
     assert checked >= 2 * 0.1 * IDENTITY_REPS and excluded > 0
 
-    # seven datasets per block give the same bits as blocks of BULK_BLOCK // 6
-    monkeypatch.setattr(estimators, "BULK_BLOCK", 7 * 3 * len(etas))
-    blocked = conditional_quantiles(beta, sigma_etas, etas, a, b, IDENTITY_ALPHA)
-    for got, want in zip(blocked, (lower, upper, mu)):
-        assert got.tobytes() == want.tobytes()
+    # the simulator, in blocks of seven replications, gives these same bits:
+    # a generator seeded alike hands its chunk the same draws
+    monkeypatch.setattr(simulation, "BULK_BLOCK", 7 * 3 * len(etas))
+    records = simulation._chunk_records(config, k, dgp, tuple(etas),
+                                        np.random.default_rng(100 + k), IDENTITY_REPS)
+    assert records.accepted.tobytes() == accepted.tobytes()
+    for j, name in enumerate(("tn_beta", "tn_gamma")):
+        for i, part in enumerate(("est", "lo", "hi")):
+            assert getattr(records, f"{name}_{part}").tobytes() == mu[:, j, i].tobytes()

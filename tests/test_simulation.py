@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -122,6 +123,36 @@ class TestChunkPath:
         for f in dataclasses.fields(records):
             got, want = getattr(records, f.name), getattr(expected, f.name)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+    @pytest.mark.parametrize("dgp", ["null", "trend"])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_blocks_of_any_size_give_the_same_bits(self, dgp, k, monkeypatch):
+        # chunks of 250, 250 and 100 replications, which blocks of 3, 4, 6
+        # and 7 do not divide; the trend DGP at K = 8 accepts so few that
+        # most blocks hold no accepted replication
+        monkeypatch.setattr(simulation, "CHUNK_REPS", 250)
+        config = SimConfig(reps=600, k_max=k, seed=5)
+        expected = simulate_cell(config, k, dgp)
+        assert np.count_nonzero(expected.accepted) > 0
+        for rows in range(1, 8):
+            monkeypatch.setattr(simulation, "BULK_BLOCK", 6 * rows)
+            records = simulate_cell(config, k, dgp)
+            for f in dataclasses.fields(records):
+                got, want = getattr(records, f.name), getattr(expected, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (rows, f.name)
+
+    def test_a_cell_holds_one_block_not_one_chunk(self):
+        # a full K = 8 chunk traces about 10 MB in blocks, 4 MB of it the
+        # draws; with the steps after the draws spanning the chunk, 21.3 MB
+        config = SimConfig(k_max=8, reps=25_000, seed=1)
+        simulate_cell(config, 8, "null")  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            simulate_cell(config, 8, "null")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
 
 class TestEngineMatchesScalarPipeline:
