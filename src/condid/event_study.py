@@ -257,8 +257,11 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     ``v_t = s2_T/n_T + s2_C/n_C``, and every coefficient shares the
     reference-period term, so the off-diagonal entries all equal ``v_0`` and
     the diagonal is ``v_0 + v_t``.  Serially correlated errors are out of
-    scope.  Outcomes so large that a cell's sum or squared deviations, or a
-    coefficient, overflow raise :class:`PanelValidationError`.
+    scope.  A cell whose outcomes are all equal has ``s2`` exactly 0.
+    Outcomes so large that a cell's sum or squared deviations, or a
+    coefficient, overflow raise :class:`PanelValidationError`, and so does
+    an outcome constant within each group in two or more periods, which
+    makes the covariance singular.
     """
     k = data.k
     n_cells = 2 * (k + 2)
@@ -275,10 +278,18 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     # would, so the sums hold the same bits a block of rows at a time; an
     # overflow here or below is refused, naming the input, not warned about
     sums = np.zeros(n_cells)
+    # a cell whose least and greatest outcomes are equal has variance 0, not
+    # the dust of its deviations from a rounded mean
+    least, most = np.full(n_cells, np.inf), np.full(n_cells, -np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(data.n_rows):
             code, resid = residuals(rows)
             np.add.at(sums, code, resid)
+            # a loaded panel's outcome is a strided view of its rows, on
+            # which ufunc.at runs about ten times slower
+            outcome = np.ascontiguousarray(data.outcome[rows])
+            np.minimum.at(least, code, outcome)
+            np.maximum.at(most, code, outcome)
     _refuse_overflow(data.outcome, sums, "cell sums")
     counts = data._cells.astype(float)  # counted in validation
     means = sums / counts
@@ -290,13 +301,22 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
             resid *= resid
             np.add.at(squares, code, resid)
     _refuse_overflow(data.outcome, squares, "cell squared deviations")
-    variances = squares / (counts - 1.0)
+    constant = least == most
+    variances = np.where(constant, 0.0, squares) / (counts - 1.0)
     # per period: the treated-minus-control mean and its variance
     with np.errstate(over="ignore", invalid="ignore"):
         delta = means[1::2] - means[0::2]
         v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
         beta, v0, v_coef = coefficients(delta, v)
     _refuse_overflow(data.outcome, beta, "coefficients")
+    # Cov(beta) = v0 + diag(v_coef) is singular once two of the per-period
+    # v are zero: once two periods are constant within each group
+    flat = np.flatnonzero(constant[1::2] & constant[0::2])
+    if flat.size >= 2:
+        raise PanelValidationError(
+            f"outcome is constant within each group at periods {_listing(flat - k)}, "
+            f"so the covariance of the coefficients is singular"
+        )
     sigma = CovarianceMatrix(np.diag(v_coef) + v0, allow_singular=True)
     return EstimateBundle(beta_post=float(beta[0]), beta_pre=beta[1:], sigma=sigma)
 

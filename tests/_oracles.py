@@ -17,6 +17,8 @@ package reads.
 * :func:`tn_mean_root` solves the truncated-normal mean equation in 50-digit
   arithmetic.
 * :func:`write_panel` writes a panel back to CSV.
+* :func:`estimate_or_refusal` estimates a panel or gives the message that
+  refuses it, so that a property can compare refusals as well.
 * :class:`NoMatmul` is an array that fails any matrix product it enters.
 """
 
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from condid.errors import NumericalError
-from condid.event_study import PANEL_HEADER, EstimateBundle, PanelData
+from condid.errors import NumericalError, PanelValidationError
+from condid.event_study import PANEL_HEADER, EstimateBundle, PanelData, estimate_event_study
 from condid.gaussian import CovarianceMatrix
 from condid.pretest import PolyhedralConstraint
 from condid.simulation import SimConfig
@@ -224,6 +226,15 @@ def write_panel(path, data: PanelData) -> None:
         writer.writerow(PANEL_HEADER)
         for u, t, d, y in zip(data.unit, data.period, data.treatment, data.outcome):
             writer.writerow([u, int(t), int(d), repr(float(y))])
+
+
+def estimate_or_refusal(data: PanelData) -> EstimateBundle | str:
+    """``estimate_event_study(data)``, or the message of the
+    :class:`PanelValidationError` that refuses it."""
+    try:
+        return estimate_event_study(data)
+    except PanelValidationError as exc:
+        return str(exc)
 
 
 # --- call guards -----------------------------------------------------------------

@@ -152,19 +152,39 @@ class TestAnalyze:
             f"validation error: outcome values up to {largest!r} in magnitude overflow the {what}\n"
         )
 
+    @pytest.mark.parametrize("outcome", [lambda t, d: 0.1 * t + d, lambda t, d: float(t + d)],
+                             ids=["decimal", "integer"])
+    def test_constant_cells_are_refused_naming_their_periods(self, outcome, tmp_path, capsys):
+        # the bundled panel with outcomes constant within each cell: its
+        # covariance would be rounding dust, or zero.  No RuntimeWarning leaks
+        header, *lines = EXAMPLE_PANEL.read_text().splitlines()
+        rows = [f"{u},{t},{d},{outcome(int(t), int(d))!r}"
+                for u, t, d, _ in (line.split(",") for line in lines)]
+        src = tmp_path / "constant.csv"
+        src.write_text("\n".join([header] + rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: outcome is constant within each group at periods "
+            "[-3, -2, -1, 0, 1], so the covariance of the coefficients is singular\n"
+        )
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["analyze", "--input", str(tmp_path / "nope.csv"),
                    "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_PARSE
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # constant outcomes: the estimated covariance is singular
-        src = tmp_path / "flat.csv"
+        # outcomes so small that their squared deviations underflow: the
+        # estimated covariance is singular
+        src = tmp_path / "tiny.csv"
         rows = ["unit,period,treatment,outcome"]
         for t in (-1, 0, 1):
             for d in (0, 1):
                 for i in range(3):
-                    rows.append(f"{'t' if d else 'c'}{i},{t},{d},1.0")
+                    rows.append(f"{'t' if d else 'c'}{i},{t},{d},{i}e-170")
         src.write_text("\n".join(rows) + "\n")
         rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_NUMERICAL
@@ -268,21 +288,6 @@ def test_negative_value_in_exponent_form_reaches_its_option(argv, code, message,
     assert main(argv + ["--output", str(tmp_path / "out")]) == code
     assert message in capsys.readouterr().err
     assert (tmp_path / "out").exists() == (code == EXIT_OK)
-
-
-@pytest.mark.parametrize(
-    "argv, option",
-    [(["simulate", "--table", "1", "--reps", "200", "--k-max", "1", "--output", "out.csv",
-       "--sigma", "1"], "--sigma 1"),
-     (["eta", "--k", "4", "--p", "1", "--m", "1"], "--m 1")],
-    ids=["simulate-sigma", "eta-m"],
-)
-def test_removed_options_are_refused(argv, option, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # where a run that took the option would write
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_PARSE
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestEta:

@@ -25,7 +25,7 @@ from condid.event_study import (
 )
 from condid.gaussian import CovarianceMatrix
 
-from _oracles import CellDraws, write_panel
+from _oracles import CellDraws, estimate_or_refusal, write_panel
 
 
 def make_panel(k, n_per_cell, outcome_fn, jitter=None, rng=None):
@@ -499,15 +499,15 @@ class TestRefusalOrder:
 
 class TestEstimation:
     def test_all_zero_outcomes(self):
+        # constant within each group in every period: the covariance is zero
         panel = make_panel(2, 3, lambda t, d, i: 0.0)
-        bundle = estimate_event_study(panel)
-        assert bundle.beta_post == 0.0
-        np.testing.assert_array_equal(bundle.beta_pre, np.zeros(2))
+        with pytest.raises(PanelValidationError, match=r"at periods \[-2, -1, 0, 1\], so"):
+            estimate_event_study(panel)
 
     def test_hand_computed_cell_means(self):
-        # noiseless 4-period set: delta means (-1: 1, 0: 3, 1: 7)
+        # cells of +-0.5 around exact means: delta means (-1: 1, 0: 3, 1: 7)
         deltas = {-1: 1.0, 0: 3.0, 1: 7.0}
-        panel = make_panel(1, 4, lambda t, d, i: deltas[t] if d else 0.0)
+        panel = make_panel(1, 4, lambda t, d, i: (deltas[t] if d else 0.0) + i % 2 - 0.5)
         bundle = estimate_event_study(panel)
         assert bundle.beta_post == pytest.approx(4.0, abs=1e-12)
         assert bundle.beta_pre[0] == pytest.approx(-2.0, abs=1e-12)
@@ -628,11 +628,14 @@ class TestEstimation:
         ))
         y = np.array(grid) / 256.0
         a, b = (
-            estimate_event_study(PanelData(
+            estimate_or_refusal(PanelData(
                 unit=base.unit, period=base.period, treatment=base.treatment, outcome=outcome,
             ))
             for outcome in (y, y + sign * 2.0**exponent)
         )
+        if isinstance(a, str):
+            assert b == a
+            return
         se = np.sqrt(np.diag(a.sigma.entries))
         assert np.all(np.abs(b.beta - a.beta) <= 1e-10 * se)
         assert np.all(np.abs(b.sigma.entries - a.sigma.entries) <= 1e-10 * np.outer(se, se))
@@ -693,6 +696,38 @@ class TestCovariance:
             sigma = estimate_event_study(panel).sigma
             np.testing.assert_allclose(sigma.entries, sigma.entries.T)
             assert np.all(np.linalg.eigvalsh(sigma.entries) > 0)
+
+    @pytest.mark.parametrize("constant, refused", [
+        ({(0, 0)}, None),
+        ({(0, 0), (0, 1)}, None),
+        ({(1, 0), (1, 1)}, None),
+        ({(-2, 0), (-1, 1), (0, 0), (1, 1)}, None),
+        ({(0, 0), (0, 1), (-1, 0), (-1, 1)}, [-1, 0]),
+        ({(-2, 0), (-2, 1), (1, 0), (1, 1)}, [-2, 1]),
+    ], ids=["one-cell", "reference-period", "post-period", "a-cell-in-each-period",
+            "reference-and-one-period", "two-periods"])
+    def test_constant_cells_have_variance_zero(self, constant, refused):
+        # 0.1 in the (period, treated) cells of ``constant``, whose deviations
+        # from a rounded mean are dust; Sigma is singular, and the panel
+        # refused, once two periods are constant within each group
+        rng = np.random.default_rng(15)
+        panel = make_panel(2, 7, lambda t, d, i: 0.1 if (t, d) in constant else rng.normal())
+        if refused:
+            with pytest.raises(PanelValidationError, match=rf"at periods \{refused}, so"):
+                estimate_event_study(panel)
+            return
+        # make_panel's rows run cell by cell: periods -2..1, control first
+        flat = [(t, d) in constant for t in range(-2, 2) for d in (0, 1)]
+        v = np.where(flat, 0.0, panel.outcome.reshape(8, 7).var(axis=1, ddof=1)) / 7
+        _, v0, v_coef = coefficients(np.zeros(4), v[0::2] + v[1::2])
+        sigma = estimate_event_study(panel).sigma.entries
+        np.testing.assert_allclose(sigma, np.diag(v_coef) + v0, rtol=1e-12, atol=0)
+        assert np.all(np.linalg.eigvalsh(sigma) > 0)
+
+    def test_an_all_zero_binary_cell_is_analyzed(self):
+        rng = np.random.default_rng(16)
+        panel = make_panel(2, 7, lambda t, d, i: 0.0 if (t, d) == (0, 0) else rng.integers(2))
+        assert np.all(np.linalg.eigvalsh(estimate_event_study(panel).sigma.entries) > 0)
 
 
 class TestCoefficients:

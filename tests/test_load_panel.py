@@ -28,7 +28,7 @@ from condid.event_study import (
     load_panel,
 )
 
-from _oracles import write_panel
+from _oracles import estimate_or_refusal, write_panel
 
 PERIOD = re.compile(r"[+-]?[0-9]+")
 NUMBER = re.compile(
@@ -647,7 +647,10 @@ class TestEstimationInvariance:
             unit=panel.unit[order], period=panel.period[order],
             treatment=panel.treatment[order], outcome=panel.outcome[order],
         )
-        a, b = estimate_event_study(panel), estimate_event_study(permuted)
+        a, b = estimate_or_refusal(panel), estimate_or_refusal(permuted)
+        if isinstance(a, str):
+            assert b == a
+            return
         scale = max(1.0, float(np.abs(panel.outcome).max()))
         np.testing.assert_allclose(b.beta, a.beta, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(
@@ -664,7 +667,10 @@ class TestEstimationInvariance:
             unit=np.array([mapping[u] for u in panel.unit], dtype=object),
             period=panel.period, treatment=panel.treatment, outcome=panel.outcome,
         )
-        a, b = estimate_event_study(panel), estimate_event_study(relabelled)
+        a, b = estimate_or_refusal(panel), estimate_or_refusal(relabelled)
+        if isinstance(a, str):
+            assert b == a
+            return
         np.testing.assert_array_equal(b.beta, a.beta)
         np.testing.assert_array_equal(b.sigma.entries, a.sigma.entries)
 
