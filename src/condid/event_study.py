@@ -257,60 +257,58 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     ``v_t = s2_T/n_T + s2_C/n_C``, and every coefficient shares the
     reference-period term, so the off-diagonal entries all equal ``v_0`` and
     the diagonal is ``v_0 + v_t``.  Serially correlated errors are out of
-    scope.  A cell whose outcomes are all equal has ``s2`` exactly 0.
-    Outcomes so large that a cell's sum or squared deviations, or a
-    coefficient, overflow raise :class:`PanelValidationError`, and so does
-    an outcome constant within each group in two or more periods, which
-    makes the covariance singular.
+    scope.  Each cell is centred on its own midrange, ``least/2 + most/2``:
+    negating the outcomes negates every bit, scaling them by a power of two
+    scales every bit, an exact shift moves no bit while the shifted
+    midranges stay exact, row order moves only rounding, and a cell whose
+    outcomes are all equal has ``s2`` exactly 0.  Outcomes so large that a
+    cell's sum or squared deviations, or a coefficient, overflow raise
+    :class:`PanelValidationError`, and so does an outcome constant within
+    each group in two or more periods, which makes the covariance singular.
     """
     k = data.k
     n_cells = 2 * (k + 2)
-    # sums of outcomes far from zero lose the low bits that differences of
-    # means keep; centring on one data value makes the estimates invariant
-    # to an exact shift of every outcome
-    origin = data.outcome[0]
 
-    def residuals(rows):
-        code = _cell_codes(data.period[rows], data.treatment[rows], -k)
-        return code, data.outcome[rows] - origin
+    def blocks():
+        for rows in _row_blocks(data.n_rows):
+            # a copy for the passes to overwrite; ufunc.at runs about ten
+            # times slower on a loaded panel's strided outcome view
+            outcome = np.array(data.outcome[rows])
+            yield _cell_codes(data.period[rows], data.treatment[rows], -k), outcome
 
+    least, most = np.full(n_cells, np.inf), np.full(n_cells, -np.inf)
+    for code, outcome in blocks():
+        np.minimum.at(least, code, outcome)
+        np.maximum.at(most, code, outcome)
+    # halved first, so it cannot overflow, and symmetric, so that negated
+    # outcomes give the negated midrange
+    middle = least / 2 + most / 2
+    counts = data._cells.astype(float)  # counted in validation
     # np.add.at adds in row order, as one bincount over the whole panel
     # would, so the sums hold the same bits a block of rows at a time; an
     # overflow here or below is refused, naming the input, not warned about
-    sums = np.zeros(n_cells)
-    # a cell whose least and greatest outcomes are equal has variance 0, not
-    # the dust of its deviations from a rounded mean
-    least, most = np.full(n_cells, np.inf), np.full(n_cells, -np.inf)
+    sums, squares = np.zeros(n_cells), np.zeros(n_cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(data.n_rows):
-            code, resid = residuals(rows)
-            np.add.at(sums, code, resid)
-            # a loaded panel's outcome is a strided view of its rows, on
-            # which ufunc.at runs about ten times slower
-            outcome = np.ascontiguousarray(data.outcome[rows])
-            np.minimum.at(least, code, outcome)
-            np.maximum.at(most, code, outcome)
-    _refuse_overflow(data.outcome, sums, "cell sums")
-    counts = data._cells.astype(float)  # counted in validation
-    means = sums / counts
-    squares = np.zeros(n_cells)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(data.n_rows):
-            code, resid = residuals(rows)
-            resid -= means[code]
-            resid *= resid
-            np.add.at(squares, code, resid)
-    _refuse_overflow(data.outcome, squares, "cell squared deviations")
-    constant = least == most
-    variances = np.where(constant, 0.0, squares) / (counts - 1.0)
-    # per period: the treated-minus-control mean and its variance
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = means[1::2] - means[0::2]
+        for code, outcome in blocks():
+            outcome -= middle[code]
+            np.add.at(sums, code, outcome)
+        _refuse_overflow(data.outcome, sums, "cell sums")
+        offsets = sums / counts
+        for code, outcome in blocks():
+            outcome -= middle[code]
+            outcome -= offsets[code]
+            outcome *= outcome
+            np.add.at(squares, code, outcome)
+        _refuse_overflow(data.outcome, squares, "cell squared deviations")
+        variances = squares / (counts - 1.0)
+        # per period: the treated-minus-control mean and its variance
+        delta = (middle[1::2] - middle[0::2]) + (offsets[1::2] - offsets[0::2])
         v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
         beta, v0, v_coef = coefficients(delta, v)
     _refuse_overflow(data.outcome, beta, "coefficients")
     # Cov(beta) = v0 + diag(v_coef) is singular once two of the per-period
     # v are zero: once two periods are constant within each group
+    constant = least == most
     flat = np.flatnonzero(constant[1::2] & constant[0::2])
     if flat.size >= 2:
         raise PanelValidationError(

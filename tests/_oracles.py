@@ -8,6 +8,10 @@ package reads.
   estimator reduces to the sufficient statistics the simulator draws
   directly; :class:`CellDraws` turns one replication of those draws into an
   :class:`~condid.event_study.EstimateBundle`.
+* :func:`balanced_panel` builds a panel that follows each unit through every
+  period, with an optional effect per unit.
+* :func:`efficient_known_sigma` gives the exact table columns of the
+  pre-period-adjusted estimator under the simulator's known covariance.
 * :class:`EquicorrelatedSpec` and :func:`equicorrelated_matrix` build the
   covariance structure of repeated cross-sections.
 * :func:`conditional_moment_oracle` gives rejection-sampled conditional
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from condid.errors import NumericalError, PanelValidationError
 from condid.event_study import PANEL_HEADER, EstimateBundle, PanelData, estimate_event_study
@@ -55,6 +60,55 @@ def full_panel(
     mean = slope * periods * treatment
     outcome = mean + rng.standard_normal(periods.shape[0])  # unit noise
     return PanelData(unit=unit, period=periods, treatment=treatment, outcome=outcome)
+
+
+def balanced_panel(k: int, units_per_group: int, seed: int, unit_sd: float = 0.0) -> PanelData:
+    """A balanced two-group panel: ``units_per_group`` units in each group,
+    each observed once in every period -K..1, with N(0, 1) noise plus, for
+    each unit, an effect drawn from N(0, ``unit_sd``**2) and shared by all
+    its periods.  The noise is drawn before the effects, so two panels of
+    one seed differ by the unit effects alone."""
+    rng = np.random.default_rng(seed)
+    periods = np.arange(-k, 2)
+    n_units = 2 * units_per_group
+    noise = rng.standard_normal((periods.size, n_units))
+    effects = unit_sd * rng.standard_normal(n_units)
+    return PanelData(
+        unit=np.tile(np.arange(n_units), periods.size),
+        period=np.repeat(periods, n_units),
+        treatment=np.tile(np.arange(n_units) >= units_per_group, periods.size),
+        outcome=(noise + effects).ravel(),
+    )
+
+
+def efficient_known_sigma(k: int, n_per_cell: int, slope: float, alpha_ci: float) -> dict:
+    """The pre-period-adjusted estimator's table columns, exactly, for the
+    simulator's draws under its known covariance Sigma = v (11' + I),
+    v = 2 / n_per_cell, with E beta_t = slope * t.
+
+    There w = Sigma_22^-1 Sigma_21 = 1 / (K + 1) for every pre coefficient,
+    so beta_tilde = beta_post - sum(beta_pre) / (K + 1) is uncorrelated with
+    beta_pre and, being jointly normal with it, independent of it.  The
+    pretest reads beta_pre only, so beta_tilde given a pass is still
+    N(slope (1 + K/2), v (K + 2) / (K + 1)), whatever the pass rate.  The
+    rejection rates are those of its Wald test at ``alpha_ci`` against the
+    true post coefficient, ``slope``, and against zero.
+    """
+    sd = math.sqrt(2.0 / n_per_cell * (k + 2) / (k + 1))
+    mean = slope * (1.0 + k / 2.0)
+    z = -float(ndtri(alpha_ci / 2.0))
+
+    def reject(value):
+        d = (mean - value) / sd
+        return float(ndtr(d - z) + ndtr(-d - z))
+
+    return {
+        "bias_efficient": mean - slope,
+        "mean_se_efficient": sd,
+        "actual_sd_efficient": sd,
+        "size_efficient": reject(slope),
+        "reject_zero_efficient": reject(0.0),
+    }
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_PANEL = REPO_ROOT / "data" / "trend_panel.csv"
 
 
+def _leaves(node, path=""):
+    """(path, value) of every leaf of a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, f"{path}/{key}")
+    else:
+        yield path, node
+
+
 class TestAnalyze:
     def test_bundled_dataset_fills_all_blocks(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -170,6 +180,27 @@ class TestAnalyze:
             "validation error: outcome is constant within each group at periods "
             "[-3, -2, -1, 0, 1], so the covariance of the coefficients is singular\n"
         )
+
+    def test_an_outlying_row_gives_one_report_first_or_last(self, tmp_path, capsys):
+        # the bundled panel's first record with outcome 1e17, kept first and
+        # moved last: each cell is centred on its own midrange, so the
+        # outlier costs bits in its own cell only, whatever the row order
+        header, first, *rest = EXAMPLE_PANEL.read_text().splitlines()
+        outlier = first.rsplit(",", 1)[0] + ",1e17"
+        reports = []
+        for name, lines in (("first", [outlier, *rest]), ("last", [*rest, outlier])):
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            src.write_text("\n".join([header, *lines]) + "\n")
+            assert main(["analyze", "--input", str(src), "--output", str(out)]) == EXIT_OK
+            reports.append(dict(_leaves(json.loads(out.read_text()))))
+        first_order, last_order = reports
+        assert first_order.keys() == last_order.keys()
+        for path, value in first_order.items():
+            other = last_order[path]
+            if isinstance(value, bool) or value is None:
+                assert other == value, path
+            else:  # "inf" and "-inf" are numbers too
+                assert float(other) == pytest.approx(float(value), rel=1e-12), path
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["analyze", "--input", str(tmp_path / "nope.csv"),

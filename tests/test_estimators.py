@@ -120,6 +120,21 @@ class TestEfficientEstimator:
             assert np.all(w > 0)
             np.testing.assert_allclose(w, w[0], rtol=1e-10)
 
+    @pytest.mark.xfail(strict=True, reason="Sigma11 - Sigma12 w cancels when the pre block "
+                       "is nearly rank one: 1.75 for 1.923 at v0 = 1e15")
+    def test_a_dominant_reference_period_keeps_the_variance(self):
+        # Sigma = v0 11' + diag(v), as estimate_event_study builds it, where
+        # one outlying outcome in period 0 makes v0 dwarf every other v: the
+        # adjusted variance is v_post + v0 / (1 + v0 sum(1 / v_pre)), near
+        # v_post + 1 / sum(1 / v_pre), whatever v0.  Near 1e15 the variance
+        # can also come out negative, or the pre block be refused as singular
+        v = np.array([1.0, 2.0, 3.0, 4.0])  # (post, -1, -2, -3)
+        for v0 in (1e9, 1e12, 1e15):
+            bundle = make_bundle(0.0, np.zeros(3), CovarianceMatrix(v0 + np.diag(v)))
+            _, var = efficient_estimator(bundle)
+            exact = v[0] + v0 / (1.0 + v0 * np.sum(1.0 / v[1:]))
+            assert var == pytest.approx(exact, rel=1e-10), v0
+
 
 class TestConditionContrast:
     def test_efficient_contrast_is_untruncated(self):

@@ -570,11 +570,14 @@ class TestEstimation:
             outcome=offset + rng.standard_normal(code.size),
         )
         counts = np.bincount(code).astype(float)
-        resid = panel.outcome - panel.outcome[0]
-        means = np.bincount(code, weights=resid) / counts
-        resid = (resid - means[code]) ** 2
+        # each cell centred on its own midrange
+        cells = [panel.outcome[code == cell] for cell in range(sizes.size)]
+        middle = np.array([c.min() / 2 + c.max() / 2 for c in cells])
+        resid = panel.outcome - middle[code]
+        offsets = np.bincount(code, weights=resid) / counts
+        resid = (resid - offsets[code]) ** 2
         variances = np.bincount(code, weights=resid) / (counts - 1.0)
-        delta = means[1::2] - means[0::2]
+        delta = (middle[1::2] - middle[0::2]) + (offsets[1::2] - offsets[0::2])
         v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
         beta, v0, v_coef = coefficients(delta, v)
         with mock.patch.object(event_study, "_ROW_BLOCK", block):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, ks_2samp, kstest
+from scipy.stats import chi2, ks_2samp, kstest, norm
 
 from condid import gaussian, pretest, simulation
 from condid.cli import rows_to_csv, rows_to_json
@@ -33,7 +33,7 @@ from condid.simulation import (
     summarize_row,
 )
 
-from _oracles import CellDraws, NoMatmul, full_panel
+from _oracles import CellDraws, NoMatmul, efficient_known_sigma, full_panel
 
 INF = math.inf
 
@@ -500,6 +500,39 @@ class TestRunTable:
         cfg = SimConfig(reps=20_000, seed=12)
         rec = simulate_cell(cfg, 0, "null")
         assert rec.se_trad.mean() == pytest.approx(0.1265, abs=0.002)
+
+
+class TestAdjustedEstimatorExact:
+    def test_known_sigma_columns_match_their_closed_forms(self):
+        # every non-degenerate K >= 1 row of both DGPs, against the exact law
+        # of beta_tilde, which the pretest does not move; the four Monte Carlo
+        # columns within a Bonferroni bound at familywise level 1e-3 over the
+        # table's 64 comparisons, |z| <= 4.32; 20 000 reps at seed 3 gave a
+        # worst |z| of 2.1 over the 56 of its 14 non-degenerate rows
+        config = SimConfig(reps=20_000, seed=3, use_estimated_sigma=False)
+        rows = [row for row in run_table(config, 3) if not row.degenerate]
+        assert len(rows) == 14  # the trend DGP passes under 500 times at K = 7, 8
+        tests = ("bias_efficient", "size_efficient", "reject_zero_efficient",
+                 "actual_sd_efficient")
+        bound = norm.isf(1e-3 / (2 * len(tests) * 2 * config.k_max))
+        worst = 0.0
+        for row in rows:
+            slope = config.trend_slope if row.dgp == "trend" else 0.0
+            exact = efficient_known_sigma(row.k, config.n_per_cell, slope, config.alpha_ci)
+            n, sd = row.n_accepted, exact["actual_sd_efficient"]
+            mc_se = {
+                "bias_efficient": sd / math.sqrt(n),
+                "actual_sd_efficient": sd / math.sqrt(2.0 * (n - 1)),
+                **{name: math.sqrt(exact[name] * (1.0 - exact[name]) / n)
+                   for name in ("size_efficient", "reject_zero_efficient")},
+            }
+            for name in tests:
+                z = (getattr(row, name) - exact[name]) / mc_se[name]
+                assert abs(z) <= bound, (row.dgp, row.k, name, z)
+                worst = max(worst, abs(z))
+            # every replication has the same se, so its mean is exact
+            assert row.mean_se_efficient == pytest.approx(exact["mean_se_efficient"], rel=1e-12)
+        assert worst > 0.0
 
 
 class TestCountRange:
