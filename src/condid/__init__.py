@@ -15,7 +15,7 @@ The package exposes, on top of the usual event-study estimator:
   replicated experiments.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 from . import errors
 from .errors import CondidError

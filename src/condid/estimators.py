@@ -79,7 +79,8 @@ def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
     Raises
     ------
     SingularMatrixError
-        When the pre-coefficient covariance block is not positive definite.
+        When the pre-coefficient covariance block is not positive definite,
+        or the adjusted variance is not positive.
     """
     sigma = bundle.sigma
     if sigma.k == 0:
@@ -87,6 +88,8 @@ def efficient_estimator(bundle: EstimateBundle) -> tuple[float, float]:
     weights = adjustment_weights(sigma)
     estimate = bundle.beta_post - float(weights @ bundle.beta_pre)
     variance = sigma.sigma11 - float(sigma.sigma12 @ weights)
+    if not variance > 0:  # the subtraction cancelled; NaN fails too
+        raise SingularMatrixError(f"adjusted variance is {variance!r}, not positive")
     return estimate, variance
 
 

@@ -13,9 +13,10 @@ within-cell variance estimates -- which is distributionally identical to
 estimating on a full simulated panel.  All replication-level computation is
 vectorized and elementwise across replications, so results are invariant to
 how replications are split into chunks; workers each simulate whole cells.
-A chunk's draws span the chunk; every step after them runs in one loop over
-blocks of :data:`BULK_BLOCK` // 6 replications, so a cell holds the draws and
-one block's arrays at a time.  Conditional inference is the step
+A chunk's draws span the chunk; in the same loop, every step after them runs
+on one block of :data:`BLOCK_REPS` replications at a time, so a cell holds one
+chunk's draws and one block's arrays, and joins its records once.  Conditional
+inference is the step
 :func:`condid.estimators.analyze` runs: each block's accepted replications go
 through one :func:`~condid.estimators.conditional_quantiles` call (with
 ``Sigma eta`` formed from the rank-one-plus-diagonal covariance, never as a
@@ -60,10 +61,10 @@ MIN_ACCEPTED = 500
 # value decides every table's bytes.
 CHUNK_REPS = 25_000
 
-# Most (replication, contrast, target) triples one block of a chunk hands the
-# bulk solve.  The solve's temporaries grow with its batch, and so set the
-# simulator's peak memory; below about this size its time per pair rises.
-BULK_BLOCK = 12_000
+# Replications per block: 12 000 (replication, contrast, target) triples for
+# the bulk solve at two contrasts and three targets.  The solve's temporaries grow
+# with its batch and set peak memory; below about this size its time per pair rises.
+BLOCK_REPS = 2_000
 
 
 @dataclass(frozen=True)
@@ -208,15 +209,6 @@ class ReplicationRecords:
     tn_gamma_lo: np.ndarray
     tn_gamma_hi: np.ndarray
 
-    @staticmethod
-    def concatenate(parts: list["ReplicationRecords"]) -> "ReplicationRecords":
-        head = parts[0]
-        return ReplicationRecords(**{
-            f.name: np.concatenate([getattr(p, f.name) for p in parts])
-            if isinstance(getattr(head, f.name), np.ndarray) else getattr(head, f.name)
-            for f in fields(ReplicationRecords)
-        })
-
 
 # --- data generation ---------------------------------------------------------
 
@@ -249,32 +241,6 @@ def _fast_cell_draws(
 # --- vectorized replication kernel -------------------------------------------
 
 
-def _chunk_records(
-    config: SimConfig,
-    k: int,
-    dgp: str,
-    etas: tuple[np.ndarray, ...],
-    rng: np.random.Generator,
-    n: int,
-) -> ReplicationRecords:
-    """Everything the tables need from ``n`` replications drawn from ``rng``,
-    for the cell's contrasts ``etas``.
-
-    The draws span the chunk, since the stream's order decides every byte.
-    Every step after them runs in the one block loop, ``BULK_BLOCK // 6``
-    replications at a time (two contrasts at three targets each), so no other
-    array spans the chunk.  Each step is elementwise across replications, so
-    the blocks move no bit.
-    """
-    delta, v = _fast_cell_draws(config, k, _slope(config, dgp), rng, n)
-    step = max(1, BULK_BLOCK // 6)
-    # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending
-    return ReplicationRecords.concatenate([
-        _block_records(config, k, dgp, etas, delta[rows, ::-1], v[rows, ::-1])
-        for rows in (slice(start, start + step) for start in range(0, n, step))
-    ])
-
-
 def _block_records(
     config: SimConfig,
     k: int,
@@ -282,8 +248,8 @@ def _block_records(
     etas: tuple[np.ndarray, ...],
     delta: np.ndarray,
     v: np.ndarray,
-) -> ReplicationRecords:
-    """The records of one block of replications from its draws, with the
+) -> dict[str, np.ndarray]:
+    """One block's record arrays by field name, from its draws with the
     periods in ascending order."""
     beta, v0, v_coef = coefficients(delta, v)
     # the pretest event A beta <= b, formed without a BLAS call (event_product)
@@ -313,10 +279,7 @@ def _block_records(
     beta_tilde = beta[:, 0] - (w * beta[:, 1:]).sum(axis=1)
     var_eff = var_trad - v0 * w.sum(axis=1)
 
-    return ReplicationRecords(
-        dgp=dgp,
-        k=k,
-        alpha_ci=config.alpha_ci,
+    return dict(
         accepted=accepted,
         beta_post=beta[:, 0].copy(),  # not a view that keeps the block's beta
         se_trad=np.sqrt(var_trad),
@@ -344,20 +307,28 @@ def _slope(config: SimConfig, dgp: str) -> float:
 
 
 def simulate_cell(config: SimConfig, k: int, dgp: str) -> ReplicationRecords:
-    """All replications for one (DGP, K) cell, run chunk by chunk in this
-    process and reduced in chunk order; ``config.workers`` is not read."""
+    """All replications for one (DGP, K) cell, run in this process in chunk
+    order; ``config.workers`` is not read.  Each chunk's draws span the chunk,
+    since its stream decides every byte; each step after them is elementwise,
+    so its blocks of :data:`BLOCK_REPS` replications move no bit."""
     slope = _slope(config, dgp)
     k = as_integer(k, "k")
     if k < 0:
         raise InvalidArgumentError(f"k must be >= 0, got {k}")
     # the contrasts depend on K alone, so every chunk shares them
     etas = (np.eye(k + 1)[0], eta_gamma(k, 1)) if k >= 1 else ()
-    return ReplicationRecords.concatenate([
-        _chunk_records(config, k, dgp, etas,
-                       np.random.default_rng(_chunk_seed(config, slope, k, i)),
-                       min(CHUNK_REPS, config.reps - start))
-        for i, start in enumerate(range(0, config.reps, CHUNK_REPS))
-    ])
+    blocks = []
+    for i, start in enumerate(range(0, config.reps, CHUNK_REPS)):
+        rng = np.random.default_rng(_chunk_seed(config, slope, k, i))
+        delta, v = _fast_cell_draws(config, k, slope, rng, min(CHUNK_REPS, config.reps - start))
+        for first in range(0, len(delta), BLOCK_REPS):
+            rows = slice(first, first + BLOCK_REPS)
+            # the draws run over periods (1, 0, -1, ..., -K): reverse them to ascending
+            blocks.append(_block_records(config, k, dgp, etas, delta[rows, ::-1], v[rows, ::-1]))
+        del delta, v  # freed before the next chunk draws, not after
+    return ReplicationRecords(dgp=dgp, k=k, alpha_ci=config.alpha_ci,
+                              **{name: np.concatenate([block[name] for block in blocks])
+                                 for name in blocks[0]})
 
 
 # --- aggregation --------------------------------------------------------------

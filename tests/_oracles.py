@@ -62,16 +62,21 @@ def full_panel(
     return PanelData(unit=unit, period=periods, treatment=treatment, outcome=outcome)
 
 
-def balanced_panel(k: int, units_per_group: int, seed: int, unit_sd: float = 0.0) -> PanelData:
+def balanced_panel(k: int, units_per_group: int, seed: int, unit_sd: float = 0.0,
+                   ar: float = 0.0) -> PanelData:
     """A balanced two-group panel: ``units_per_group`` units in each group,
     each observed once in every period -K..1, with N(0, 1) noise plus, for
     each unit, an effect drawn from N(0, ``unit_sd``**2) and shared by all
-    its periods.  The noise is drawn before the effects, so two panels of
-    one seed differ by the unit effects alone."""
+    its periods.  Each unit's noise is AR(1) over periods with coefficient
+    ``ar`` and stationary variance 1.  The noise is drawn before the effects,
+    so two panels of one seed differ by the unit effects alone, and at
+    ``ar = 0`` the recursion leaves every bit of the noise as drawn."""
     rng = np.random.default_rng(seed)
     periods = np.arange(-k, 2)
     n_units = 2 * units_per_group
     noise = rng.standard_normal((periods.size, n_units))
+    for t in range(1, periods.size):  # e_t <- ar e_(t-1) + sqrt(1 - ar^2) e_t
+        noise[t] = ar * noise[t - 1] + math.sqrt(1.0 - ar * ar) * noise[t]
     effects = unit_sd * rng.standard_normal(n_units)
     return PanelData(
         unit=np.tile(np.arange(n_units), periods.size),

@@ -271,3 +271,19 @@ def test_a_treated_trend_moves_each_coefficient_by_its_value(k, units, seed, c, 
     eta = eta_gamma(k, p)
     scale = math.sqrt(eta @ base.sigma.entries @ eta) + np.abs(eta * trend).sum()
     assert abs(eta @ other.beta - eta @ base.beta) <= 1e-10 * scale
+
+
+AR_XFAIL = pytest.mark.xfail(strict=True, reason="the covariance treats periods as independent "
+                             "samples, so serially correlated errors bias it (ROADMAP item 14)")
+
+
+@pytest.mark.parametrize("ar", [0.0, pytest.param(0.5, marks=AR_XFAIL),
+                                pytest.param(-0.5, marks=AR_XFAIL)])
+def test_reported_variances_match_the_monte_carlo_variance(ar):
+    # K = 3, 100 units per group, AR(1) errors: over 2000 panels each
+    # coefficient's mean reported variance lies within 15 % of the variance
+    # of its estimates (the ratio's Monte Carlo sd is about 3 %)
+    bundles = [estimate_event_study(balanced_panel(3, 100, seed, ar=ar)) for seed in range(2000)]
+    reported = np.mean([np.diag(bundle.sigma.entries) for bundle in bundles], axis=0)
+    actual = np.var([bundle.beta for bundle in bundles], axis=0, ddof=1)
+    assert np.all(np.abs(reported / actual - 1.0) <= 0.15), reported / actual

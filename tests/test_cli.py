@@ -220,6 +220,24 @@ class TestAnalyze:
         rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_NUMERICAL
 
+    def test_a_cancelled_adjusted_variance_exit_code(self, tmp_path, capsys):
+        # K = 2, one row per unit, two rows per cell, and the first treated
+        # period-0 outcome set to 1e9: the adjusted variance cancels to a
+        # negative number, a numerical error rather than a math.sqrt traceback
+        rng = np.random.default_rng(2)
+        rows = ["unit,period,treatment,outcome"]
+        for t in range(-2, 2):
+            for d in (0, 1):
+                for _ in range(2):
+                    rows.append(f"u{len(rows)},{t},{d},{rng.standard_normal()!r}")
+        assert rows[11].startswith("u11,0,1,")
+        rows[11] = "u11,0,1,1e9"
+        src = tmp_path / "outlier.csv"
+        src.write_text("\n".join(rows) + "\n")
+        rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
+        assert rc == EXIT_NUMERICAL
+        assert "numerical error: adjusted variance is" in capsys.readouterr().err
+
     def test_unconverged_solve_exit_code(self, tmp_path, capsys, monkeypatch):
         # one iteration cannot converge: the bundled panel passes its
         # pretest, so analyze runs the conditional solve and must say so

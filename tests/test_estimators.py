@@ -9,6 +9,7 @@ from condid.errors import (
     ConstraintViolatedError,
     InvalidArgumentError,
     RankDeficientError,
+    SingularMatrixError,
     ZeroContrastError,
 )
 from condid.estimators import (
@@ -134,6 +135,17 @@ class TestEfficientEstimator:
             _, var = efficient_estimator(bundle)
             exact = v[0] + v0 / (1.0 + v0 * np.sum(1.0 / v[1:]))
             assert var == pytest.approx(exact, rel=1e-10), v0
+
+    def test_a_variance_that_cancels_to_zero_is_refused(self):
+        # the form estimate_event_study builds, with v0 = 1e17 from one
+        # outlying reference-period outcome: Sigma11 - Sigma12 w cancels to
+        # 0.0 where the exact variance is 1 + 1 / (1e-17 + 1/2 + 1/3) = 2.2
+        sigma = CovarianceMatrix(np.diag([1.0, 2.0, 3.0]) + 1e17, allow_singular=True)
+        bundle = make_bundle(0.0, np.zeros(2), sigma)
+        with pytest.raises(SingularMatrixError, match="adjusted variance is 0.0, not positive"):
+            efficient_estimator(bundle)
+        with pytest.raises(SingularMatrixError, match="adjusted variance"):
+            analyze(bundle)
 
 
 class TestConditionContrast:

@@ -126,7 +126,7 @@ def test_intervals_exclude_the_truth_exactly_where_its_pivot_is_outside(dgp, k, 
     # that is checked replication by replication on drawn coefficients under
     # estimated covariances, with F from scipy's truncnorm on each window
     slope = SLOPE if dgp == "trend" else 0.0
-    config = SimConfig(reps=1, k_max=k, seed=7)
+    config = SimConfig(reps=IDENTITY_REPS, k_max=k, seed=7)
     delta, v = _fast_cell_draws(config, k, slope, np.random.default_rng(100 + k), IDENTITY_REPS)
     beta, v0, v_coef = coefficients(delta[:, ::-1], v[:, ::-1])
     a, b = ns_event(v0[:, None] + v_coef[:, 1:], ALPHA)
@@ -154,10 +154,10 @@ def test_intervals_exclude_the_truth_exactly_where_its_pivot_is_outside(dgp, k, 
     assert checked >= 2 * 0.1 * IDENTITY_REPS and excluded > 0
 
     # the simulator, in blocks of seven replications, gives these same bits:
-    # a generator seeded alike hands its chunk the same draws
-    monkeypatch.setattr(simulation, "BULK_BLOCK", 7 * 3 * len(etas))
-    records = simulation._chunk_records(config, k, dgp, tuple(etas),
-                                        np.random.default_rng(100 + k), IDENTITY_REPS)
+    # a stream seeded alike hands its one chunk the same draws
+    monkeypatch.setattr(simulation, "BLOCK_REPS", 7)
+    monkeypatch.setattr(simulation, "_chunk_seed", lambda *_: np.random.SeedSequence(100 + k))
+    records = simulate_cell(config, k, dgp)
     assert records.accepted.tobytes() == accepted.tobytes()
     for j, name in enumerate(("tn_beta", "tn_gamma")):
         for i, part in enumerate(("est", "lo", "hi")):

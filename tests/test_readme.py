@@ -33,6 +33,7 @@ REMOVED_NAMES = (
     "simulation.generate_dgp", "simulation.CellDraws", "EquicorrelatedSpec",
     "equicorrelated_matrix", "equicorrelated_inverse", "mvn_sample",
     "conditional_moment_oracle", "errors.DegenerateAcceptanceError", "event_study.write_panel",
+    "simulation.ReplicationRecords.concatenate", "simulation.BULK_BLOCK",
 )
 # (keyword, owner)
 REMOVED_KEYWORDS = (
@@ -91,7 +92,7 @@ def test_every_removal_is_recorded_with_its_replacement():
 
 
 def test_removed_names_are_gone():
-    assert len(set(REMOVED_NAMES)) == 35
+    assert len(set(REMOVED_NAMES)) == 37
     modules = [condid] + [
         importlib.import_module(f"condid.{info.name}")
         for info in pkgutil.iter_modules(condid.__path__)

@@ -26,7 +26,6 @@ from condid.simulation import (
     ReplicationRecords,
     SimConfig,
     SimTableRow,
-    _chunk_records,
     _fast_cell_draws,
     run_table,
     simulate_cell,
@@ -125,21 +124,32 @@ class TestChunkPath:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
 
     @pytest.mark.parametrize("dgp", ["null", "trend"])
-    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("k", [0, 1, 8])
     def test_blocks_of_any_size_give_the_same_bits(self, dgp, k, monkeypatch):
         # chunks of 250, 250 and 100 replications, which blocks of 3, 4, 6
         # and 7 do not divide; the trend DGP at K = 8 accepts so few that
-        # most blocks hold no accepted replication
+        # most blocks hold no accepted replication; K = 0 has no contrast
         monkeypatch.setattr(simulation, "CHUNK_REPS", 250)
-        config = SimConfig(reps=600, k_max=k, seed=5)
+        config = SimConfig(reps=600, k_max=max(k, 1), seed=5)
         expected = simulate_cell(config, k, dgp)
         assert np.count_nonzero(expected.accepted) > 0
         for rows in range(1, 8):
-            monkeypatch.setattr(simulation, "BULK_BLOCK", 6 * rows)
+            monkeypatch.setattr(simulation, "BLOCK_REPS", rows)
             records = simulate_cell(config, k, dgp)
             for f in dataclasses.fields(records):
                 got, want = getattr(records, f.name), getattr(expected, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (rows, f.name)
+
+    def test_a_cell_where_nothing_passes_has_empty_records(self):
+        # the trend DGP at K = 8 and slope 1 rejects every replication: every
+        # block's arrays are empty, and so are the cell's, still float64
+        config = SimConfig(reps=600, k_max=8, seed=5, trend_slope=1.0)
+        records = simulate_cell(config, 8, "trend")
+        assert records.accepted.shape == (600,) and not records.accepted.any()
+        for f in dataclasses.fields(records):
+            values = getattr(records, f.name)
+            if f.name != "accepted" and isinstance(values, np.ndarray):
+                assert values.shape == (0,) and values.dtype == np.float64, f.name
 
     def test_a_cell_holds_one_block_not_one_chunk(self):
         # a full K = 8 chunk traces about 10 MB in blocks, 4 MB of it the
@@ -158,15 +168,15 @@ class TestChunkPath:
 class TestEngineMatchesScalarPipeline:
     """The vectorized kernel and the public one-bundle API must agree."""
 
-    def test_two_path_equivalence(self):
-        cfg = SimConfig(reps=1, seed=0, trend_slope=0.065)
+    def test_two_path_equivalence(self, monkeypatch):
+        cfg = SimConfig(reps=250, seed=0, trend_slope=0.065)
         k = 2
         rng = np.random.default_rng(88)
         delta, v = _fast_cell_draws(cfg, k, 0.065, rng, 250)
-        # the chunk draws from its generator first, so a generator seeded
-        # alike hands it these same draws
-        etas = (np.eye(k + 1)[0], eta_gamma(k, 1))
-        records = _chunk_records(cfg, k, "trend", etas, np.random.default_rng(88), 250)
+        # the cell's one chunk draws from a stream seeded alike, which hands
+        # it these same draws
+        monkeypatch.setattr(simulation, "_chunk_seed", lambda *_: np.random.SeedSequence(88))
+        records = simulate_cell(cfg, k, "trend")
         # records hold the accepted replications only: the j-th stored entry
         # is the j-th accepted replication
         j = 0
