@@ -48,6 +48,7 @@ PANEL_HEADER = ("unit", "period", "treatment", "outcome")
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
+_FLOAT = sys.float_info
 # bytes that are not UTF-8 decode to these code points under "surrogateescape"
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 # np.loadtxt opens a file name with one of these endings as compressed
@@ -257,76 +258,77 @@ def estimate_event_study(data: PanelData) -> EstimateBundle:
     ``v_t = s2_T/n_T + s2_C/n_C``, and every coefficient shares the
     reference-period term, so the off-diagonal entries all equal ``v_0`` and
     the diagonal is ``v_0 + v_t``.  Serially correlated errors are out of
-    scope.  Each cell is centred on its own midrange, ``least/2 + most/2``:
-    negating the outcomes negates every bit, scaling them by a power of two
-    scales every bit, an exact shift moves no bit while the shifted
-    midranges stay exact, row order moves only rounding, and a cell whose
-    outcomes are all equal has ``s2`` exactly 0.  Outcomes so large that a
-    cell's sum or squared deviations, or a coefficient, overflow raise
-    :class:`PanelValidationError`, and so does an outcome constant within
-    each group in two or more periods, which makes the covariance singular.
+    scope.  The passes run on the outcomes times 2**-e, e the exponent of
+    their largest magnitude, each cell centred on its own midrange: so
+    negating or scaling the outcomes by a power of two negates or scales
+    every bit, an exact shift moves no bit while the shifted midranges stay
+    exact, row order moves only rounding, and a constant cell has ``s2``
+    exactly 0.  :class:`PanelValidationError` refuses a panel with a nonzero
+    coefficient or covariance entry that is not normal on both scales, a
+    varying period whose v underflows to 0, or outcomes constant within
+    each group in two or more periods (a singular covariance).
     """
     k = data.k
     n_cells = 2 * (k + 2)
 
-    def blocks():
+    def blocks(power):
         for rows in _row_blocks(data.n_rows):
-            # a copy for the passes to overwrite; ufunc.at runs about ten
-            # times slower on a loaded panel's strided outcome view
-            outcome = np.array(data.outcome[rows])
+            # a copy for the passes to overwrite, times 2**power; ufunc.at
+            # runs about ten times slower on a loaded panel's strided view
+            outcome = np.ldexp(data.outcome[rows], power)
             yield _cell_codes(data.period[rows], data.treatment[rows], -k), outcome
 
     least, most = np.full(n_cells, np.inf), np.full(n_cells, -np.inf)
-    for code, outcome in blocks():
+    for code, outcome in blocks(0):
         np.minimum.at(least, code, outcome)
         np.maximum.at(most, code, outcome)
-    # halved first, so it cannot overflow, and symmetric, so that negated
-    # outcomes give the negated midrange
-    middle = least / 2 + most / 2
+    largest = float(max(-least.min(), most.max()))
+    e = int(np.frexp(largest)[1])
+    # symmetric, so that negated outcomes give the negated midrange
+    middle = (np.ldexp(least, -e) + np.ldexp(most, -e)) / 2
     counts = data._cells.astype(float)  # counted in validation
     # np.add.at adds in row order, as one bincount over the whole panel
-    # would, so the sums hold the same bits a block of rows at a time; an
-    # overflow here or below is refused, naming the input, not warned about
+    # would, so the sums hold the same bits a block of rows at a time
     sums, squares = np.zeros(n_cells), np.zeros(n_cells)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for code, outcome in blocks():
-            outcome -= middle[code]
-            np.add.at(sums, code, outcome)
-        _refuse_overflow(data.outcome, sums, "cell sums")
-        offsets = sums / counts
-        for code, outcome in blocks():
-            outcome -= middle[code]
-            outcome -= offsets[code]
-            outcome *= outcome
-            np.add.at(squares, code, outcome)
-        _refuse_overflow(data.outcome, squares, "cell squared deviations")
-        variances = squares / (counts - 1.0)
-        # per period: the treated-minus-control mean and its variance
-        delta = (middle[1::2] - middle[0::2]) + (offsets[1::2] - offsets[0::2])
-        v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
-        beta, v0, v_coef = coefficients(delta, v)
-    _refuse_overflow(data.outcome, beta, "coefficients")
+    for code, outcome in blocks(-e):
+        outcome -= middle[code]
+        np.add.at(sums, code, outcome)
+    offsets = sums / counts
+    for code, outcome in blocks(-e):
+        outcome -= middle[code]
+        outcome -= offsets[code]
+        outcome *= outcome
+        np.add.at(squares, code, outcome)
+    variances = squares / (counts - 1.0)
+    # per period: the treated-minus-control mean and its variance
+    delta = (middle[1::2] - middle[0::2]) + (offsets[1::2] - offsets[0::2])
+    v = variances[1::2] / counts[1::2] + variances[0::2] / counts[0::2]
+    beta, v0, v_coef = coefficients(delta, v)
+    sigma = np.diag(v_coef) + v0
+    constant = least == most
+    # v > 0 in a period whose outcomes vary, unless it underflowed
+    flat = constant[1::2] & constant[0::2]
+    if not (_normal(beta, e) and _normal(sigma, 2 * e) and v[~flat].all()):
+        raise PanelValidationError(
+            f"outcome values up to {largest!r} in magnitude make an estimate subnormal or infinite"
+        )
     # Cov(beta) = v0 + diag(v_coef) is singular once two of the per-period
     # v are zero: once two periods are constant within each group
-    constant = least == most
-    flat = np.flatnonzero(constant[1::2] & constant[0::2])
-    if flat.size >= 2:
+    periods = np.flatnonzero(flat) - k
+    if periods.size >= 2:
         raise PanelValidationError(
-            f"outcome is constant within each group at periods {_listing(flat - k)}, "
+            f"outcome is constant within each group at periods {_listing(periods)}, "
             f"so the covariance of the coefficients is singular"
         )
-    sigma = CovarianceMatrix(np.diag(v_coef) + v0, allow_singular=True)
+    beta, sigma = np.ldexp(beta, e), CovarianceMatrix(np.ldexp(sigma, 2 * e), allow_singular=True)
     return EstimateBundle(beta_post=float(beta[0]), beta_pre=beta[1:], sigma=sigma)
 
 
-def _refuse_overflow(outcome: np.ndarray, values: np.ndarray, what: str) -> None:
-    """Refuse a panel whose ``values`` overflowed, naming the outcome's
-    largest magnitude."""
-    if not np.isfinite(values).all():
-        raise PanelValidationError(
-            f"outcome values up to {float(np.abs(outcome).max())!r} in magnitude overflow "
-            f"the {what}"
-        )
+def _normal(values: np.ndarray, power: int) -> bool:
+    """Whether each of ``values`` that is not 0 is a normal double, times 1 and 2**power."""
+    exponent = np.frexp(values)[1]  # values = m * 2**exponent, 0.5 <= |m| < 1
+    low, high = exponent + min(power, 0), exponent + max(power, 0)
+    return bool(((values == 0) | ((low >= _FLOAT.min_exp) & (high <= _FLOAT.max_exp))).all())
 
 
 def coefficients(delta: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -95,7 +95,7 @@ class CovarianceMatrix:
         scale = max(1.0, float(np.abs(arr).max()))
         if np.abs(arr - arr.T).max() > _SYM_RTOL * scale:
             raise InvalidArgumentError("covariance is not symmetric within 1e-12 relative tolerance")
-        arr = 0.5 * (arr + arr.T)
+        arr = np.where(arr == arr.T, arr, 0.5 * arr + 0.5 * arr.T)  # cannot overflow
         arr.flags.writeable = False
         self.entries = arr
         if not allow_singular:

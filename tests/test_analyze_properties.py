@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from condid.cli import report_payload
 from condid.estimators import analyze, eta_gamma
+from condid.errors import PanelValidationError
 from condid.event_study import PanelData, estimate_event_study
 
 from _oracles import balanced_panel
@@ -107,6 +108,26 @@ def test_scaling_outcomes_scales_every_number_exactly(panel, power):
             expected = value if key == "trend_order" else float(value) * scale
             assert float(scaled[name][key]) == expected, (name, key)
     assert scaled["sigma"] == [[x * scale * scale for x in row] for row in base["sigma"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(panel=panels(), power=st.integers(-1000, 1000))
+def test_scaling_outcomes_by_up_to_2_to_the_1000_scales_the_estimate_exactly(panel, power):
+    # the scaled panel holds the outcomes times 2**power exactly; its
+    # estimate is the panel's times 2**power, and its covariance times
+    # 2**(2 * power), bit for bit, unless it is refused as input
+    y = np.ldexp(panel.outcome, power)
+    assume(np.array_equal(np.ldexp(y, -power), panel.outcome))
+    base = estimate_event_study(panel)
+    try:
+        scaled = estimate_event_study(with_outcome(panel, y))
+    except PanelValidationError:
+        return
+    pairs = ((scaled.beta, base.beta, power), (scaled.sigma.entries, base.sigma.entries, 2 * power))
+    for got, want, shift in pairs:
+        # exact both ways, so no subnormal or infinite value passes
+        np.testing.assert_array_equal(got, np.ldexp(want, shift))
+        np.testing.assert_array_equal(np.ldexp(got, -shift), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,3 +308,27 @@ def test_reported_variances_match_the_monte_carlo_variance(ar):
     reported = np.mean([np.diag(bundle.sigma.entries) for bundle in bundles], axis=0)
     actual = np.var([bundle.beta for bundle in bundles], axis=0, ddof=1)
     assert np.all(np.abs(reported / actual - 1.0) <= 0.15), reported / actual
+
+
+@pytest.mark.parametrize("unit_sd, ar", [
+    (0.0, 0.0),
+    pytest.param(1.0, 0.0, marks=AR_XFAIL),
+    pytest.param(0.0, 0.5, marks=AR_XFAIL),
+    pytest.param(0.0, -0.5, marks=AR_XFAIL),
+], ids=["iid", "unit-effects", "ar-0.5", "ar-minus-0.5"])
+def test_traditional_size_and_conditional_coverage_are_nominal(unit_sd, ar):
+    # K = 3, 100 units per group, 2000 null panels: the traditional 95 %
+    # interval excludes beta_post = 0 in 5 % of them, and the conditional
+    # interval covers it in 95 % of those that pass the pretest, each within
+    # 4 binomial se
+    rejected = covered = passed = 0
+    for seed in range(2000):
+        report = analyze(estimate_event_study(balanced_panel(3, 100, seed, unit_sd, ar)))
+        traditional, conditional = report.traditional, report.median_unbiased_beta
+        rejected += not traditional.ci_lower <= 0.0 <= traditional.ci_upper
+        if report.pretest.passed:
+            passed += 1
+            covered += conditional.ci_lower <= 0.0 <= conditional.ci_upper
+    size, coverage = rejected / 2000, covered / passed
+    assert abs(size - 0.05) <= 4 * math.sqrt(0.05 * 0.95 / 2000), size
+    assert abs(coverage - 0.95) <= 4 * math.sqrt(0.95 * 0.05 / passed), coverage

@@ -40,6 +40,19 @@ def _leaves(node, path=""):
         yield path, node
 
 
+def _scaled_example_panel(power):
+    """The bundled panel's records with each outcome times 2**power, and
+    their largest magnitude."""
+    _, *lines = EXAMPLE_PANEL.read_text().splitlines()
+    scaled = [(head, math.ldexp(float(y), power)) for head, y in (r.rsplit(",", 1) for r in lines)]
+    return [f"{head},{y!r}" for head, y in scaled], max(abs(y) for _, y in scaled)
+
+
+def _out_of_range(largest):
+    return (f"validation error: outcome values up to {largest!r} in magnitude make an "
+            f"estimate subnormal or infinite\n")
+
+
 class TestAnalyze:
     def test_bundled_dataset_fills_all_blocks(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -135,32 +148,49 @@ class TestAnalyze:
         message = "unit 'u0' is a control in its first row but treated at period 0"
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("power, what", [(509, "cell squared deviations"),
-                                             (1022, "cell sums"), (None, "coefficients")])
-    def test_outcomes_that_overflow_name_the_outcome(self, power, what, tmp_path, capsys):
-        # the bundled panel scaled by 2**power: at 509 the squared deviations
-        # overflow, at 1022 the sums already do; with power None, cell means
-        # of -/+0.89e308 whose differences overflow the coefficients.  No
-        # RuntimeWarning leaks
+    @pytest.mark.parametrize("power", [-1000, -535, -534, -520, -509, 515, 1000, 1022, None])
+    def test_outcomes_out_of_range_name_the_outcome(self, power, tmp_path, capsys):
+        # the bundled panel scaled by 2**power: below 2**-508 its covariance
+        # would be subnormal, and from 2**515 infinite; with power None, cell
+        # means of -/+0.89e308 whose differences overflow the coefficients.
+        # No RuntimeWarning leaks
         if power is None:
             y = {1: 0.89e308, 0: -0.89e308, -1: 0.0}
             rows = [f"{g}{i},{t},{d},{(2 * d - 1) * y[t] + i!r}"
                     for t in (-1, 0, 1) for i in range(2) for g, d in (("c", 0), ("t", 1))]
             largest = 0.89e308
         else:
-            header, *lines = EXAMPLE_PANEL.read_text().splitlines()
-            scaled = [row.rsplit(",", 1) for row in lines]
-            rows = [f"{head},{float(y) * 2.0**power!r}" for head, y in scaled]
-            largest = max(abs(float(y)) * 2.0**power for _, y in scaled)
-        src = tmp_path / "huge.csv"
+            rows, largest = _scaled_example_panel(power)
+        src = tmp_path / "scaled.csv"
         src.write_text("\n".join(["unit,period,treatment,outcome"] + rows) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            f"validation error: outcome values up to {largest!r} in magnitude overflow the {what}\n"
-        )
+        assert capsys.readouterr().err == _out_of_range(largest)
+
+    @pytest.mark.parametrize("power", [-506, 0, 514])
+    def test_a_panel_scaled_in_range_scales_every_number_exactly(self, power, tmp_path):
+        # every number of the report is the unscaled report's times 2**power,
+        # and Sigma's times 2**(2 * power), bit for bit
+        reports = []
+        for scale in (0, power):
+            rows, _ = _scaled_example_panel(scale)
+            src, out = tmp_path / f"{scale}.csv", tmp_path / f"{scale}.json"
+            src.write_text("\n".join(["unit,period,treatment,outcome"] + rows) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["analyze", "--input", str(src), "--output", str(out)]) == EXIT_OK
+            reports.append(dict(_leaves(json.loads(out.read_text()))))
+        base, scaled = reports
+        assert scaled.keys() == base.keys()
+        unscaled = {"schema_version", "k", "alpha", "trend_order"}
+        for path, value in base.items():
+            if isinstance(value, bool) or path.rsplit("/", 1)[-1] in unscaled:
+                assert scaled[path] == value, path
+            else:  # "inf" and "-inf" are numbers too
+                twice = path.startswith("/sigma/")
+                assert float(scaled[path]) == math.ldexp(float(value), power * (1 + twice)), path
 
     @pytest.mark.parametrize("outcome", [lambda t, d: 0.1 * t + d, lambda t, d: float(t + d)],
                              ids=["decimal", "integer"])
@@ -207,9 +237,9 @@ class TestAnalyze:
                    "--output", str(tmp_path / "r.json")])
         assert rc == EXIT_PARSE
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # outcomes so small that their squared deviations underflow: the
-        # estimated covariance is singular
+    def test_outcomes_that_underflow_name_the_outcome(self, tmp_path, capsys):
+        # outcomes so small that their variances underflow: refused as input,
+        # not left to analyze as a singular covariance
         src = tmp_path / "tiny.csv"
         rows = ["unit,period,treatment,outcome"]
         for t in (-1, 0, 1):
@@ -218,7 +248,8 @@ class TestAnalyze:
                     rows.append(f"{'t' if d else 'c'}{i},{t},{d},{i}e-170")
         src.write_text("\n".join(rows) + "\n")
         rc = main(["analyze", "--input", str(src), "--output", str(tmp_path / "r.json")])
-        assert rc == EXIT_NUMERICAL
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == _out_of_range(2e-170)
 
     def test_a_cancelled_adjusted_variance_exit_code(self, tmp_path, capsys):
         # K = 2, one row per unit, two rows per cell, and the first treated

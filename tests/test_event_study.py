@@ -727,6 +727,43 @@ class TestCovariance:
         np.testing.assert_allclose(sigma, np.diag(v_coef) + v0, rtol=1e-12, atol=0)
         assert np.all(np.linalg.eigvalsh(sigma) > 0)
 
+    @pytest.mark.parametrize("controls_vary", [False, True])
+    def test_only_a_variance_lost_to_underflow_is_refused(self, controls_vary):
+        # period 1 constant at 0 and 1; in periods -1 and 0 the treated
+        # outcomes vary by about 1e-200, so their squared deviations
+        # underflow to 0.  Where the controls vary too, v holds their
+        # variance and loses nothing it could have held; where they are
+        # tiny as well, v would be 0 as if the period were constant
+        rng = np.random.default_rng(17)
+        panel = make_panel(1, 5, lambda t, d, i: float(d) if t == 1 else (
+            1e-200 * (i + 1) if d or not controls_vary else rng.normal()))
+        if not controls_vary:
+            with pytest.raises(PanelValidationError, match="make an estimate subnormal"):
+                estimate_event_study(panel)
+            return
+        v = panel.outcome.reshape(6, 5)[0::2].var(axis=1, ddof=1) / 5
+        _, v0, v_coef = coefficients(np.zeros(3), v)
+        np.testing.assert_allclose(estimate_event_study(panel).sigma.entries,
+                                   np.diag(v_coef) + v0, rtol=1e-12, atol=0)
+
+    def test_a_variance_subnormal_at_the_panel_scale_is_refused(self):
+        # period 1 constant at 0 and 1e300, periods -1 and 0 of about 1e140:
+        # scaled to the largest outcome, their variances are subnormal with
+        # a few bits left, so the panel is refused, not reported inexactly
+        rng = np.random.default_rng(18)
+        panel = make_panel(1, 5, lambda t, d, i: 1e300 * d if t == 1 else 1e140 * rng.normal())
+        with pytest.raises(PanelValidationError, match="make an estimate subnormal"):
+            estimate_event_study(panel)
+
+    def test_the_range_check_admits_exactly_the_normal_doubles(self):
+        # values that are not 0 must be normal as given and times 2**power:
+        # 2**1023 is the largest power of two and 2**-1022 the least normal
+        normal = event_study._normal
+        assert normal(np.array([sys.float_info.max, -sys.float_info.min, 0.0]), 0)
+        assert normal(np.array([0.5, -0.0]), 1024) and not normal(np.array([1.0]), 1024)
+        assert normal(np.array([0.5]), -1021) and not normal(np.array([0.5]), -1022)
+        assert not normal(np.array([sys.float_info.min / 2]), 1)
+
     def test_an_all_zero_binary_cell_is_analyzed(self):
         rng = np.random.default_rng(16)
         panel = make_panel(2, 7, lambda t, d, i: 0.0 if (t, d) == (0, 0) else rng.integers(2))

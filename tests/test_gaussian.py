@@ -81,6 +81,16 @@ class TestCovarianceMatrix:
         cov = CovarianceMatrix(m)
         assert cov.entries[0, 1] == cov.entries[1, 0]
 
+    def test_symmetrising_moves_no_symmetric_entry_and_cannot_overflow(self):
+        # 1.5e308 + 1.5e308 overflows: a symmetric entry is kept as given,
+        # and an asymmetric pair still meets at its average
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = CovarianceMatrix(np.diag([1.5e308, 1.0]))
+        np.testing.assert_array_equal(cov.entries, np.diag([1.5e308, 1.0]))
+        cov = CovarianceMatrix([[1.0, 0.3], [0.3 + 1e-14, 2.0]])
+        assert cov.entries[0, 1] == cov.entries[1, 0] == 0.300000000000005
+
     @pytest.mark.parametrize(
         "entries, value",
         [(np.eye(2) + 1j, "(1+1j)"), (np.array([[1.0, 0.5j], [-0.5j, 1.0]]), "0.5j"),
